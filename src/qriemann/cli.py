@@ -36,25 +36,17 @@ from .counterexample import (
 )
 from .evaluator import EvaluatorError, FunctionHandle, estimate_derivative
 from .stencil import (
+    CLASSICAL_BUILDERS,
+    GAUSSIAN_BUILDERS,
     Stencil,
     StencilError,
     format_rational,
-    gaussian_forward,
-    gaussian_shifted,
-    gaussian_symmetric,
-    mz_stencil,
     parse_rational,
-    riemann_classic,
-    riemann_symmetric,
     stencil_to_json,
     vandermonde_solve,
     verify_vandermonde,
 )
 from .verify import DEFAULT_SEED, run_all
-
-STENCIL_KINDS = ("forward", "shifted", "symmetric", "mz", "riemann", "riemann-symmetric", "custom")
-
-GAUSSIAN_KINDS = ("forward", "shifted", "symmetric")
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -79,15 +71,13 @@ def _parse_function(text: str) -> FunctionHandle:
 
 def _build_stencil(args) -> Stencil:
     kind = args.kind
-    if kind in GAUSSIAN_KINDS:
+    if kind in GAUSSIAN_BUILDERS:
         if args.q is None:
             raise StencilError(f"--kind {kind} requires -q")
         q = parse_rational(args.q)
         if args.order is None:
             raise StencilError(f"--kind {kind} requires -n")
-        build = {"forward": gaussian_forward, "shifted": gaussian_shifted,
-                 "symmetric": gaussian_symmetric}[kind]
-        return build(args.order, q)
+        return GAUSSIAN_BUILDERS[kind](args.order, q)
     if args.q is not None:
         raise StencilError(f"--kind {kind} does not take -q")
     if kind == "custom":
@@ -100,9 +90,7 @@ def _build_stencil(args) -> Stencil:
         raise StencilError(f"--kind {kind} does not take --nodes")
     if args.order is None:
         raise StencilError(f"--kind {kind} requires -n")
-    build = {"mz": mz_stencil, "riemann": riemann_classic,
-             "riemann-symmetric": riemann_symmetric}[kind]
-    return build(args.order)
+    return CLASSICAL_BUILDERS[kind](args.order)
 
 
 def _print_stencil(s, output: str):
@@ -221,6 +209,14 @@ def cmd_counterexample(args) -> int:
     return 0 if report.passed() else 1
 
 
+def _add_stencil_arguments(p):
+    """The stencil-selecting flags shared by the stencil and derive commands."""
+    p.add_argument("--kind", choices=(*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom"), required=True)
+    p.add_argument("-n", "--order", type=int)
+    p.add_argument("-q", help="ratio as 'p/r' (gaussian kinds only)")
+    p.add_argument("--nodes", help="comma-separated rational nodes (custom kind only)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qriemann",
@@ -230,10 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stencil", help="build a stencil and print it")
-    p.add_argument("--kind", choices=STENCIL_KINDS, required=True)
-    p.add_argument("-n", "--order", type=int)
-    p.add_argument("-q", help="ratio as 'p/r' (gaussian kinds only)")
-    p.add_argument("--nodes", help="comma-separated rational nodes (custom kind only)")
+    _add_stencil_arguments(p)
     p.add_argument("--output", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_stencil)
 
@@ -246,10 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="estimate a derivative from a convergence table")
-    p.add_argument("--kind", choices=STENCIL_KINDS, required=True)
-    p.add_argument("-n", "--order", type=int)
-    p.add_argument("-q", help="ratio as 'p/r' (gaussian kinds only)")
-    p.add_argument("--nodes", help="comma-separated rational nodes (custom kind only)")
+    _add_stencil_arguments(p)
     p.add_argument("--function", required=True,
                    help="sin | cos | exp | abs | signpowN | poly:c0,c1,...")
     p.add_argument("--at", default="0", help="expansion point (rational or decimal)")

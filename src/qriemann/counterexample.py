@@ -33,8 +33,7 @@ from .stencil import (
     stencil_to_jsonable,
     vandermonde_solve,
 )
-
-DEFAULT_SEED = 1729
+from .verify import DEFAULT_SEED
 
 UNBOUNDED_THRESHOLD = 1e6
 UNBOUNDED_MAX_J = 60
@@ -237,10 +236,6 @@ class ExponentialSum:
 
     def negated(self) -> "ExponentialSum":
         return ExponentialSum(tuple((-c, b) for c, b in self.terms))
-
-
-def eval_exact(phi: ExponentialSum, s: int) -> Fraction:
-    return phi.eval_exact(s)
 
 
 def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:

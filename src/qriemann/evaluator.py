@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .stencil import Stencil, StencilError, _as_fraction, _validate_q
+from .stencil import GAUSSIAN_FAMILIES, Stencil, _as_fraction, _validate_q
 
 MP_DPS = 60
 
@@ -141,28 +141,27 @@ def _mp_apply(s: Stencil, f: FunctionHandle, x: Fraction, h: Fraction):
     return mp.fsum(_to_mpf(c) * f.eval_mp(x + a * h) for a, c in zip(s.nodes, s.coeffs))
 
 
-def apply_difference(s: Stencil, f: FunctionHandle, x, h):
-    """sum_k A_k f(x + a_k h); exact Fraction when possible, else float."""
+def _apply(s: Stencil, f: FunctionHandle, x, h, power: int):
+    """sum_k A_k f(x + a_k h) / h^power: exact Fraction when possible, else
+    computed at MP_DPS digits and rounded to float once, after the division."""
     x, h = _as_fraction(x), _as_fraction(h)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
     exact = _exact_apply(s, f, x, h)
     if exact is not None:
-        return exact
+        return exact / h**power
     with mp.workdps(MP_DPS):
-        return float(_mp_apply(s, f, x, h))
+        return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
+
+
+def apply_difference(s: Stencil, f: FunctionHandle, x, h):
+    """sum_k A_k f(x + a_k h); exact Fraction when possible, else float."""
+    return _apply(s, f, x, h, 0)
 
 
 def difference_quotient(s: Stencil, f: FunctionHandle, x, h):
     """The difference divided by h^order; exact Fraction when possible."""
-    x, h = _as_fraction(x), _as_fraction(h)
-    if h == 0:
-        raise EvaluatorError("step h must be nonzero")
-    exact = _exact_apply(s, f, x, h)
-    if exact is not None:
-        return exact / h**s.order
-    with mp.workdps(MP_DPS):
-        return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** s.order)
+    return _apply(s, f, x, h, s.order)
 
 
 # -- recursive quotients ------------------------------------------------------
@@ -180,7 +179,7 @@ def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
     x, h = _as_fraction(x), _as_fraction(h)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
-    if family not in ("forward", "shifted", "symmetric"):
+    if family not in GAUSSIAN_FAMILIES:
         raise EvaluatorError(f"unknown recursion family {family!r}")
 
     def run(value_of, div):

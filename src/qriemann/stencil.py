@@ -8,8 +8,8 @@ moment conditions
 
 so that sum_k A_k f(x + a_k h) / h^n converges to the n-th derivative for
 smooth f.  This module builds the classical equally-spaced stencils and the
-geometric-node (q-power) families in closed form, by exact linear solve, and
-by recursion, entirely over the rationals.
+geometric-node (q-power) families in closed form, by the divided-difference
+solution of the moment system, and by recursion, entirely over the rationals.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ KINDS = (
     "mz",
     "custom",
 )
-
-GAUSSIAN_FAMILIES = ("forward", "shifted", "symmetric")
 
 
 class StencilError(ValueError):
@@ -65,9 +63,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        # floats are exact binary rationals; accept them verbatim
-        return Fraction(x)
+    # floats are exact binary rationals and are taken verbatim
     return Fraction(x)
 
 
@@ -191,15 +187,20 @@ class GaussianNormalizer:
         return cls(family=family, value=Fraction(math.factorial(n)) / den)
 
 
-# -- exact linear solve -------------------------------------------------------
+# -- the moment solver --------------------------------------------------------
 
 
 def vandermonde_solve(nodes, n: int) -> Stencil:
     """Solve the moment system on the given nodes for derivative order n.
 
-    Exactly n+1 distinct rational nodes are required (the square, uniquely
-    solvable case); anything else is unsupported here.  Exact fraction
-    elimination, no pivot growth concerns.
+    Exactly n+1 distinct rational nodes a_0..a_n are required; anything else
+    is unsupported here.  The unique solution is n! times the weights of the
+    n-th divided difference,
+
+        A_k = n! / prod_{j != k} (a_k - a_j),
+
+    computed exactly in O(n^2); distinct nodes make every A_k finite and
+    nonzero.
     """
     if not isinstance(n, int) or n < 1:
         raise StencilError("order must be an integer >= 1")
@@ -211,24 +212,9 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
             f"need exactly {n + 1} nodes for order {n}, got {len(pts)}; "
             "excess-node systems are not supported"
         )
-    size = n + 1
-    # rows j = 0..n: sum_k A_k a_k^j = (j == n) * n!
-    aug = [[pts[k] ** j for k in range(size)] + [Fraction(math.factorial(n)) if j == n else Fraction(0)]
-           for j in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise StencilError("singular moment system (nodes not distinct?)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    coeffs = [aug[k][size] for k in range(size)]
-    if any(c == 0 for c in coeffs):
-        raise StencilError("moment solution has a zero coefficient; node set degenerate for this order")
+    fact = math.factorial(n)
+    coeffs = [fact / math.prod(ak - aj for j, aj in enumerate(pts) if j != k)
+              for k, ak in enumerate(pts)]
     return Stencil(order=n, nodes=tuple(pts), coeffs=tuple(coeffs), kind="custom", q=None)
 
 
@@ -294,9 +280,9 @@ def _gaussian_symmetric_closed(n: int, q: Fraction) -> dict:
 def gaussian_symmetric(n: int, q) -> Stencil:
     """Order-n symmetric difference on nodes {+-q^i} (plus 0 for even n).
 
-    The closed form is cross-validated against the exact moment solve on the
-    same node set; the solver is authoritative, so a closed-form slip cannot
-    ship silently.
+    The closed form is cross-checked against vandermonde_solve, the O(n^2)
+    divided-difference solution, on the same node set; the solver is
+    authoritative, so a closed-form slip raises instead of shipping silently.
     """
     q = _validate_q(q)
     if not isinstance(n, int) or n < 1:
@@ -333,6 +319,22 @@ def mz_stencil(n: int) -> Stencil:
     """The q = 2 forward stencil on nodes {0, 1, 2, 4, ..., 2^(n-1)}."""
     base = gaussian_forward(n, Fraction(2))
     return Stencil(order=n, nodes=base.nodes, coeffs=base.coeffs, kind="mz", q=Fraction(2))
+
+
+# The one map from the CLI's --kind names to builders.  Gaussian builders take
+# (n, q), classical ones take n; "custom" goes through vandermonde_solve.  The
+# order forward, shifted, symmetric is fixed: seeded suites index into it.
+GAUSSIAN_BUILDERS = {
+    "forward": gaussian_forward,
+    "shifted": gaussian_shifted,
+    "symmetric": gaussian_symmetric,
+}
+CLASSICAL_BUILDERS = {
+    "mz": mz_stencil,
+    "riemann": riemann_classic,
+    "riemann-symmetric": riemann_symmetric,
+}
+GAUSSIAN_FAMILIES = tuple(GAUSSIAN_BUILDERS)
 
 
 # -- recursive construction ---------------------------------------------------

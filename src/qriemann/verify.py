@@ -21,6 +21,7 @@ from .qcore import (
     qbinomial_expand,
 )
 from .stencil import (
+    GAUSSIAN_BUILDERS,
     gaussian_forward,
     gaussian_shifted,
     gaussian_symmetric,
@@ -148,13 +149,14 @@ def qbinomial_product_suite(count: int = 100, seed: int = DEFAULT_SEED,
     return res
 
 
-def _alternating_sum(n: int, q: Fraction, point) -> Fraction:
-    """sum_k (-1)^k q^C(k+1,2) [n-1 k]_q * point(k), the recurring left side."""
-    total = Fraction(0)
-    for k in range(n):
-        sign = -1 if k % 2 else 1
-        total += sign * q ** comb(k + 1, 2) * q_binomial(n - 1, k)(q) * point(k)
-    return total
+def _alternating_weights(n: int, q: Fraction) -> list:
+    """w_k = (-1)^k q^C(k+1,2) [n-1 k]_q for k = 0..n-1, the weights of the
+    recurring left side sum_k w_k * point(k)."""
+    return [(-1 if k % 2 else 1) * q ** comb(k + 1, 2) * q_binomial(n - 1, k)(q) for k in range(n)]
+
+
+def _alternating_sum(weights: list, point) -> Fraction:
+    return sum((w * point(k) for k, w in enumerate(weights)), Fraction(0))
 
 
 def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
@@ -169,20 +171,21 @@ def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
             lhs = Fraction(1)
             for i in range(1, n):
                 lhs *= a - q**i
-            rhs = _alternating_sum(n, q, lambda k: a ** (n - 1 - k))
+            weights = _alternating_weights(n, q)
+            rhs = _alternating_sum(weights, lambda k: a ** (n - 1 - k))
             res.check(lhs == rhs, f"monic collapse fails at n={n}, a={a}, q={q}")
 
-            ones = _alternating_sum(n, q, lambda k: Fraction(1))
+            ones = _alternating_sum(weights, lambda k: Fraction(1))
             prod = Fraction(1)
             for i in range(1, n):
                 prod *= 1 - q**i
             res.check(ones == prod, f"a=1 collapse fails at n={n}, q={q}")
 
             for j in range(1, n):
-                momj = _alternating_sum(n, q, lambda k: (q ** (n - 1 - k)) ** j)
+                momj = _alternating_sum(weights, lambda k: (q ** (n - 1 - k)) ** j)
                 res.check(momj == 0, f"vanishing moment j={j} fails at n={n}, q={q}")
 
-            momn = _alternating_sum(n, q, lambda k: (q ** (n - 1 - k)) ** n)
+            momn = _alternating_sum(weights, lambda k: (q ** (n - 1 - k)) ** n)
             top = Fraction(1)
             for i in range(1, n):
                 top *= q**n - q**i
@@ -224,15 +227,17 @@ def qbinomial_squared_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
 # -- stencil suites -----------------------------------------------------------
 
 
+def _gaussian_builders() -> dict:
+    """GAUSSIAN_BUILDERS with each builder looked up by name in this module at
+    call time, so a builder patched in here (an injected fault, a tracer) is
+    the one the suites run."""
+    return {family: globals()[build.__name__] for family, build in GAUSSIAN_BUILDERS.items()}
+
+
 def closed_vs_solver_suite(max_n: int = 10, q_grid=DEFAULT_Q_GRID) -> SuiteResult:
     """Closed-form stencils must match the exact moment solve on their nodes."""
     res = SuiteResult("closed-vs-solver")
-    builders = {
-        "forward": gaussian_forward,
-        "shifted": gaussian_shifted,
-        "symmetric": gaussian_symmetric,
-    }
-    for family, build in builders.items():
+    for family, build in _gaussian_builders().items():
         for n in range(1, max_n + 1):
             for q in q_grid:
                 s = build(n, q)
@@ -252,12 +257,7 @@ def recursion_suite(max_n: int = 10, q_grid=DEFAULT_Q_GRID) -> SuiteResult:
     """The order-raising recursion must reproduce the closed forms exactly,
     and the q=2 forward family must sit on the doubling nodes {0,1,2,4,...}."""
     res = SuiteResult("recursion")
-    builders = {
-        "forward": gaussian_forward,
-        "shifted": gaussian_shifted,
-        "symmetric": gaussian_symmetric,
-    }
-    for family, build in builders.items():
+    for family, build in _gaussian_builders().items():
         for n in range(1, max_n + 1):
             for q in q_grid:
                 rec = recursive_build(family, n, q)
@@ -299,9 +299,9 @@ def scaling_suite(max_n: int = 8, q_grid=SCALING_Q_GRID, seed: int = DEFAULT_SEE
             )
 
     rng = random.Random(seed)
-    builders = (gaussian_forward, gaussian_shifted, gaussian_symmetric)
+    builders = tuple(_gaussian_builders().values())
     for _ in range(random_count):
-        build = builders[rng.randrange(3)]
+        build = rng.choice(builders)
         n = rng.randint(1, 6)
         q = rng.choice(DEFAULT_Q_GRID)
         r = _random_rational(rng, 20, nonzero=True)

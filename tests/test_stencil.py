@@ -181,14 +181,24 @@ class TestVandermondeSolve:
             vandermonde_solve((0, 1, 1), 2)
 
     def test_random_node_sets_have_exact_order(self):
+        import math
+
         rng = random.Random(5150)
-        for _ in range(25):
-            n = rng.randint(1, 6)
+        for _ in range(40):
+            n = rng.randint(1, 12)
             nodes = set()
             while len(nodes) < n + 1:
                 nodes.add(F(rng.randint(-20, 20), rng.randint(1, 6)))
             s = vandermonde_solve(tuple(nodes), n)
             assert_exact_order(s)
+            assert all(r == 0 for _, r in verify_vandermonde(s)), s
+            # each weight is n! over the product of the node differences
+            for a, c in zip(s.nodes, s.coeffs):
+                den = F(1)
+                for b in s.nodes:
+                    if b != a:
+                        den *= a - b
+                assert c == math.factorial(n) / den, (s, a)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +306,22 @@ class TestGaussianSymmetric:
         for n in range(1, 9):
             for q in (F(2), F(1, 2), F(-2), F(5, 3)):
                 assert_exact_order(gaussian_symmetric(n, q))
+
+    def test_cross_check_catches_a_closed_form_slip(self, monkeypatch):
+        import qriemann.stencil as stencil_module
+
+        closed = stencil_module._gaussian_symmetric_closed
+
+        def slipped(n, q):
+            mapping = closed(n, q)
+            top = max(mapping)
+            mapping[top] *= F(1001, 1000)
+            return mapping
+
+        monkeypatch.setattr(stencil_module, "_gaussian_symmetric_closed", slipped)
+        for n in (1, 2, 5, 6):
+            with pytest.raises(AssertionError, match="disagrees with moment solve"):
+                gaussian_symmetric(n, F(3, 2))
 
 
 class TestClassicalStencils:

@@ -5,6 +5,7 @@ codes and output bytes are asserted directly; one subprocess test covers the
 ``python -m qriemann`` entry point end to end.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -13,7 +14,15 @@ from fractions import Fraction
 import pytest
 
 from qriemann import cli
-from qriemann.stencil import Stencil, gaussian_forward
+from qriemann.stencil import (
+    CLASSICAL_BUILDERS,
+    GAUSSIAN_BUILDERS,
+    KINDS,
+    Stencil,
+    gaussian_forward,
+    stencil_from_json,
+    vandermonde_solve,
+)
 from qriemann.verify import (
     ALL_SUITES,
     closed_vs_solver_suite,
@@ -174,6 +183,28 @@ class TestCmdStencil:
         code = cli.main(["stencil", "--kind", "sideways", "-n", "2", "-q", "2"])
         assert code == 2
         capsys.readouterr()
+
+    def test_every_kind_choice_builds_a_known_kind(self, capsys):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        choices = [next(a for a in subparsers.choices[command]._actions if a.dest == "kind").choices
+                   for command in ("stencil", "derive")]
+        assert [tuple(c) for c in choices] == [("forward", "shifted", "symmetric", "mz", "riemann",
+                                                 "riemann-symmetric", "custom")] * 2
+        for name in choices[0]:
+            argv = ["stencil", "--kind", name, "-n", "3"]
+            if name in GAUSSIAN_BUILDERS:
+                argv += ["-q", "2"]
+                built = GAUSSIAN_BUILDERS[name](3, 2)
+            elif name in CLASSICAL_BUILDERS:
+                built = CLASSICAL_BUILDERS[name](3)
+            else:
+                argv += ["--nodes", "0,1,2,3"]
+                built = vandermonde_solve((0, 1, 2, 3), 3)
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["kind"] in KINDS and doc["kind"] == built.kind, name
+            assert stencil_from_json(json.dumps(doc)) == built, name
 
 
 # ---------------------------------------------------------------------------
