@@ -75,21 +75,19 @@ def _build_stencil(args) -> Stencil:
         if args.q is None:
             raise StencilError(f"--kind {kind} requires -q")
         q = parse_rational(args.q)
-        if args.order is None:
-            raise StencilError(f"--kind {kind} requires -n")
-        return GAUSSIAN_BUILDERS[kind](args.order, q)
-    if args.q is not None:
+    elif args.q is not None:
         raise StencilError(f"--kind {kind} does not take -q")
     if kind == "custom":
         if not args.nodes:
             raise StencilError("--kind custom requires --nodes")
-        if args.order is None:
-            raise StencilError("--kind custom requires -n")
-        return vandermonde_solve(_parse_rational_list(args.nodes), args.order)
-    if args.nodes:
+    elif args.nodes:
         raise StencilError(f"--kind {kind} does not take --nodes")
     if args.order is None:
         raise StencilError(f"--kind {kind} requires -n")
+    if kind == "custom":
+        return vandermonde_solve(_parse_rational_list(args.nodes), args.order)
+    if kind in GAUSSIAN_BUILDERS:
+        return GAUSSIAN_BUILDERS[kind](args.order, q)
     return CLASSICAL_BUILDERS[kind](args.order)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .evaluator import MP_DPS, _exact_apply, _mp_apply, _to_mpf, peano_bound_check, FunctionHandle
+from .evaluator import MP_DPS, _exact_apply, _to_mpf, peano_bound_check, FunctionHandle
 from .stencil import (
     Stencil,
     _as_fraction,
@@ -138,6 +138,10 @@ class GroupFunction:
             return int(s)
         return None
 
+    def _exponent_mp(self):
+        s = self.exponent
+        return _to_mpf(s) if isinstance(s, Fraction) else mp.mpf(s)
+
     def value_exact(self, x: Fraction) -> Fraction | None:
         """Exact value, or None when x is in G but the exponent is not integral.
 
@@ -157,16 +161,22 @@ class GroupFunction:
         return self.chi(e) * x**n
 
     def value_mp(self, x: Fraction):
-        """mpmath value; call inside an mp.workdps block."""
+        """mpmath value, from one membership test; call inside an mp.workdps block.
+
+        0 off the support.  At an integer exponent n the exact chi(x) x^n is
+        rounded once, so the value is correct to working precision; otherwise
+        it is chi(x) * x^s from one correctly rounded mp.power.
+        """
         x = _as_fraction(x)
         if x <= 0:
             return mp.mpf(0)
         e = membership(self.group, x)
         if e is None:
             return mp.mpf(0)
-        s = self.exponent
-        sm = _to_mpf(s) if isinstance(s, Fraction) else mp.mpf(s)
-        return self.chi(e) * mp.power(_to_mpf(x), sm)
+        n = self._integer_exponent()
+        if n is not None:
+            return _to_mpf(self.chi(e) * x**n)
+        return self.chi(e) * mp.power(_to_mpf(x), self._exponent_mp())
 
     def handle(self) -> FunctionHandle:
         return FunctionHandle.group_function(self)
@@ -262,22 +272,28 @@ def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:
     return ExponentialSum(tuple(terms))
 
 
-def _phi_signed_value(phi: ExponentialSum, s: float):
-    """(sign, magnitude-ish value) of phi at s; exact at integers."""
+def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
+    """(value, sign) of phi at s: exact at integers, else the sum of
+    c_i exp(s ln b_i) over the (c_i, ln b_i) pairs in logs."""
     if float(s).is_integer():
         v = phi.eval_exact(int(round(s)))
-        return v, (v > 0) - (v < 0)
-    v = phi.eval_mp(s)
-    return v, (1 if v > 0 else (-1 if v < 0 else 0))
+    else:
+        sm = mp.mpf(s)
+        v = mp.fsum(c * mp.exp(sm * lb) for c, lb in logs)
+    return v, (v > 0) - (v < 0)
 
 
 def find_exponent(phi: ExponentialSum, lo, hi, tol: float = 1e-12) -> float:
     """Bisect a sign change of phi on [lo, hi] down to float resolution.
 
     Requires phi(lo) * phi(hi) < 0 strictly.  Integer probes are evaluated
-    exactly, so an exact integer root is returned exactly.  Among the final
-    bracketing endpoints the one with the smaller |phi| wins; refinement past
-    tol is free and keeps the residual as small as doubles allow.
+    exactly, so an exact integer root is returned exactly.  Other probes sum
+    c_i exp(s ln b_i) at MP_DPS digits, with the c_i and ln b_i converted
+    once per call: each term is then correct to about |s ln b_i| units in
+    the last of 60 digits, far below the |phi| of any probe a double can
+    reach, so every sign is decided correctly.  Among the final bracketing
+    endpoints the one with the smaller |phi| wins; refinement past tol is
+    free and keeps the residual as small as doubles allow.
     """
     lo, hi = float(lo), float(hi)
     if not (lo < hi):
@@ -289,8 +305,9 @@ def find_exponent(phi: ExponentialSum, lo, hi, tol: float = 1e-12) -> float:
         return _to_mpf(v) if isinstance(v, Fraction) else v
 
     with mp.workdps(MP_DPS):
-        vlo, slo = _phi_signed_value(phi, lo)
-        vhi, shi = _phi_signed_value(phi, hi)
+        logs = [(_to_mpf(c), mp.log(_to_mpf(b))) for c, b in phi.terms]
+        vlo, slo = _phi_signed_value(phi, logs, lo)
+        vhi, shi = _phi_signed_value(phi, logs, hi)
         if slo == 0 or shi == 0 or slo == shi:
             raise NoSignChangeError(
                 f"phi({lo}) * phi({hi}) < 0 is required, strictly; "
@@ -301,7 +318,7 @@ def find_exponent(phi: ExponentialSum, lo, hi, tol: float = 1e-12) -> float:
             mid = (lo + hi) / 2
             if not (lo < mid < hi):
                 break  # float resolution reached
-            vmid, smid = _phi_signed_value(phi, mid)
+            vmid, smid = _phi_signed_value(phi, logs, mid)
             if smid == 0:
                 return mid
             if smid == slo:
@@ -403,16 +420,53 @@ def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
     return out
 
 
+def _group_differences(stencil: Stencil, f: GroupFunction, steps):
+    """Yield sum_k A_k f(a_k h) for each step h; call inside an mp.workdps block.
+
+    A point a_k h > 0 in G has an exponent vector e over the generators, so
+    (a_k h)^s = prod_i (g_i^s)^e_i.  The g_i^s are the only transcendental
+    values and are computed once; each point then costs one membership test
+    and a few integer powers of them.
+    """
+    s = f._exponent_mp()
+    powers = [mp.power(g, s) for g in f.group.generators]
+    coeffs = [_to_mpf(c) for c in stencil.coeffs]
+    for h in steps:
+        terms = []
+        for a, c in zip(stencil.nodes, coeffs):
+            x = a * h
+            if x <= 0:
+                continue
+            e = membership(f.group, x)
+            if e is not None:
+                terms.append(f.chi(e) * c * mp.fprod(p**k for p, k in zip(powers, e) if k))
+        yield mp.fsum(terms)
+
+
 def _check_difference_vanishes(stencil: Stencil, f: GroupFunction, s_star: float,
                                members: list, nonmembers: list) -> tuple[bool, dict]:
+    """(a): |sum_k A_k f(a_k h)| <= 1e-9 |h|^s at every member step h, and
+    the sum is a literal 0 at every nonmember step.
+
+    At an integer exponent every value is rational and the member sums are
+    exact.  Otherwise they come from _group_differences at MP_DPS digits:
+    each term is a coefficient times integer powers of the g_i^s, correct
+    to a few units in the 60th digit, and fsum rounds the sum once.  A
+    double-precision root leaves a residual near 1e-16 of the terms, so
+    rounding never decides the comparison.  Nonmember steps put every
+    positive point outside G, where f is exactly 0, so their sums are exact.
+    """
     handle = f.handle()
     x0 = Fraction(0)
     with mp.workdps(MP_DPS):
+        if f._integer_exponent() is None:
+            sums = _group_differences(stencil, f, members)
+        else:
+            sums = (_to_mpf(_exact_apply(stencil, handle, x0, h)) for h in members)
         s_mp = mp.mpf(s_star)
         worst = mp.mpf(0)
-        for h in members:
-            exact = _exact_apply(stencil, handle, x0, h)
-            lhs = abs(_to_mpf(exact)) if exact is not None else abs(_mp_apply(stencil, handle, x0, h))
+        for h, total in zip(members, sums):
+            lhs = abs(total)
             rhs = mp.mpf("1e-9") * mp.power(_to_mpf(abs(h)), s_mp)
             ratio = lhs / rhs if rhs > 0 else mp.inf
             worst = max(worst, ratio)
@@ -428,17 +482,24 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction, s_star: float
 
 def _check_unbounded(stencil: Stencil, f: GroupFunction, s_star: float) -> tuple[bool, dict]:
     """Along h = g^-j the n-th quotient has magnitude g^(j(n-s)); find a j
-    pushing it past the threshold, or (when s = n makes the magnitude stick
-    at 1) certify a genuine +-1 oscillation, which denies the limit just as
-    thoroughly."""
+    pushing it past the threshold and require f(h)/h^n, evaluated there, to
+    agree with that prediction to 1e-9 relative, or (when s = n makes the
+    magnitude stick at 1) certify a genuine +-1 oscillation, which denies
+    the limit just as thoroughly."""
     n = stencil.order
-    for gi, g in enumerate(f.group.generators):
+    for g in f.group.generators:
         lg = math.log10(g)
         for j in range(UNBOUNDED_MAX_J + 1):
             log10_mag = j * (n - s_star) * lg
             if log10_mag > math.log10(UNBOUNDED_THRESHOLD):
-                return True, {"witness_generator": g, "witness_j": j,
-                              "log10_ratio": log10_mag, "oscillation": False}
+                h = Fraction(1, g**j)
+                with mp.workdps(MP_DPS):
+                    quotient = abs(f.value_mp(h)) / _to_mpf(h) ** n
+                    predicted = mp.power(g, j * (n - f._exponent_mp()))
+                    rel_error = float(abs(quotient - predicted) / predicted)
+                return rel_error <= 1e-9, {"witness_generator": g, "witness_j": j,
+                                           "log10_ratio": log10_mag, "oscillation": False,
+                                           "relative_error": rel_error}
     ratios = []
     for gi, g in enumerate(f.group.generators):
         lg = math.log10(g)

@@ -108,19 +108,19 @@ class FunctionHandle:
 
     def eval_mp(self, x: Fraction):
         """mpmath value at a rational point; call inside an mp.workdps block."""
+        if self.variant == "group":
+            return self.group_fn.value_mp(x)
         exact = self.eval_exact(x)
         if exact is not None:
             return _to_mpf(exact)
-        if self.variant == "builtin":
-            xm = _to_mpf(x)
-            if self.name == "sin":
-                return mp.sin(xm)
-            if self.name == "cos":
-                return mp.cos(xm)
-            if self.name == "exp":
-                return mp.exp(xm)
-            raise EvaluatorError(f"no mp path for builtin {self.name!r}")  # unreachable
-        return self.group_fn.value_mp(x)
+        xm = _to_mpf(x)
+        if self.name == "sin":
+            return mp.sin(xm)
+        if self.name == "cos":
+            return mp.cos(xm)
+        if self.name == "exp":
+            return mp.exp(xm)
+        raise EvaluatorError(f"no mp path for builtin {self.name!r}")  # unreachable
 
 
 # -- applying a stencil -------------------------------------------------------
@@ -402,8 +402,7 @@ def peano_bound_check(f: FunctionHandle, x, m: int, epsilon_exponent: float, h_s
             h = _as_fraction(h)
             if h == 0:
                 raise EvaluatorError("h samples must be nonzero")
-            v = f.eval_exact(x + h)
-            lhs = abs(_to_mpf(v)) if v is not None else abs(f.eval_mp(x + h))
+            lhs = abs(f.eval_mp(x + h))
             rhs = mp.power(abs(_to_mpf(h)), expo)
             if lhs > rhs:
                 return False

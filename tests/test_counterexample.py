@@ -14,6 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from mpmath import mp
+
+from qriemann import counterexample
 from qriemann.counterexample import (
     NAMED_CASES,
     SEARCH_CASES,
@@ -32,8 +35,8 @@ from qriemann.counterexample import (
     search_to_jsonable,
     verify_counterexample,
 )
-from qriemann.evaluator import apply_difference
-from qriemann.stencil import riemann_classic, riemann_symmetric, scale, vandermonde_solve
+from qriemann.evaluator import MP_DPS, _mp_apply, _to_mpf, apply_difference
+from qriemann.stencil import Stencil, riemann_classic, riemann_symmetric, scale, vandermonde_solve
 
 F = Fraction
 
@@ -451,6 +454,131 @@ class TestVerifyCounterexample:
         assert detail["members"] == 100
         assert detail["nonmembers"] == 100
         assert detail["worst_member_ratio_to_threshold"] < 1.0
+
+
+def case_function(name):
+    """(stencil, f, case) for a packaged case, with f at the case's root."""
+    case = NAMED_CASES[name]
+    f = GroupFunction(group(*case.generators), case.character, run_case(name).exponent)
+    return case.build(), f, case
+
+
+def perturb_coefficient(stn, k):
+    coeffs = list(stn.coeffs)
+    coeffs[k] *= 1 + F(1, 10**6)
+    return Stencil(stn.order, stn.nodes, tuple(coeffs), stn.kind, stn.q)
+
+
+def random_members(g, rng, count):
+    out = []
+    for _ in range(count):
+        h = F(1)
+        for base in g.generators:
+            h *= F(base) ** rng.randint(-8, 8)
+        out.append(h)
+    return out
+
+
+class TestDifferenceCheckMutations:
+    """Each broken package must fail difference_vanishes and nothing else."""
+
+    @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
+    @pytest.mark.parametrize("mutation", ["exponent", "character", "coefficient"])
+    def test_mutation_flips_only_the_vanishing_check(self, name, mutation):
+        stn, f, case = case_function(name)
+        if mutation == "exponent":
+            f = GroupFunction(f.group, f.character, f.exponent + 1e-6)
+        elif mutation == "character":
+            f = GroupFunction(f.group, tuple(1 - b for b in f.character), f.exponent)
+        else:
+            stn = perturb_coefficient(stn, -1)  # the largest node is positive and in G
+        report = verify_counterexample(stn, f, case.lower_order,
+                                       exponent_interval=case.interval, flip_sign=case.flip_sign)
+        assert report.checks == {
+            "difference_vanishes": False,
+            "lower_peano_bound": True,
+            "nth_unbounded": True,
+        }
+
+
+class TestGroupDifferences:
+    """The generator-power member sums against the per-point mp.power
+    reference, _mp_apply."""
+
+    @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
+    def test_matches_mp_apply_off_the_root(self, name):
+        rng = random.Random(2718)
+        stn, f, _ = case_function(name)
+        hs = random_members(f.group, rng, 20)
+        hs += [-h for h in hs]  # negative nodes times negative steps land in G
+        for expo in (f.exponent + 0.25, F(13, 2), 3.0625):
+            g = GroupFunction(f.group, f.character, expo)
+            with mp.workdps(MP_DPS):
+                got = list(counterexample._group_differences(stn, g, hs))
+                for h, v in zip(hs, got):
+                    ref = abs(_mp_apply(stn, g.handle(), F(0), h))
+                    # a forward stencil at a negative step sees only x <= 0
+                    assert ref > 0 or (v == 0 and min(stn.nodes) >= 0 and h < 0)
+                    assert abs(abs(v) - ref) <= mp.mpf("1e-50") * ref
+
+    @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
+    def test_matches_mp_apply_at_the_root(self, name):
+        # At the root the sum cancels about 16 digits, so the agreement is
+        # measured against the size of the terms, sum_k |A_k f(a_k h)|.
+        rng = random.Random(1618)
+        stn, f, _ = case_function(name)
+        hs = random_members(f.group, rng, 20)
+        hs += [-h for h in hs]
+        with mp.workdps(MP_DPS):
+            got = list(counterexample._group_differences(stn, f, hs))
+            for h, v in zip(hs, got):
+                points = [a * h for a in stn.nodes]
+                size = mp.fsum(abs(c) * mp.power(_to_mpf(x), f.exponent)
+                               for c, x in zip(stn.coeffs, points) if x > 0)
+                ref = abs(_mp_apply(stn, f.handle(), F(0), h))
+                assert abs(abs(v) - ref) <= mp.mpf("1e-50") * size
+
+    def test_negative_steps_through_h_samples(self):
+        rng = random.Random(99)
+        stn, f, case = case_function("thm32-n8")
+        members = [-h for h in random_members(f.group, rng, 20)]
+        samples = {"members": members, "nonmembers": [F(1, 10), F(7, 3)],
+                   "peano": [F(1, 2), F(-1, 3)]}
+        report = verify_counterexample(stn, f, case.lower_order, h_samples=samples,
+                                       exponent_interval=case.interval)
+        assert report.checks["difference_vanishes"] is True
+        # node -4 times a negative step is a positive point in G
+        broken = verify_counterexample(perturb_coefficient(stn, 0), f, case.lower_order,
+                                       h_samples=samples, exponent_interval=case.interval)
+        assert broken.checks["difference_vanishes"] is False
+
+    def test_one_power_per_generator_and_member(self, monkeypatch):
+        stn, f, _ = case_function("thm32a")
+        rng = random.Random(4)
+        members = counterexample._sample_members(f.group, rng, 100)
+        nonmembers = counterexample._sample_nonmembers(f.group, stn, rng, 100)
+        calls = []
+        power = mp.power
+        monkeypatch.setattr(mp, "power", lambda *a: calls.append(a) or power(*a))
+        ok, _ = counterexample._check_difference_vanishes(stn, f, float(f.exponent),
+                                                          members, nonmembers)
+        assert ok
+        assert 0 < len(calls) <= len(f.group.generators) + len(members)
+
+
+class TestUnboundedEvaluatesF:
+    def test_witness_value_agrees_with_prediction(self):
+        detail = run_case("thm32-n8").details["unbounded"]
+        assert detail["relative_error"] <= 1e-9
+
+    def test_wrong_values_fail_only_nth_unbounded(self, monkeypatch):
+        monkeypatch.setattr(GroupFunction, "value_mp", lambda self, x: mp.mpf(0))
+        report = run_case("thm32a")
+        assert report.checks == {
+            "difference_vanishes": True,
+            "lower_peano_bound": True,
+            "nth_unbounded": False,
+        }
 
 
 # ---------------------------------------------------------------------------

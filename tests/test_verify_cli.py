@@ -179,6 +179,14 @@ class TestCmdStencil:
         assert code == 2
         capsys.readouterr()
 
+    def test_gaussian_kind_rejects_nodes_exit_2(self, capsys):
+        code = cli.main(["stencil", "--kind", "forward", "-n", "2", "-q", "2",
+                         "--nodes", "5,6,7"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--kind forward does not take --nodes" in captured.err
+
     def test_unknown_kind_usage_error(self, capsys):
         code = cli.main(["stencil", "--kind", "sideways", "-n", "2", "-q", "2"])
         assert code == 2
@@ -309,6 +317,14 @@ class TestCmdDerive:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "converged"
         assert abs(doc["value"] - 1.0) < 1e-6
+
+    def test_gaussian_kind_rejects_nodes_exit_2(self, capsys):
+        code = cli.main(["derive", "--kind", "shifted", "-n", "2", "-q", "2",
+                         "--nodes", "5,6,7", "--function", "sin"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--kind shifted does not take --nodes" in captured.err
 
     def test_unknown_function_exit_2(self, capsys):
         code = cli.main(["derive", "--kind", "forward", "-n", "2", "-q", "2",
