@@ -228,12 +228,6 @@ class ExponentialSum:
         sm = _to_mpf(s) if isinstance(s, Fraction) else mp.mpf(s)
         return mp.fsum(_to_mpf(c) * mp.power(_to_mpf(b), sm) for c, b in self.terms)
 
-    def __call__(self, s) -> float:
-        if isinstance(s, int) or (isinstance(s, float) and s.is_integer()):
-            return float(self.eval_exact(int(s)))
-        with mp.workdps(MP_DPS):
-            return float(self.eval_mp(s))
-
     def primitive(self) -> tuple["ExponentialSum", Fraction]:
         """Divide out the positive rational content; returns (primitive, content)."""
         g = 0
@@ -283,7 +277,7 @@ def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
     return v, (v > 0) - (v < 0)
 
 
-def find_exponent(phi: ExponentialSum, lo, hi, tol: float = 1e-12) -> float:
+def find_exponent(phi: ExponentialSum, lo, hi) -> float:
     """Bisect a sign change of phi on [lo, hi] down to float resolution.
 
     Requires phi(lo) * phi(hi) < 0 strictly.  Integer probes are evaluated
@@ -292,14 +286,12 @@ def find_exponent(phi: ExponentialSum, lo, hi, tol: float = 1e-12) -> float:
     once per call: each term is then correct to about |s ln b_i| units in
     the last of 60 digits, far below the |phi| of any probe a double can
     reach, so every sign is decided correctly.  Among the final bracketing
-    endpoints the one with the smaller |phi| wins; refinement past tol is
-    free and keeps the residual as small as doubles allow.
+    endpoints the one with the smaller |phi| wins, so the residual is as
+    small as doubles allow.
     """
     lo, hi = float(lo), float(hi)
     if not (lo < hi):
         raise CounterexampleError("need lo < hi")
-    if not (tol > 0):
-        raise CounterexampleError("tol must be positive")
 
     def as_mpf(v):
         return _to_mpf(v) if isinstance(v, Fraction) else v

@@ -11,13 +11,12 @@ small-h difference quotients the convergence tables are built from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
 
-from .stencil import GAUSSIAN_FAMILIES, Stencil, _as_fraction, _validate_q
+from .stencil import GAUSSIAN_FAMILIES, Stencil, _as_fraction, _validate_q, recursive_build
 
 MP_DPS = 60
 
@@ -30,10 +29,6 @@ class EvaluatorError(ValueError):
 
 def _to_mpf(x: Fraction):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-
-
-class _Inexact(Exception):
-    """Internal: an exact evaluation path hit a value with no exact form."""
 
 
 class FunctionHandle:
@@ -80,13 +75,6 @@ class FunctionHandle:
     @classmethod
     def group_function(cls, gf) -> "FunctionHandle":
         return cls("group", group_fn=gf)
-
-    def describe(self) -> str:
-        if self.variant == "builtin":
-            return f"signpow{self.power}" if self.name == "signpow" else self.name
-        if self.variant == "polynomial":
-            return "poly:" + ",".join(str(c) for c in self.coeffs)
-        return repr(self.group_fn)
 
     # -- evaluation ----------------------------------------------------
 
@@ -168,10 +156,12 @@ def difference_quotient(s: Stencil, f: FunctionHandle, x, h):
 
 
 def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
-    """Order-n quotient built from the order-raising quotient recursion.
+    """Order-n quotient of the stencil built by the order-raising recursion.
 
-    Must agree with difference_quotient on the matching closed-form stencil:
-    exactly on exact paths, to high precision otherwise.
+    stencil.recursive_build, the one implementation of the recursion, builds
+    the stencil and difference_quotient applies it: an exact Fraction when
+    every value is exact, else a float from MP_DPS digits.  The stencil
+    equals the family's closed form exactly, and so does the quotient.
     """
     q = _validate_q(q)
     if not isinstance(n, int) or n < 1:
@@ -181,60 +171,7 @@ def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
         raise EvaluatorError("step h must be nonzero")
     if family not in GAUSSIAN_FAMILIES:
         raise EvaluatorError(f"unknown recursion family {family!r}")
-
-    def run(value_of, div):
-        cache = {}
-
-        def F(t: Fraction):
-            if t not in cache:
-                cache[t] = value_of(t)
-            return cache[t]
-
-        memo = {}
-
-        def R(level: int, i: int):
-            key = (level, i)
-            if key in memo:
-                return memo[key]
-            hi = h * q**i
-            if family == "forward":
-                if level == 1:
-                    val = div(F(x + hi) - F(x), hi)
-                else:
-                    val = div(level * (R(level - 1, i + 1) - R(level - 1, i)),
-                              (q ** (level - 1) - 1) * hi)
-            elif family == "shifted":
-                if level == 1:
-                    val = div(F(x + q * hi) - F(x + hi), (q - 1) * hi)
-                else:
-                    val = div(level * (R(level - 1, i + 1) - R(level - 1, i)),
-                              (q**level - 1) * hi)
-            else:  # symmetric, steps by two
-                if level == 1:
-                    val = div(F(x + hi) - F(x - hi), 2 * hi)
-                elif level == 2:
-                    val = div(F(x + hi) - 2 * F(x) + F(x - hi), hi * hi)
-                else:
-                    val = div(level * (level - 1) * (R(level - 2, i + 1) - R(level - 2, i)),
-                              (q ** (level - 2 + level % 2) - 1) * hi * hi)
-            memo[key] = val
-            return val
-
-        return R(n, 0)
-
-    def exact_value(t: Fraction):
-        v = f.eval_exact(t)
-        if v is None:
-            raise _Inexact
-        return v
-
-    try:
-        return run(exact_value, lambda num, den: Fraction(num) / Fraction(den))
-    except _Inexact:
-        pass
-    with mp.workdps(MP_DPS):
-        return float(run(f.eval_mp, lambda num, den: num / _to_mpf(_as_fraction(den))
-                         if isinstance(den, (int, Fraction)) else num / den))
+    return difference_quotient(recursive_build(family, n, q), f, x, h)
 
 
 # -- convergence tables -------------------------------------------------------

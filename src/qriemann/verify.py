@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .qcore import (
-    QPolynomial,
     pascal_check,
     q_binomial,
     q_binomial_by_factorials,

@@ -299,16 +299,6 @@ class TestFindExponent:
         with pytest.raises(NoSignChangeError):
             find_exponent(phi, 1, 3)
 
-    def test_tolerance_controls_stability(self):
-        phi = ExponentialSum(((F(1), F(4)), (F(-8), F(3)), (F(-28), F(2)), (F(-56), F(1))))
-        coarse = find_exponent(phi, 7, 8, tol=1e-6)
-        fine = find_exponent(phi, 7, 8, tol=5e-7)
-        assert abs(coarse - fine) < 1e-6
-
-    def test_invalid_tol(self):
-        phi = ExponentialSum(((F(1), F(2)), (F(-3), F(1))))
-        with pytest.raises(CounterexampleError):
-            find_exponent(phi, 1, 2, tol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +444,27 @@ class TestVerifyCounterexample:
         assert detail["members"] == 100
         assert detail["nonmembers"] == 100
         assert detail["worst_member_ratio_to_threshold"] < 1.0
+
+    def test_nonmember_step_that_reaches_the_group_is_caught(self):
+        # Node 5 maps the step 1/5 onto 1, which is in G, so the difference
+        # at that "nonmember" step is the nonzero coefficient of node 5.
+        stn = vandermonde_solve((1, 2, 5), 2)
+        f = GroupFunction(group(2, 3), (1, 1), 2)
+        samples = {"members": [], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
+        report = verify_counterexample(stn, f, lower_order=1, h_samples=samples)
+        assert report.checks["difference_vanishes"] is False
+        assert report.details["difference"] == {"failed_at": 0.2, "nonmember_exact_zero": False}
+
+    def test_exponent_above_the_order_has_no_witness_and_no_oscillation(self):
+        # s = 5/2 > n = 2: |f(h)/h^2| = |h|^(1/2) shrinks along every ray,
+        # and the trivial character never changes its sign.
+        f = GroupFunction(group(2, 3), (0, 0), F(5, 2))
+        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
+        report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+        assert report.checks["nth_unbounded"] is False
+        detail = report.details["unbounded"]
+        assert detail["witness_generator"] is None
+        assert detail["oscillation"] is False
 
 
 def case_function(name):

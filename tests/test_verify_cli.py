@@ -1,15 +1,17 @@
 """Tests for the randomized identity suites and the command-line interface.
 
 CLI tests drive cli.main() in-process (stdout captured via capsys) so exit
-codes and output bytes are asserted directly; one subprocess test covers the
-``python -m qriemann`` entry point end to end.
+codes and output bytes are asserted directly; subprocess tests cover the
+``python -m qriemann`` entry point and the three demos end to end.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,9 @@ from qriemann.verify import (
 )
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +331,17 @@ class TestCmdDerive:
         assert captured.out == ""
         assert "--kind shifted does not take --nodes" in captured.err
 
+    def test_text_output(self, capsys):
+        code = cli.main(["derive", "--kind", "forward", "-n", "3", "-q", "2",
+                         "--function", "poly:0,0,0,1", "--output", "text"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 21
+        assert lines[0] == "h=0.1  quotient=6.0"
+        assert all(line.startswith("h=") and "  quotient=6.0  delta=0.0" in line
+                   for line in lines[1:-1])
+        assert lines[-1].startswith("# verdict: converged value=6.0 ")
+
     def test_unknown_function_exit_2(self, capsys):
         code = cli.main(["derive", "--kind", "forward", "-n", "2", "-q", "2",
                          "--function", "gamma", "--at", "0"])
@@ -381,6 +397,20 @@ class TestCmdCounterexample:
         assert doc["exponent"] == 2.0
         assert doc["checks"]["difference_vanishes"] is True
 
+    @pytest.mark.parametrize("exponent, code, vanishes", [("2", 0, True), ("2.5", 1, False)])
+    def test_custom_given_exponent(self, capsys, exponent, code, vanishes):
+        # prop25's package with the exponent given instead of located: its
+        # root 2 passes, and 2.5 leaves a nonzero difference on G.
+        assert cli.main([
+            "counterexample", "--custom",
+            "--nodes", "1,2,3", "-n", "2",
+            "--generators", "2,3", "--character", "1,1",
+            "--interval", "1,3", "--lower-order", "1", "--exponent", exponent,
+        ]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["exponent"] == float(exponent)
+        assert doc["checks"]["difference_vanishes"] is vanishes
+
     def test_custom_without_sign_change_exit_3(self, capsys):
         # Trivial character: phi(1) = 0 exactly, so no sign change exists
         # and the nonexistence exit code fires.
@@ -430,6 +460,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_FORWARD_3_2
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+    def test_demo_runs(self, demo):
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(demo)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
 
     def test_module_execution_usage_error(self):
         proc = subprocess.run(
