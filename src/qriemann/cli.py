@@ -29,7 +29,7 @@ from .counterexample import (
     MultiplicativeGroup,
     NoSignChangeError,
     find_exponent,
-    phi_from_stencil,
+    printed_phi,
     run_case,
     run_search,
     verify_counterexample,
@@ -196,9 +196,7 @@ def cmd_counterexample(args) -> int:
     if args.exponent is not None:
         s_star = args.exponent
     else:
-        probe = GroupFunction(group, character, 1)
-        phi, _ = phi_from_stencil(stencil, probe).primitive()
-        s_star = find_exponent(phi, interval[0], interval[1])
+        s_star = find_exponent(printed_phi(stencil, group, character), interval[0], interval[1])
     f = GroupFunction(group, character, s_star)
     report = verify_counterexample(
         stencil, f, args.lower_order, seed=args.seed, exponent_interval=tuple(interval)

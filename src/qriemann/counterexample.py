@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .evaluator import MP_DPS, _exact_apply, _to_mpf, peano_bound_check, FunctionHandle
+from .evaluator import MP_DPS, _to_mpf, peano_bound_check, FunctionHandle
 from .stencil import (
     Stencil,
     _as_fraction,
@@ -266,6 +266,16 @@ def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:
     return ExponentialSum(tuple(terms))
 
 
+def printed_phi(stencil: Stencil, group: MultiplicativeGroup, character,
+                flip_sign: bool = False) -> ExponentialSum:
+    """phi as reports print it: phi_from_stencil's sum for this character
+    with its positive content removed, negated when flip_sign is set.  phi
+    does not depend on the exponent; the exponent-1 GroupFunction only
+    carries the character and checks it against the group."""
+    phi, _ = phi_from_stencil(stencil, GroupFunction(group, character, 1)).primitive()
+    return phi.negated() if flip_sign else phi
+
+
 def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
     """(value, sign) of phi at s: exact at integers, else the sum of
     c_i exp(s ln b_i) over the (c_i, ln b_i) pairs in logs."""
@@ -412,17 +422,36 @@ def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
     return out
 
 
-def _group_differences(stencil: Stencil, f: GroupFunction, steps):
-    """Yield sum_k A_k f(a_k h) for each step h; call inside an mp.workdps block.
+def _generator_powers(f: GroupFunction) -> list:
+    """The g_i^s of f's exponent s: exact Fractions at an integer s, else
+    MP_DPS values from one mp.power each; call inside an mp.workdps block."""
+    n = f._integer_exponent()
+    if n is not None:
+        return [Fraction(g) ** n for g in f.group.generators]
+    s = f._exponent_mp()
+    return [mp.power(g, s) for g in f.group.generators]
+
+
+def _group_power(powers: list, e):
+    """x^s for the member x of G with exponent vector e: prod_i (g_i^s)^e_i."""
+    return math.prod(p**k for p, k in zip(powers, e) if k)
+
+
+def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers=None):
+    """Yield sum_k A_k f(a_k h), as an mpf, for each step h; call inside an
+    mp.workdps block.
 
     A point a_k h > 0 in G has an exponent vector e over the generators, so
-    (a_k h)^s = prod_i (g_i^s)^e_i.  The g_i^s are the only transcendental
-    values and are computed once; each point then costs one membership test
-    and a few integer powers of them.
+    (a_k h)^s = prod_i (g_i^s)^e_i.  The g_i^s (powers, from
+    _generator_powers unless given) are the only transcendental values; each
+    point then costs one membership test and a few integer powers of them.
+    At an integer exponent they are exact, and so is each sum until it is
+    rounded once.
     """
-    s = f._exponent_mp()
-    powers = [mp.power(g, s) for g in f.group.generators]
-    coeffs = [_to_mpf(c) for c in stencil.coeffs]
+    if powers is None:
+        powers = _generator_powers(f)
+    exact = isinstance(powers[0], Fraction)
+    coeffs = stencil.coeffs if exact else [_to_mpf(c) for c in stencil.coeffs]
     for h in steps:
         terms = []
         for a, c in zip(stencil.nodes, coeffs):
@@ -431,42 +460,39 @@ def _group_differences(stencil: Stencil, f: GroupFunction, steps):
                 continue
             e = membership(f.group, x)
             if e is not None:
-                terms.append(f.chi(e) * c * mp.fprod(p**k for p, k in zip(powers, e) if k))
-        yield mp.fsum(terms)
+                terms.append(f.chi(e) * c * _group_power(powers, e))
+        yield _to_mpf(sum(terms, Fraction(0))) if exact else mp.fsum(terms)
 
 
-def _check_difference_vanishes(stencil: Stencil, f: GroupFunction, s_star: float,
+def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
                                members: list, nonmembers: list) -> tuple[bool, dict]:
     """(a): |sum_k A_k f(a_k h)| <= 1e-9 |h|^s at every member step h, and
     the sum is a literal 0 at every nonmember step.
 
-    At an integer exponent every value is rational and the member sums are
-    exact.  Otherwise they come from _group_differences at MP_DPS digits:
-    each term is a coefficient times integer powers of the g_i^s, correct
-    to a few units in the 60th digit, and fsum rounds the sum once.  A
-    double-precision root leaves a residual near 1e-16 of the terms, so
-    rounding never decides the comparison.  Nonmember steps put every
-    positive point outside G, where f is exactly 0, so their sums are exact.
+    Every sum comes from _group_differences.  At an integer exponent the
+    sums are exact.  Otherwise each term is a coefficient times integer
+    powers of the g_i^s, correct to a few units in the 60th digit, and fsum
+    rounds the sum once; a double-precision root leaves a residual near
+    1e-16 of the terms, so rounding never decides the comparison.  |h|^s
+    is a product of the same g_i^s.  A nonmember step puts every positive
+    point outside G, where f is exactly 0, so its sum is an empty sum: any
+    point that lands in G shows up as a nonzero term.
     """
-    handle = f.handle()
-    x0 = Fraction(0)
     with mp.workdps(MP_DPS):
-        if f._integer_exponent() is None:
-            sums = _group_differences(stencil, f, members)
-        else:
-            sums = (_to_mpf(_exact_apply(stencil, handle, x0, h)) for h in members)
-        s_mp = mp.mpf(s_star)
+        powers = _generator_powers(f)
         worst = mp.mpf(0)
-        for h, total in zip(members, sums):
+        for h, total in zip(members, _group_differences(stencil, f, members, powers)):
+            e = membership(f.group, abs(h))
+            if e is None:
+                raise CounterexampleError(f"member step {format_rational(h)} is not in the group")
             lhs = abs(total)
-            rhs = mp.mpf("1e-9") * mp.power(_to_mpf(abs(h)), s_mp)
-            ratio = lhs / rhs if rhs > 0 else mp.inf
+            rhs = mp.mpf("1e-9") * _group_power(powers, e)
+            ratio = lhs / rhs
             worst = max(worst, ratio)
             if lhs > rhs:
                 return False, {"failed_at": float(h), "ratio_to_threshold": float(ratio)}
-        for h in nonmembers:
-            exact = _exact_apply(stencil, handle, x0, h)
-            if exact is None or exact != 0:
+        for h, total in zip(nonmembers, _group_differences(stencil, f, nonmembers, powers)):
+            if total != 0:
                 return False, {"failed_at": float(h), "nonmember_exact_zero": False}
         return True, {"worst_member_ratio_to_threshold": float(worst),
                       "members": len(members), "nonmembers": len(nonmembers)}
@@ -545,12 +571,9 @@ def verify_counterexample(
         nonmembers = list(h_samples["nonmembers"])
         peano_set = list(h_samples["peano"])
 
-    raw_phi = phi_from_stencil(stencil, f)
-    pres_phi, _content = raw_phi.primitive()
-    if flip_sign:
-        pres_phi = pres_phi.negated()
+    pres_phi = printed_phi(stencil, f.group, f.character, flip_sign)
 
-    ok_a, detail_a = _check_difference_vanishes(stencil, f, s_star, members, nonmembers)
+    ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)
     ok_b = peano_bound_check(f.handle(), 0, lower_order, eps, peano_set)
     ok_c, detail_c = _check_unbounded(stencil, f, s_star)
@@ -605,8 +628,7 @@ def character_search(stencil: Stencil, generators, lo: int, hi: int) -> list:
     k = len(group.generators)
     out = []
     for bits in _all_bits(k):
-        gf = GroupFunction(group, bits, 1)
-        phi, _ = phi_from_stencil(stencil, gf).primitive()
+        phi = printed_phi(stencil, group, bits)
         vlo, vhi = phi.eval_exact(lo), phi.eval_exact(hi)
         out.append(CharacterHit(bits, phi, vlo, vhi, vlo * vhi < 0))
     return out
@@ -726,11 +748,7 @@ def run_case(name: str, seed: int = DEFAULT_SEED) -> CounterexampleReport:
     case = NAMED_CASES[name]
     stencil = case.build()
     group = MultiplicativeGroup(case.generators)
-    probe = GroupFunction(group, case.character, 1)
-    raw_phi = phi_from_stencil(stencil, probe)
-    pres_phi, _ = raw_phi.primitive()
-    if case.flip_sign:
-        pres_phi = pres_phi.negated()
+    pres_phi = printed_phi(stencil, group, case.character, case.flip_sign)
     s_star = find_exponent(pres_phi, case.interval[0], case.interval[1])
     f = GroupFunction(group, case.character, s_star)
     return verify_counterexample(

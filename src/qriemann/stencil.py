@@ -7,9 +7,15 @@ moment conditions
     sum_k A_k a_k^n = n!,
 
 so that sum_k A_k f(x + a_k h) / h^n converges to the n-th derivative for
-smooth f.  This module builds the classical equally-spaced stencils and the
-geometric-node (q-power) families in closed form, by the divided-difference
-solution of the moment system, and by recursion, entirely over the rationals.
+smooth f.  This module builds the classical equally-spaced stencils, the
+divided-difference solution of the moment system on any nodes, and the
+geometric-node (q-power) families, entirely over the rationals.
+
+Each q-power family is a seed difference times prod_j (E - q^j), where E
+dilates by q (E delta_a = delta_{qa}) and j runs over range(first, n, step);
+_FAMILIES holds the seed, first and step of each.  The closed form expands
+that product by the q-binomial theorem, recursive_build applies its factors
+one at a time, and GaussianNormalizer scales it to n-th moment n!.
 """
 
 from __future__ import annotations
@@ -74,6 +80,11 @@ def _validate_q(q) -> Fraction:
     return q
 
 
+def _check_order(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise StencilError("order must be an integer >= 1")
+
+
 # -- the stencil itself -------------------------------------------------------
 
 
@@ -94,8 +105,7 @@ class Stencil:
     q: Fraction | None = None
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
-            raise StencilError("order must be an integer >= 1")
+        _check_order(self.order)
         if self.kind not in KINDS:
             raise StencilError(f"unknown stencil kind {self.kind!r}")
         nodes = [_as_fraction(a) for a in self.nodes]
@@ -144,7 +154,35 @@ def _from_map(order: int, mapping: dict, kind: str, q: Fraction | None) -> Stenc
     )
 
 
-# -- normalizing constants for the geometric-node families -------------------
+# -- the geometric-node families ----------------------------------------------
+
+# family: (seed {node: coefficient}, first, step); the difference at order n
+# is seed * prod_{j in range(first, n, step)} (E - q^j).  A factor multiplies
+# the n-th moment by q^n - q^j, so the moment is M_n(seed) * prod_j (q^n - q^j),
+# and M_n(seed) is 0 exactly when n has the wrong parity for a symmetric seed.
+_FAMILIES = {
+    "forward": ({1: 1, 0: -1}, 1, 1),
+    "shifted": ({1: 1}, 0, 1),
+    "symmetric_odd": ({1: 1, -1: -1}, 1, 2),
+    "symmetric_even": ({1: 1, 0: -2, -1: 1}, 2, 2),
+}
+
+
+def _family(family: str, n: int) -> tuple[dict, range]:
+    """(seed, j-range) of a _FAMILIES row at order n."""
+    if family not in _FAMILIES:
+        raise StencilError(f"unknown normalizer family {family!r}")
+    seed, first, step = _FAMILIES[family]
+    if (n - first) % step:
+        raise StencilError(f"{family} requires {'odd' if first % 2 else 'even'} order")
+    return seed, range(first, n, step)
+
+
+def _normalizer(seed: dict, js: range, n: int, q: Fraction) -> Fraction:
+    """n! over the n-th moment of seed * prod_{j in js} (E - q^j)."""
+    qn = q**n
+    moment = math.prod(qn - q**j for j in js) * sum(c * a**n for a, c in seed.items())
+    return Fraction(math.factorial(n)) / moment
 
 
 @dataclass(frozen=True)
@@ -159,32 +197,8 @@ class GaussianNormalizer:
     @classmethod
     def compute(cls, family: str, n: int, q) -> "GaussianNormalizer":
         q = _validate_q(q)
-        if not isinstance(n, int) or n < 1:
-            raise StencilError("order must be an integer >= 1")
-        qn = q**n
-        if family == "forward":
-            den = Fraction(1)
-            for j in range(1, n):
-                den *= qn - q**j
-        elif family == "shifted":
-            den = Fraction(1)
-            for j in range(n):
-                den *= qn - q**j
-        elif family == "symmetric_even":
-            if n % 2:
-                raise StencilError("symmetric_even requires even order")
-            den = Fraction(2)
-            for j in range(2, n, 2):
-                den *= qn - q**j
-        elif family == "symmetric_odd":
-            if n % 2 == 0:
-                raise StencilError("symmetric_odd requires odd order")
-            den = Fraction(2)
-            for j in range(1, n, 2):
-                den *= qn - q**j
-        else:
-            raise StencilError(f"unknown normalizer family {family!r}")
-        return cls(family=family, value=Fraction(math.factorial(n)) / den)
+        _check_order(n)
+        return cls(family=family, value=_normalizer(*_family(family, n), n, q))
 
 
 # -- the moment solver --------------------------------------------------------
@@ -202,8 +216,7 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
     computed exactly in O(n^2); distinct nodes make every A_k finite and
     nonzero.
     """
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
+    _check_order(n)
     pts = [_as_fraction(a) for a in nodes]
     if len(set(pts)) != len(pts):
         raise StencilError("duplicate nodes")
@@ -221,60 +234,49 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
 # -- closed-form families -----------------------------------------------------
 
 
+def _expand(seed: dict, js: range, q: Fraction) -> dict:
+    """Raw node->coefficient map of seed * prod_{j in js} (E - q^j).
+
+    With N = len(js) and r = q^step the q-binomial theorem gives
+        prod_j (E - q^j) = sum_k (-1)^k q^(first k) r^C(k,2) [N k]_r E^(N-k),
+    and E^(N-k) dilates the seed's nonzero nodes by q^(N-k).  E fixes node 0,
+    so its coefficient is c_0 * prod_j (1 - q^j).
+    """
+    first, step, N = js.start, js.step, len(js)
+    r = q**step
+    mapping = {}
+    for k in range(N + 1):
+        c = q ** (first * k + step * math.comb(k, 2)) * q_binomial(N, k)(r)
+        d = q ** (N - k)
+        for a, ca in seed.items():
+            if a:
+                mapping[d * a] = c * (-ca if k % 2 else ca)
+    if 0 in seed:
+        mapping[Fraction(0)] = math.prod(1 - q**j for j in js) * seed[0]
+    return mapping
+
+
+def _gaussian(name: str, n: int, q, raw) -> Stencil:
+    """The GAUSSIAN_BUILDERS family `name` at order n, normalized, from
+    raw(seed, js, q), the map of seed * prod_{j in js} (E - q^j)."""
+    q = _validate_q(q)
+    _check_order(n)
+    if name not in GAUSSIAN_FAMILIES:  # only recursive_build passes a caller's name
+        raise StencilError(f"unknown recursion family {name!r}; expected one of {GAUSSIAN_FAMILIES}")
+    seed, js = _family(f"symmetric_{'odd' if n % 2 else 'even'}" if name == "symmetric" else name, n)
+    lam = _normalizer(seed, js, n, q)
+    mapping = raw(seed, js, q)
+    return Stencil(n, tuple(mapping), tuple(lam * c for c in mapping.values()), "gaussian_" + name, q)
+
+
 def gaussian_forward(n: int, q) -> Stencil:
     """Order-n forward difference on nodes {0, 1, q, ..., q^(n-1)}."""
-    q = _validate_q(q)
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
-    lam = GaussianNormalizer.compute("forward", n, q).value
-    mapping = {}
-    for k in range(n):
-        sign = -1 if k % 2 else 1
-        mapping[q ** (n - 1 - k)] = lam * sign * q ** math.comb(k + 1, 2) * q_binomial(n - 1, k)(q)
-    tail = Fraction(1)
-    for i in range(1, n):
-        tail *= 1 - q**i
-    mapping[Fraction(0)] = -lam * tail
-    return _from_map(n, mapping, "gaussian_forward", q)
+    return _gaussian("forward", n, q, _expand)
 
 
 def gaussian_shifted(n: int, q) -> Stencil:
     """Order-n shifted difference on nodes {1, q, ..., q^n}."""
-    q = _validate_q(q)
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
-    lam = GaussianNormalizer.compute("shifted", n, q).value
-    mapping = {}
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        mapping[q ** (n - k)] = lam * sign * q ** math.comb(k, 2) * q_binomial(n, k)(q)
-    return _from_map(n, mapping, "gaussian_shifted", q)
-
-
-def _gaussian_symmetric_closed(n: int, q: Fraction) -> dict:
-    """Raw node->coefficient map for the symmetric family, unnormalized."""
-    m = (n + 1) // 2
-    q2 = q * q
-    mapping = {}
-    if n % 2 == 0:
-        for k in range(m):
-            sign = -1 if k % 2 else 1
-            c = sign * q ** (k * (k + 1)) * q_binomial(m - 1, k)(q2)
-            node = q ** (m - 1 - k)
-            mapping[node] = mapping.get(node, Fraction(0)) + c
-            mapping[-node] = mapping.get(-node, Fraction(0)) + c
-        center = Fraction(2)
-        for i in range(1, m):
-            center *= 1 - q ** (2 * i)
-        mapping[Fraction(0)] = mapping.get(Fraction(0), Fraction(0)) - center
-    else:
-        for k in range(m):
-            sign = -1 if k % 2 else 1
-            c = sign * q ** (k * k) * q_binomial(m - 1, k)(q2)
-            node = q ** (m - 1 - k)
-            mapping[node] = mapping.get(node, Fraction(0)) + c
-            mapping[-node] = mapping.get(-node, Fraction(0)) - c
-    return mapping
+    return _gaussian("shifted", n, q, _expand)
 
 
 def gaussian_symmetric(n: int, q) -> Stencil:
@@ -284,33 +286,25 @@ def gaussian_symmetric(n: int, q) -> Stencil:
     divided-difference solution, on the same node set; the solver is
     authoritative, so a closed-form slip raises instead of shipping silently.
     """
-    q = _validate_q(q)
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
-    family = "symmetric_even" if n % 2 == 0 else "symmetric_odd"
-    lam = GaussianNormalizer.compute(family, n, q).value
-    mapping = {node: lam * c for node, c in _gaussian_symmetric_closed(n, q).items()}
-    built = _from_map(n, mapping, "gaussian_symmetric", q)
+    built = _gaussian("symmetric", n, q, _expand)
     solved = vandermonde_solve(built.nodes, n)
     if not same_difference(built, solved):
         raise AssertionError(
-            f"closed-form symmetric stencil disagrees with moment solve at n={n}, q={q}"
+            f"closed-form symmetric stencil disagrees with moment solve at n={n}, q={built.q}"
         )
     return built
 
 
 def riemann_classic(n: int) -> Stencil:
     """Classical order-n difference: coefficient (-1)^k C(n,k) at node n-k."""
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
+    _check_order(n)
     mapping = {Fraction(n - k): Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)}
     return _from_map(n, mapping, "riemann", None)
 
 
 def riemann_symmetric(n: int) -> Stencil:
     """Classical symmetric order-n difference: (-1)^k C(n,k) at node n/2 - k."""
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
+    _check_order(n)
     mapping = {Fraction(n, 2) - k: Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)}
     return _from_map(n, mapping, "riemann_symmetric", None)
 
@@ -352,48 +346,24 @@ def _combine(mapping_q: dict, mapping_1: dict, factor: Fraction) -> dict:
     return {a: c for a, c in out.items() if c != 0}
 
 
+def _recurse(seed: dict, js: range, q: Fraction) -> dict:
+    """seed * prod_{j in js} (E - q^j), one factor at a time."""
+    mapping = dict(seed)
+    for j in js:
+        mapping = _combine(_dilate(mapping, q), mapping, q**j)
+    return mapping
+
+
 def recursive_build(family: str, n: int, q) -> Stencil:
     """Build a geometric-node stencil by the order-raising recursion.
 
-    forward / shifted step from order r-1 to r via
-        D_r(h) = D_{r-1}(q h) - q^(r-1) D_{r-1}(h),
-    the symmetric family steps by two via
-        D_r(h) = D_{r-2}(q h) - q^(r-2) D_{r-2}(h),
-    each followed by the family's normalizing factor.  The result must equal
-    the closed form exactly.
+    Each factor (E - q^j) of the family's product is one step
+        D(h) <- D(q h) - q^j D(h),
+    so forward / shifted raise the order by one per step and the symmetric
+    family by two; the family's normalizing factor follows.  The result must
+    equal the closed form exactly.
     """
-    q = _validate_q(q)
-    if not isinstance(n, int) or n < 1:
-        raise StencilError("order must be an integer >= 1")
-    if family == "forward":
-        mapping = {Fraction(1): Fraction(1), Fraction(0): Fraction(-1)}
-        for level in range(2, n + 1):
-            mapping = _combine(_dilate(mapping, q), mapping, q ** (level - 1))
-        lam = GaussianNormalizer.compute("forward", n, q).value
-        kind = "gaussian_forward"
-    elif family == "shifted":
-        mapping = {q: Fraction(1), Fraction(1): Fraction(-1)}
-        for level in range(2, n + 1):
-            mapping = _combine(_dilate(mapping, q), mapping, q ** (level - 1))
-        lam = GaussianNormalizer.compute("shifted", n, q).value
-        kind = "gaussian_shifted"
-    elif family == "symmetric":
-        if n % 2:
-            mapping = {Fraction(1): Fraction(1), Fraction(-1): Fraction(-1)}
-            start = 3
-            norm_family = "symmetric_odd"
-        else:
-            mapping = {Fraction(1): Fraction(1), Fraction(0): Fraction(-2), Fraction(-1): Fraction(1)}
-            start = 4
-            norm_family = "symmetric_even"
-        for level in range(start, n + 1, 2):
-            mapping = _combine(_dilate(mapping, q), mapping, q ** (level - 2))
-        lam = GaussianNormalizer.compute(norm_family, n, q).value
-        kind = "gaussian_symmetric"
-    else:
-        raise StencilError(f"unknown recursion family {family!r}; expected one of {GAUSSIAN_FAMILIES}")
-    mapping = {a: lam * c for a, c in mapping.items()}
-    return _from_map(n, mapping, kind, q)
+    return _gaussian(family, n, q, _recurse)
 
 
 # -- transforms and checks ----------------------------------------------------

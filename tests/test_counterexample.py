@@ -445,6 +445,13 @@ class TestVerifyCounterexample:
         assert detail["nonmembers"] == 100
         assert detail["worst_member_ratio_to_threshold"] < 1.0
 
+    def test_member_step_outside_the_group_is_rejected(self):
+        # |h|^s comes from h's exponent vector, which a step outside G lacks.
+        f = GroupFunction(group(2, 3), (1, 1), 2)
+        samples = {"members": [F(1, 2), F(1, 5)], "nonmembers": [], "peano": [F(1, 2)]}
+        with pytest.raises(CounterexampleError, match="1/5 is not in the group"):
+            verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+
     def test_nonmember_step_that_reaches_the_group_is_caught(self):
         # Node 5 maps the step 1/5 onto 1, which is in G, so the difference
         # at that "nonmember" step is the nonzero coefficient of node 5.
@@ -563,6 +570,17 @@ class TestGroupDifferences:
                                        h_samples=samples, exponent_interval=case.interval)
         assert broken.checks["difference_vanishes"] is False
 
+    def test_threshold_is_a_billionth_of_h_to_the_s(self):
+        stn, f, _ = case_function("thm32-n8")
+        members = random_members(f.group, random.Random(5), 20)
+        ok, detail = counterexample._check_difference_vanishes(stn, f, members, [])
+        assert ok
+        with mp.workdps(MP_DPS):
+            want = max(abs(_mp_apply(stn, f.handle(), F(0), h))
+                       / (mp.mpf("1e-9") * mp.power(_to_mpf(abs(h)), f.exponent)) for h in members)
+        assert want > 0
+        assert abs(detail["worst_member_ratio_to_threshold"] - float(want)) <= 1e-6 * float(want)
+
     def test_one_power_per_generator_and_member(self, monkeypatch):
         stn, f, _ = case_function("thm32a")
         rng = random.Random(4)
@@ -571,10 +589,10 @@ class TestGroupDifferences:
         calls = []
         power = mp.power
         monkeypatch.setattr(mp, "power", lambda *a: calls.append(a) or power(*a))
-        ok, _ = counterexample._check_difference_vanishes(stn, f, float(f.exponent),
-                                                          members, nonmembers)
+        ok, _ = counterexample._check_difference_vanishes(stn, f, members, nonmembers)
         assert ok
-        assert 0 < len(calls) <= len(f.group.generators) + len(members)
+        # the thresholds |h|^s are products of the same g_i^s
+        assert len(calls) == len(f.group.generators)
 
 
 class TestUnboundedEvaluatesF:

@@ -1,0 +1,76 @@
+"""Property tests: the moment solver, the Gaussian builders, scaling and JSON.
+
+Each property is checked against an independent oracle (direct moment sums,
+the divided-difference solver, the recursion) on inputs hypothesis draws.
+Every test is derandomized, so a run is reproducible and needs no example
+database.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qriemann.stencil import (
+    GAUSSIAN_BUILDERS,
+    recursive_build,
+    same_difference,
+    scale,
+    stencil_from_json,
+    stencil_to_json,
+    vandermonde_solve,
+)
+
+F = Fraction
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+ratios = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(lambda q: q not in (0, 1, -1))
+node_sets = st.lists(rationals, min_size=2, max_size=11, unique=True)
+
+
+def moment(nodes, coeffs, j):
+    return sum((c * a**j for a, c in zip(nodes, coeffs)), F(0))
+
+
+def assert_moments(s):
+    n = s.order
+    for j in range(n):
+        assert moment(s.nodes, s.coeffs, j) == 0, (s, j)
+    assert moment(s.nodes, s.coeffs, n) == math.factorial(n), s
+
+
+@SETTINGS
+@given(node_sets)
+def test_solver_moments_on_random_nodes(nodes):
+    assert_moments(vandermonde_solve(nodes, len(nodes) - 1))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(GAUSSIAN_BUILDERS)), st.integers(1, 9), ratios)
+def test_gaussian_builders_match_solver_and_recursion(family, n, q):
+    built = GAUSSIAN_BUILDERS[family](n, q)
+    assert_moments(built)
+    assert same_difference(built, vandermonde_solve(built.nodes, n))
+    assert recursive_build(family, n, q) == built
+
+
+@SETTINGS
+@given(node_sets, rationals.filter(lambda r: r != 0))
+def test_scale_round_trip(nodes, r):
+    s = vandermonde_solve(nodes, len(nodes) - 1)
+    scaled = scale(s, r)
+    assert_moments(scaled)
+    assert scale(scaled, 1 / r) == s
+
+
+@SETTINGS
+@given(node_sets)
+def test_json_round_trip(nodes):
+    s = vandermonde_solve(nodes, len(nodes) - 1)
+    text = stencil_to_json(s)
+    back = stencil_from_json(text)
+    assert back == s
+    assert stencil_to_json(back) == text

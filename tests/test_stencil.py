@@ -6,6 +6,7 @@ hand-solved linear systems recorded inline.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from qriemann.stencil import (
     vandermonde_solve,
     verify_vandermonde,
 )
+from qriemann.verify import DEFAULT_Q_GRID
 
 F = Fraction
 
@@ -310,15 +312,15 @@ class TestGaussianSymmetric:
     def test_cross_check_catches_a_closed_form_slip(self, monkeypatch):
         import qriemann.stencil as stencil_module
 
-        closed = stencil_module._gaussian_symmetric_closed
+        closed = stencil_module._expand
 
-        def slipped(n, q):
-            mapping = closed(n, q)
+        def slipped(*args):
+            mapping = closed(*args)
             top = max(mapping)
             mapping[top] *= F(1001, 1000)
             return mapping
 
-        monkeypatch.setattr(stencil_module, "_gaussian_symmetric_closed", slipped)
+        monkeypatch.setattr(stencil_module, "_expand", slipped)
         for n in (1, 2, 5, 6):
             with pytest.raises(AssertionError, match="disagrees with moment solve"):
                 gaussian_symmetric(n, F(3, 2))
@@ -398,6 +400,42 @@ class TestNormalizer:
     def test_unknown_family_rejected(self):
         with pytest.raises(StencilError):
             GaussianNormalizer.compute("sideways", 2, F(2))
+
+    def test_matches_the_paper_product_formulas(self):
+        # n! / (c * prod_j (q^n - q^j)), written out per family.
+        def forward(n, q):
+            den = F(1)
+            for j in range(1, n):
+                den *= q**n - q**j
+            return math.factorial(n) / den
+
+        def shifted(n, q):
+            den = F(1)
+            for j in range(n):
+                den *= q**n - q**j
+            return math.factorial(n) / den
+
+        def symmetric_even(n, q):
+            den = F(2)
+            for j in range(2, n - 1, 2):
+                den *= q**n - q**j
+            return math.factorial(n) / den
+
+        def symmetric_odd(n, q):
+            den = F(2)
+            for j in range(1, n - 1, 2):
+                den *= q**n - q**j
+            return math.factorial(n) / den
+
+        formulas = {"forward": (forward, (0, 1)), "shifted": (shifted, (0, 1)),
+                    "symmetric_even": (symmetric_even, (0,)),
+                    "symmetric_odd": (symmetric_odd, (1,))}
+        for family, (formula, parities) in formulas.items():
+            for n in range(1, 15):
+                if n % 2 not in parities:
+                    continue
+                for q in DEFAULT_Q_GRID:
+                    assert GaussianNormalizer.compute(family, n, q).value == formula(n, q), (family, n, q)
 
 
 # ---------------------------------------------------------------------------
