@@ -25,7 +25,6 @@ from mpmath import mp
 from .evaluator import MP_DPS, _to_mpf, peano_bound_check, FunctionHandle
 from .stencil import (
     Stencil,
-    _as_fraction,
     format_rational,
     riemann_classic,
     riemann_symmetric,
@@ -81,7 +80,7 @@ def membership(group: MultiplicativeGroup, x) -> tuple | None:
 
     Requires x > 0; the group lives in the positive rationals.
     """
-    x = _as_fraction(x)
+    x = Fraction(x)
     if x <= 0:
         raise CounterexampleError("membership requires x > 0")
     num, den = x.numerator, x.denominator
@@ -149,7 +148,7 @@ class GroupFunction:
         whatever the exponent, so differences built entirely off-support
         cancel to literal zero.
         """
-        x = _as_fraction(x)
+        x = Fraction(x)
         if x <= 0:
             return Fraction(0)
         e = membership(self.group, x)
@@ -167,7 +166,7 @@ class GroupFunction:
         rounded once, so the value is correct to working precision; otherwise
         it is chi(x) * x^s from one correctly rounded mp.power.
         """
-        x = _as_fraction(x)
+        x = Fraction(x)
         if x <= 0:
             return mp.mpf(0)
         e = membership(self.group, x)
@@ -184,7 +183,7 @@ class GroupFunction:
 
 def evaluate(f: GroupFunction, x):
     """f at a single point: exact Fraction when available, else float."""
-    x = _as_fraction(x)
+    x = Fraction(x)
     v = f.value_exact(x)
     if v is not None:
         return v
@@ -205,7 +204,7 @@ class ExponentialSum:
     def __post_init__(self):
         cleaned = []
         for c, b in self.terms:
-            c, b = _as_fraction(c), _as_fraction(b)
+            c, b = Fraction(c), Fraction(b)
             if b <= 0:
                 raise CounterexampleError("bases must be positive")
             if c != 0:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .stencil import GAUSSIAN_FAMILIES, Stencil, _as_fraction, _validate_q, recursive_build
+from .stencil import GAUSSIAN_FAMILIES, Stencil, _validate_q, recursive_build
 
 MP_DPS = 60
 
@@ -67,7 +67,7 @@ class FunctionHandle:
 
     @classmethod
     def rational_polynomial(cls, coeffs) -> "FunctionHandle":
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = tuple(Fraction(c) for c in coeffs)
         if not cs:
             raise EvaluatorError("polynomial needs at least one coefficient")
         return cls("polynomial", coeffs=cs)
@@ -132,7 +132,7 @@ def _mp_apply(s: Stencil, f: FunctionHandle, x: Fraction, h: Fraction):
 def _apply(s: Stencil, f: FunctionHandle, x, h, power: int):
     """sum_k A_k f(x + a_k h) / h^power: exact Fraction when possible, else
     computed at MP_DPS digits and rounded to float once, after the division."""
-    x, h = _as_fraction(x), _as_fraction(h)
+    x, h = Fraction(x), Fraction(h)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
     exact = _exact_apply(s, f, x, h)
@@ -166,7 +166,7 @@ def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
     q = _validate_q(q)
     if not isinstance(n, int) or n < 1:
         raise EvaluatorError("order must be an integer >= 1")
-    x, h = _as_fraction(x), _as_fraction(h)
+    x, h = Fraction(x), Fraction(h)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
     if family not in GAUSSIAN_FAMILIES:
@@ -261,8 +261,8 @@ def estimate_derivative(
     For orders >= 3 rows with |h| < 1e-8 are dropped: beyond that point the
     quotient digits carry no information at any reasonable precision.
     """
-    h0 = _as_fraction(h0)
-    ratio = _as_fraction(ratio)
+    h0 = Fraction(h0)
+    ratio = Fraction(ratio)
     if h0 == 0:
         raise EvaluatorError("h0 must be nonzero")
     if not (0 < ratio < 1):
@@ -332,11 +332,11 @@ def peano_bound_check(f: FunctionHandle, x, m: int, epsilon_exponent: float, h_s
         raise EvaluatorError("m must be an integer >= 0")
     if not h_set:
         raise EvaluatorError("h_set must be nonempty")
-    x = _as_fraction(x)
+    x = Fraction(x)
     expo = m + epsilon_exponent
     with mp.workdps(MP_DPS):
         for h in h_set:
-            h = _as_fraction(h)
+            h = Fraction(h)
             if h == 0:
                 raise EvaluatorError("h samples must be nonzero")
             lhs = abs(f.eval_mp(x + h))

@@ -14,8 +14,10 @@ geometric-node (q-power) families, entirely over the rationals.
 Each q-power family is a seed difference times prod_j (E - q^j), where E
 dilates by q (E delta_a = delta_{qa}) and j runs over range(first, n, step);
 _FAMILIES holds the seed, first and step of each.  The closed form expands
-that product by the q-binomial theorem, recursive_build applies its factors
-one at a time, and GaussianNormalizer scales it to n-th moment n!.
+that product by the q-binomial theorem, taking each Gaussian binomial from
+the last by [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k); recursive_build
+applies its factors one at a time, and GaussianNormalizer scales it to n-th
+moment n!.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .qcore import q_binomial
 
 KINDS = (
     "riemann",
@@ -68,13 +68,8 @@ def parse_rational(text: str) -> Fraction:
         raise StencilError(f"not a rational 'p' or 'p/r': {text!r}") from exc
 
 
-def _as_fraction(x) -> Fraction:
-    # floats are exact binary rationals and are taken verbatim
-    return Fraction(x)
-
-
 def _validate_q(q) -> Fraction:
-    q = _as_fraction(q)
+    q = Fraction(q)
     if q in (Fraction(0), Fraction(1), Fraction(-1)):
         raise StencilError("ratio q must avoid 0, 1 and -1")
     return q
@@ -108,8 +103,8 @@ class Stencil:
         _check_order(self.order)
         if self.kind not in KINDS:
             raise StencilError(f"unknown stencil kind {self.kind!r}")
-        nodes = [_as_fraction(a) for a in self.nodes]
-        coeffs = [_as_fraction(c) for c in self.coeffs]
+        nodes = [Fraction(a) for a in self.nodes]
+        coeffs = [Fraction(c) for c in self.coeffs]
         if len(nodes) != len(coeffs):
             raise StencilError("nodes and coeffs must have equal length")
         if not nodes:
@@ -121,13 +116,13 @@ class Stencil:
         paired = sorted(zip(nodes, coeffs), key=lambda t: t[0])
         object.__setattr__(self, "nodes", tuple(a for a, _ in paired))
         object.__setattr__(self, "coeffs", tuple(c for _, c in paired))
-        object.__setattr__(self, "q", None if self.q is None else _as_fraction(self.q))
+        object.__setattr__(self, "q", None if self.q is None else Fraction(self.q))
 
     def as_map(self) -> dict:
         return dict(zip(self.nodes, self.coeffs))
 
     def coeff_at(self, node) -> Fraction:
-        node = _as_fraction(node)
+        node = Fraction(node)
         for a, c in zip(self.nodes, self.coeffs):
             if a == node:
                 return c
@@ -217,7 +212,7 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
     nonzero.
     """
     _check_order(n)
-    pts = [_as_fraction(a) for a in nodes]
+    pts = [Fraction(a) for a in nodes]
     if len(set(pts)) != len(pts):
         raise StencilError("duplicate nodes")
     if len(pts) != n + 1:
@@ -238,19 +233,23 @@ def _expand(seed: dict, js: range, q: Fraction) -> dict:
     """Raw node->coefficient map of seed * prod_{j in js} (E - q^j).
 
     With N = len(js) and r = q^step the q-binomial theorem gives
-        prod_j (E - q^j) = sum_k (-1)^k q^(first k) r^C(k,2) [N k]_r E^(N-k),
-    and E^(N-k) dilates the seed's nonzero nodes by q^(N-k).  E fixes node 0,
-    so its coefficient is c_0 * prod_j (1 - q^j).
+        prod_j (E - q^j) = sum_k t_k E^(N-k),
+        t_k = (-1)^k q^(first k) r^C(k,2) [N k]_r,
+    and E^(N-k) dilates the seed's nonzero nodes by q^(N-k).  The ratio
+    identity [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k) makes t_k a
+    running product from t_0 = 1.  E fixes node 0, so its coefficient is
+    c_0 * prod_j (1 - q^j).
     """
-    first, step, N = js.start, js.step, len(js)
-    r = q**step
+    N, r, lead = len(js), q**js.step, -(q**js.start)
     mapping = {}
+    t = Fraction(1)
     for k in range(N + 1):
-        c = q ** (first * k + step * math.comb(k, 2)) * q_binomial(N, k)(r)
+        if k:
+            t *= lead * r ** (k - 1) * (1 - r ** (N - k + 1)) / (1 - r**k)
         d = q ** (N - k)
         for a, ca in seed.items():
             if a:
-                mapping[d * a] = c * (-ca if k % 2 else ca)
+                mapping[d * a] = t * ca
     if 0 in seed:
         mapping[Fraction(0)] = math.prod(1 - q**j for j in js) * seed[0]
     return mapping
@@ -375,7 +374,7 @@ def scale(s: Stencil, r) -> Stencil:
     Preserves every moment condition; kind and q are carried along as
     lineage, so scale(s, 1) == s and scale(scale(s, r), 1/r) == s exactly.
     """
-    r = _as_fraction(r)
+    r = Fraction(r)
     if r == 0:
         raise StencilError("scale factor must be nonzero")
     rn = r ** (-s.order)

@@ -519,6 +519,30 @@ class TestDifferenceCheckMutations:
         }
 
 
+class TestPeanoBoundMutations:
+    """One caller-given smallness step on thm32a, where lower_order = 6 and
+    eps = min(1/2, (s* - 6)/2) < s* - 6."""
+
+    @pytest.mark.parametrize("h,holds", [
+        (F(2), False),  # |f(2)| = 2^s* > 2^(6 + eps)
+        (F(1), True),   # |f(1)| = 1 = 1^(6 + eps): the bound is not strict
+        (F(-2), True),  # f is 0 off the positive group
+    ], ids=["h=2", "h=1", "h=-2"])
+    def test_one_step_flips_only_the_peano_check(self, h, holds):
+        stn, f, case = case_function("thm32a")
+        rng = random.Random(8)
+        samples = {"members": counterexample._sample_members(f.group, rng, 20),
+                   "nonmembers": counterexample._sample_nonmembers(f.group, stn, rng, 20),
+                   "peano": [h]}
+        report = verify_counterexample(stn, f, case.lower_order, h_samples=samples,
+                                       exponent_interval=case.interval, flip_sign=case.flip_sign)
+        assert report.checks == {
+            "difference_vanishes": True,
+            "lower_peano_bound": holds,
+            "nth_unbounded": True,
+        }
+
+
 class TestGroupDifferences:
     """The generator-power member sums against the per-point mp.power
     reference, _mp_apply."""

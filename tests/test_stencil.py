@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+import qriemann.stencil as stencil_module
+from qriemann.qcore import q_binomial
 from qriemann.stencil import (
     KINDS,
     ExcessNodesError,
@@ -310,8 +312,6 @@ class TestGaussianSymmetric:
                 assert_exact_order(gaussian_symmetric(n, q))
 
     def test_cross_check_catches_a_closed_form_slip(self, monkeypatch):
-        import qriemann.stencil as stencil_module
-
         closed = stencil_module._expand
 
         def slipped(*args):
@@ -324,6 +324,28 @@ class TestGaussianSymmetric:
         for n in (1, 2, 5, 6):
             with pytest.raises(AssertionError, match="disagrees with moment solve"):
                 gaussian_symmetric(n, F(3, 2))
+
+
+class TestExpand:
+    @pytest.mark.parametrize("family", list(stencil_module._FAMILIES))
+    def test_matches_the_q_binomial_polynomials(self, family):
+        # Each raw coefficient against (-1)^k q^(first k) r^C(k,2) [N k](r)
+        # with the Gaussian binomial evaluated as a polynomial.
+        seed, first, step = stencil_module._FAMILIES[family]
+        for n in range(first or 1, 31, step):
+            _, js = stencil_module._family(family, n)
+            N = len(js)
+            for q in DEFAULT_Q_GRID:
+                r = q**step
+                want = {}
+                for k in range(N + 1):
+                    t = (-1) ** k * q ** (first * k) * r ** math.comb(k, 2) * q_binomial(N, k)(r)
+                    for a, c in seed.items():
+                        if a:
+                            want[q ** (N - k) * a] = t * c
+                if 0 in seed:
+                    want[F(0)] = seed[0] * math.prod(1 - q**j for j in js)
+                assert stencil_module._expand(seed, js, q) == want, (n, q)
 
 
 class TestClassicalStencils:
