@@ -46,7 +46,7 @@ from .stencil import (
     vandermonde_solve,
     verify_vandermonde,
 )
-from .verify import DEFAULT_SEED, run_all
+from .verify import DEFAULT_Q_GRID, DEFAULT_SEED, run_all
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact-identity suites")
     p.add_argument("--max-n", type=int, default=8, help="stencil-grid order cap, 1..12")
-    p.add_argument("--q-list", default="2,3,5,1/2,-2,5/3,-7/4",
+    p.add_argument("--q-list", default=",".join(map(format_rational, DEFAULT_Q_GRID)),
                    help="comma-separated rational ratios for the stencil grids")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", choices=("json", "text"), default="text")

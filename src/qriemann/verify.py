@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .qcore import (
     pascal_check,
@@ -148,78 +148,68 @@ def qbinomial_product_suite(count: int = 100, seed: int = DEFAULT_SEED,
     return res
 
 
-def _alternating_weights(n: int, q: Fraction) -> list:
-    """w_k = (-1)^k q^C(k+1,2) [n-1 k]_q for k = 0..n-1, the weights of the
-    recurring left side sum_k w_k * point(k)."""
-    return [(-1 if k % 2 else 1) * q ** comb(k + 1, 2) * q_binomial(n - 1, k)(q) for k in range(n)]
+def _qbinomial_terms(N: int, first: int, step: int, q: Fraction) -> list:
+    """t_0..t_N of the q-binomial theorem
+
+        prod_{i<N} (a - q^(first + step*i)) = sum_k t_k a^(N-k),
+        t_k = (-1)^k q^(first*k) r^C(k,2) [N k]_r,  r = q^step
+
+    (Kac & Cheung, *Quantum Calculus*, 2002, ch. 5).  [N k]_r is qcore's
+    polynomial evaluated at r, independent of the stencil builders."""
+    r = q**step
+    return [(-1) ** k * q ** (first * k + step * comb(k, 2)) * q_binomial(N, k)(r)
+            for k in range(N + 1)]
 
 
-def _alternating_sum(weights: list, point) -> Fraction:
-    return sum((w * point(k) for k, w in enumerate(weights)), Fraction(0))
+def _qbinomial_sum(terms: list, a: Fraction) -> Fraction:
+    """The expanded side, sum_k t_k a^(N-k)."""
+    N = len(terms) - 1
+    return sum((t * a ** (N - k) for k, t in enumerate(terms)), Fraction(0))
+
+
+def _qbinomial_product(N: int, first: int, step: int, q: Fraction, a: Fraction) -> Fraction:
+    """The product side, prod_{i<N} (a - q^(first + step*i))."""
+    return prod((a - q ** (first + step * i) for i in range(N)), start=Fraction(1))
 
 
 def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
                                 max_n: int = 12) -> SuiteResult:
-    """The one-variable collapses of the product formula, at random rationals."""
+    """The q-binomial theorem with (first, step) = (1, 1) and N = n-1: at a
+    random a, at a = 1, at a = q^j (0 < j < n, the vanishing moments) and at
+    a = q^n (the top moment)."""
     res = SuiteResult("qbinomial-specialized")
     rng = random.Random(seed)
     for _ in range(q_count):
         q = _random_q(rng)
         for n in range(1, max_n + 1):
             a = _random_rational(rng)
-            lhs = Fraction(1)
-            for i in range(1, n):
-                lhs *= a - q**i
-            weights = _alternating_weights(n, q)
-            rhs = _alternating_sum(weights, lambda k: a ** (n - 1 - k))
-            res.check(lhs == rhs, f"monic collapse fails at n={n}, a={a}, q={q}")
-
-            ones = _alternating_sum(weights, lambda k: Fraction(1))
-            prod = Fraction(1)
-            for i in range(1, n):
-                prod *= 1 - q**i
-            res.check(ones == prod, f"a=1 collapse fails at n={n}, q={q}")
-
+            terms = _qbinomial_terms(n - 1, 1, 1, q)
+            res.check(_qbinomial_sum(terms, a) == _qbinomial_product(n - 1, 1, 1, q, a),
+                      f"monic collapse fails at n={n}, a={a}, q={q}")
+            res.check(_qbinomial_sum(terms, 1) == _qbinomial_product(n - 1, 1, 1, q, 1),
+                      f"a=1 collapse fails at n={n}, q={q}")
             for j in range(1, n):
-                momj = _alternating_sum(weights, lambda k: (q ** (n - 1 - k)) ** j)
-                res.check(momj == 0, f"vanishing moment j={j} fails at n={n}, q={q}")
-
-            momn = _alternating_sum(weights, lambda k: (q ** (n - 1 - k)) ** n)
-            top = Fraction(1)
-            for i in range(1, n):
-                top *= q**n - q**i
-            res.check(momn == top, f"top moment fails at n={n}, q={q}")
+                res.check(_qbinomial_sum(terms, q**j) == 0,
+                          f"vanishing moment j={j} fails at n={n}, q={q}")
+            res.check(_qbinomial_sum(terms, q**n) == _qbinomial_product(n - 1, 1, 1, q, q**n),
+                      f"top moment fails at n={n}, q={q}")
     return res
 
 
 def qbinomial_squared_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
                             max_m: int = 12) -> SuiteResult:
-    """The even/odd-power product collapses in the squared ratio q^2."""
+    """The q-binomial theorem in the squared ratio r = q^2 with N = m-1:
+    (first, step) = (2, 2) for the even powers, (1, 2) for the odd ones."""
     res = SuiteResult("qbinomial-squared")
     rng = random.Random(seed)
     for _ in range(q_count):
         q = _random_q(rng)
-        q2 = q * q
         for m in range(1, max_m + 1):
             a = _random_rational(rng)
-
-            lhs_even = Fraction(1)
-            for i in range(1, m):
-                lhs_even *= a - q ** (2 * i)
-            rhs_even = Fraction(0)
-            for k in range(m):
-                sign = -1 if k % 2 else 1
-                rhs_even += sign * q ** (k * (k + 1)) * q_binomial(m - 1, k)(q2) * a ** (m - 1 - k)
-            res.check(lhs_even == rhs_even, f"even-power collapse fails at m={m}, a={a}, q={q}")
-
-            lhs_odd = Fraction(1)
-            for i in range(1, m):
-                lhs_odd *= a - q ** (2 * i - 1)
-            rhs_odd = Fraction(0)
-            for k in range(m):
-                sign = -1 if k % 2 else 1
-                rhs_odd += sign * q ** (k * k) * q_binomial(m - 1, k)(q2) * a ** (m - 1 - k)
-            res.check(lhs_odd == rhs_odd, f"odd-power collapse fails at m={m}, a={a}, q={q}")
+            for first, label in ((2, "even"), (1, "odd")):
+                terms = _qbinomial_terms(m - 1, first, 2, q)
+                res.check(_qbinomial_sum(terms, a) == _qbinomial_product(m - 1, first, 2, q, a),
+                          f"{label}-power collapse fails at m={m}, a={a}, q={q}")
     return res
 
 

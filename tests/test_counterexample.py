@@ -473,6 +473,23 @@ class TestVerifyCounterexample:
         assert detail["witness_generator"] is None
         assert detail["oscillation"] is False
 
+    @pytest.mark.parametrize("character, s, oscillates", [
+        ((1, 1), F(2), True), ((1, 1), F(5, 2), False), ((1, 1), F(3), False), ((0, 0), F(2), False),
+    ], ids=["chi=11,s=2", "chi=11,s=5/2", "chi=11,s=3", "chi=00,s=2"])
+    def test_oscillation_needs_a_sign_change_and_s_at_most_the_order(self, character, s,
+                                                                     oscillates):
+        # No ray reaches the threshold here.  chi = (1, 1) flips the sign of
+        # f(h)/h^2 along each ray, but only for s <= n = 2 does its magnitude
+        # stay at least 1; above the order it tends to 0.  At s = n with the
+        # trivial character the quotient is the constant 1.
+        f = GroupFunction(group(2, 3), character, s)
+        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
+        report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+        assert report.checks["nth_unbounded"] is oscillates
+        detail = report.details["unbounded"]
+        assert detail["witness_generator"] is None
+        assert detail["oscillation"] is oscillates
+
 
 def case_function(name):
     """(stencil, f, case) for a packaged case, with f at the case's root."""

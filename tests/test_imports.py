@@ -1,8 +1,12 @@
-"""A stdlib lint: every module-level import in the package is used.
+"""A stdlib lint: every module-level import in the package is used, and
+every module-level private name is read.
 
-``__init__.py`` is skipped because its imports are the public re-exports.
-A name counts as used when it appears anywhere in the module as a bare name
-(attribute chains start from one), including inside annotations.
+``__init__.py`` is skipped by the import check because its imports are the
+public re-exports.  A name counts as used when it appears anywhere in the
+module as a bare name (attribute chains start from one), including inside
+annotations.  A private function, class or constant (``_name``) counts as
+read when any module of the package loads it, as a bare name or as an
+attribute, outside its own definition.
 """
 
 import ast
@@ -30,6 +34,32 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _bound_names(stmt) -> list[str]:
+    """Names a top-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names in {module: source} that no module reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = {n for n in _bound_names(stmt) if n.startswith("_") and not n.startswith("__")}
+            defined += [(module, stmt.lineno, name) for name in sorted(own)]
+            nodes = list(ast.walk(stmt))
+            loads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            loads |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            read |= loads - own
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in read]
+
+
 def test_package_modules_are_found():
     assert {"cli.py", "evaluator.py", "stencil.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -50,3 +80,26 @@ def test_detector_flags_unused_and_keeps_used_names():
         "    return used(os.path.sep)\n"
     )
     assert unused_imports(source) == ["line 2: math", "line 5: unused"]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_private_name_detector_flags_unread_and_keeps_read_names():
+    sources = {
+        "a.py": (
+            "_ATTR = 1\n"
+            "_DEAD: int = 2\n"
+            "def _self_only(n):\n"
+            "    return _self_only(n - 1)\n"
+            "class _Imported:\n"
+            "    pass\n"
+            "def _local():\n"
+            "    return 0\n"
+            "__all__ = [_local()]\n"
+        ),
+        "b.py": "import a\nfrom a import _Imported\nx = a._ATTR\ny = _Imported()\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 3: _self_only"]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qriemann import cli
+from qriemann import cli, verify
 from qriemann.stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
@@ -77,6 +77,33 @@ class TestSuites:
             assert r.ok, r.summary()
         r = scaling_suite(max_n=6, seed=11)
         assert r.ok, r.summary()
+
+    @pytest.mark.parametrize("q_count, max_n", [(1, 1), (2, 5), (3, 8)])
+    def test_collapse_suite_counts(self, q_count, max_n):
+        # specialized: n + 2 checks per (q, n); squared: 2 per (q, m)
+        r = qbinomial_specialized_suite(q_count=q_count, seed=5, max_n=max_n)
+        assert r.total == q_count * (max_n * (max_n + 1) // 2 + 2 * max_n)
+        r = qbinomial_squared_suite(q_count=q_count, seed=5, max_m=max_n)
+        assert r.total == q_count * 2 * max_n
+
+    def test_collapse_suites_catch_a_wrong_q_binomial(self, monkeypatch):
+        # [3 1]_r off by r breaks every collapse at n = 4 and m = 4.
+        real = verify.q_binomial
+
+        def faulty(n, k):
+            poly = real(n, k)
+            return (lambda r: poly(r) + r) if (n, k) == (3, 1) else poly
+
+        monkeypatch.setattr(verify, "q_binomial", faulty)
+        spec = qbinomial_specialized_suite(q_count=2, seed=5, max_n=5)
+        sq = qbinomial_squared_suite(q_count=2, seed=5, max_m=5)
+        assert (spec.failed, sq.failed) == (12, 4)
+        assert all("n=4" in m for m in spec.failures)
+        assert all("m=4" in m for m in sq.failures)
+        failures = "\n".join(spec.failures + sq.failures)
+        for label in ("monic collapse", "a=1 collapse", "vanishing moment", "top moment",
+                      "even-power", "odd-power"):
+            assert label in failures
 
     def test_seed_reproducibility(self):
         a = qbinomial_product_suite(count=30, seed=1234)
@@ -146,6 +173,13 @@ class TestCmdStencil:
                          "--nodes", "0,1", "--output", "csv"])
         assert code == 0
         assert capsys.readouterr().out == "node,coeff\n0,-1\n1,1\n"
+
+    def test_negative_fraction_q_joined_with_equals(self, capsys):
+        # argparse reads a separate "-7/4" as a flag, so it is joined with "=".
+        code = cli.main(["stencil", "--kind", "forward", "-n", "2", "-q=-7/4",
+                         "--output", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out == "node,coeff\n-7/4,32/77\n0,-8/7\n1,8/11\n"
 
     def test_riemann_kinds_take_no_q(self, capsys):
         assert cli.main(["stencil", "--kind", "riemann", "-n", "2"]) == 0
