@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .evaluator import MP_DPS, _to_mpf, peano_bound_check, FunctionHandle
+from .evaluator import MP_DPS, _to_mpf, peano_bound_check
 from .stencil import (
     Stencil,
     format_rational,
@@ -35,7 +35,7 @@ from .stencil import (
 from .verify import DEFAULT_SEED
 
 UNBOUNDED_THRESHOLD = 1e6
-UNBOUNDED_MAX_J = 60
+UNBOUNDED_MAX_J = 1000
 
 
 class CounterexampleError(ValueError):
@@ -101,11 +101,17 @@ def membership(group: MultiplicativeGroup, x) -> tuple | None:
 
 @dataclass(frozen=True)
 class GroupFunction:
-    """f(x) = chi(x) x^s on G, 0 off G; chi is the sign character (-1)^(c.e)."""
+    """f(x) = chi(x) x^s on G, 0 off G; chi is the sign character (-1)^(c.e).
+
+    The exponent s is kept as one exact Fraction: an int or Fraction as
+    given, a finite float as the dyadic rational it stands for.  f has the
+    evaluator's function protocol (eval_exact, eval_mp), so stencils apply
+    to it as they do to any builtin.
+    """
 
     group: MultiplicativeGroup
     character: tuple
-    exponent: object  # positive real: int, Fraction, or float
+    exponent: Fraction  # positive; given as an int, Fraction or finite float
 
     def __post_init__(self):
         bits = tuple(self.character)
@@ -115,33 +121,16 @@ class GroupFunction:
             raise CounterexampleError("character entries must be bits 0/1")
         object.__setattr__(self, "character", bits)
         s = self.exponent
-        if isinstance(s, float):
-            if not math.isfinite(s) or s <= 0:
-                raise CounterexampleError("exponent must be a positive real")
-        elif isinstance(s, (int, Fraction)):
-            if s <= 0:
-                raise CounterexampleError("exponent must be a positive real")
-        else:
+        if not isinstance(s, (int, float, Fraction)):
             raise CounterexampleError(f"bad exponent type {type(s).__name__}")
+        if (isinstance(s, float) and not math.isfinite(s)) or s <= 0:
+            raise CounterexampleError("exponent must be a positive real")
+        object.__setattr__(self, "exponent", Fraction(s))
 
     def chi(self, exponents) -> int:
         return -1 if sum(c * e for c, e in zip(self.character, exponents)) % 2 else 1
 
-    def _integer_exponent(self) -> int | None:
-        s = self.exponent
-        if isinstance(s, int):
-            return s
-        if isinstance(s, Fraction) and s.denominator == 1:
-            return int(s)
-        if isinstance(s, float) and s.is_integer():
-            return int(s)
-        return None
-
-    def _exponent_mp(self):
-        s = self.exponent
-        return _to_mpf(s) if isinstance(s, Fraction) else mp.mpf(s)
-
-    def value_exact(self, x: Fraction) -> Fraction | None:
+    def eval_exact(self, x: Fraction) -> Fraction | None:
         """Exact value, or None when x is in G but the exponent is not integral.
 
         Off the support (x <= 0 or x outside G) the value is exactly 0
@@ -154,12 +143,11 @@ class GroupFunction:
         e = membership(self.group, x)
         if e is None:
             return Fraction(0)
-        n = self._integer_exponent()
-        if n is None:
+        if self.exponent.denominator != 1:
             return None
-        return self.chi(e) * x**n
+        return self.chi(e) * x**self.exponent.numerator
 
-    def value_mp(self, x: Fraction):
+    def eval_mp(self, x: Fraction):
         """mpmath value, from one membership test; call inside an mp.workdps block.
 
         0 off the support.  At an integer exponent n the exact chi(x) x^n is
@@ -172,23 +160,20 @@ class GroupFunction:
         e = membership(self.group, x)
         if e is None:
             return mp.mpf(0)
-        n = self._integer_exponent()
-        if n is not None:
-            return _to_mpf(self.chi(e) * x**n)
-        return self.chi(e) * mp.power(_to_mpf(x), self._exponent_mp())
-
-    def handle(self) -> FunctionHandle:
-        return FunctionHandle.group_function(self)
+        s = self.exponent
+        if s.denominator == 1:
+            return _to_mpf(self.chi(e) * x**s.numerator)
+        return self.chi(e) * mp.power(_to_mpf(x), _to_mpf(s))
 
 
 def evaluate(f: GroupFunction, x):
     """f at a single point: exact Fraction when available, else float."""
     x = Fraction(x)
-    v = f.value_exact(x)
+    v = f.eval_exact(x)
     if v is not None:
         return v
     with mp.workdps(MP_DPS):
-        return float(f.value_mp(x))
+        return float(f.eval_mp(x))
 
 
 # -- exponential sums ---------------------------------------------------------
@@ -424,11 +409,11 @@ def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
 def _generator_powers(f: GroupFunction) -> list:
     """The g_i^s of f's exponent s: exact Fractions at an integer s, else
     MP_DPS values from one mp.power each; call inside an mp.workdps block."""
-    n = f._integer_exponent()
-    if n is not None:
-        return [Fraction(g) ** n for g in f.group.generators]
-    s = f._exponent_mp()
-    return [mp.power(g, s) for g in f.group.generators]
+    s = f.exponent
+    if s.denominator == 1:
+        return [Fraction(g) ** s.numerator for g in f.group.generators]
+    sm = _to_mpf(s)
+    return [mp.power(g, sm) for g in f.group.generators]
 
 
 def _group_power(powers: list, e):
@@ -498,26 +483,29 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
 
 
 def _check_unbounded(stencil: Stencil, f: GroupFunction, s_star: float) -> tuple[bool, dict]:
-    """Along h = g^-j the n-th quotient has magnitude g^(j(n-s)); find a j
-    pushing it past the threshold and require f(h)/h^n, evaluated there, to
-    agree with that prediction to 1e-9 relative.  Without a witness, s <= n
-    keeps the magnitude at least 1, so a nontrivial character makes the
-    quotient oscillate in sign, which denies the limit just as thoroughly;
-    for s > n the quotient tends to 0."""
+    """Along h = g^-j the n-th quotient has magnitude g^(j(n-s)).  For s < n,
+    take each generator in turn and the smallest j with j(n-s) log10 g past
+    log10 of the threshold; the first such j <= UNBOUNDED_MAX_J is the
+    witness, where f(h)/h^n, evaluated, must agree with that prediction to
+    1e-9 relative.  Without a witness, s <= n keeps the magnitude at least 1,
+    so a nontrivial character makes the quotient oscillate in sign, which
+    denies the limit just as thoroughly; for s > n the quotient tends to 0."""
     n = stencil.order
-    for g in f.group.generators:
-        lg = math.log10(g)
-        for j in range(UNBOUNDED_MAX_J + 1):
-            log10_mag = j * (n - s_star) * lg
-            if log10_mag > math.log10(UNBOUNDED_THRESHOLD):
-                h = Fraction(1, g**j)
-                with mp.workdps(MP_DPS):
-                    quotient = abs(f.value_mp(h)) / _to_mpf(h) ** n
-                    predicted = mp.power(g, j * (n - f._exponent_mp()))
-                    rel_error = float(abs(quotient - predicted) / predicted)
-                return rel_error <= 1e-9, {"witness_generator": g, "witness_j": j,
-                                           "log10_ratio": log10_mag, "oscillation": False,
-                                           "relative_error": rel_error}
+    limit = math.log10(UNBOUNDED_THRESHOLD)
+    witness_generators = f.group.generators if s_star < n else ()
+    for g in witness_generators:
+        rate = (n - s_star) * math.log10(g)
+        j = math.floor(limit / rate) + 1
+        if j > UNBOUNDED_MAX_J:
+            continue
+        h = Fraction(1, g**j)
+        with mp.workdps(MP_DPS):
+            quotient = abs(f.eval_mp(h)) / _to_mpf(h) ** n
+            predicted = mp.power(g, j * (n - _to_mpf(f.exponent)))
+            rel_error = float(abs(quotient - predicted) / predicted)
+        return rel_error <= 1e-9, {"witness_generator": g, "witness_j": j,
+                                   "log10_ratio": j * rate, "oscillation": False,
+                                   "relative_error": rel_error}
     oscillates = s_star <= n and any(f.character)
     return oscillates, {"witness_generator": None, "witness_j": None, "oscillation": oscillates}
 
@@ -564,7 +552,7 @@ def verify_counterexample(
 
     ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)
-    ok_b = peano_bound_check(f.handle(), 0, lower_order, eps, peano_set)
+    ok_b = peano_bound_check(f, 0, lower_order, eps, peano_set)
     ok_c, detail_c = _check_unbounded(stencil, f, s_star)
 
     if exponent_interval is None:

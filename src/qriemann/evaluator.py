@@ -1,9 +1,13 @@
 """Applying stencils to functions and estimating derivatives.
 
-Every function argument is reduced to an exact rational before evaluation.
-Functions with an exact path (polynomials, abs, signed powers, group-supported
-functions at integer exponents, and any function off its support) are combined
-in pure Fraction arithmetic, so cancellation identities come out exactly zero.
+A function is any object with eval_exact(x), the exact Fraction value at a
+rational x or None when there is no exact path, and eval_mp(x), its mpmath
+value: FunctionHandle for the builtins and polynomials, and
+counterexample.GroupFunction for the group-supported functions.  Every
+argument is reduced to an exact rational before evaluation.  Functions with
+an exact path (polynomials, abs, signed powers, group-supported functions at
+integer exponents, and any function off its support) are combined in pure
+Fraction arithmetic, so cancellation identities come out exactly zero.
 Transcendental values go through mpmath at 60 significant digits before being
 rounded to float once, at the very end; plain double precision would drown the
 small-h difference quotients the convergence tables are built from.
@@ -20,7 +24,9 @@ from .stencil import GAUSSIAN_FAMILIES, Stencil, _validate_q, recursive_build
 
 MP_DPS = 60
 
-BUILTIN_NAMES = ("sin", "cos", "exp", "abs", "signpow")
+_MP_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp}
+
+BUILTIN_NAMES = (*_MP_FUNCTIONS, "abs", "signpow")
 
 
 class EvaluatorError(ValueError):
@@ -32,21 +38,16 @@ def _to_mpf(x: Fraction):
 
 
 class FunctionHandle:
-    """A function the evaluator knows how to apply a stencil to.
+    """A function the CLI can name: a builtin (sin, cos, exp, abs, or the
+    signed power signpow(n): x -> x^n * sgn x) or an exact
+    rational-coefficient polynomial."""
 
-    Variants: a named builtin (sin, cos, exp, abs, or the signed power
-    signpow(n): x -> x^n * sgn x), an exact rational-coefficient polynomial,
-    or a group-supported function (anything exposing value_exact/value_mp).
-    """
+    __slots__ = ("name", "power", "coeffs")
 
-    __slots__ = ("variant", "name", "power", "coeffs", "group_fn")
-
-    def __init__(self, variant, name=None, power=None, coeffs=None, group_fn=None):
-        self.variant = variant
+    def __init__(self, name=None, power=None, coeffs=None):
         self.name = name
         self.power = power
         self.coeffs = coeffs
-        self.group_fn = group_fn
 
     @classmethod
     def builtin(cls, name: str, power: int | None = None) -> "FunctionHandle":
@@ -63,52 +64,37 @@ class FunctionHandle:
                 raise EvaluatorError("signpow requires an integer power >= 1")
         elif power is not None:
             raise EvaluatorError(f"builtin {name!r} takes no power")
-        return cls("builtin", name=name, power=power)
+        return cls(name=name, power=power)
 
     @classmethod
     def rational_polynomial(cls, coeffs) -> "FunctionHandle":
         cs = tuple(Fraction(c) for c in coeffs)
         if not cs:
             raise EvaluatorError("polynomial needs at least one coefficient")
-        return cls("polynomial", coeffs=cs)
-
-    @classmethod
-    def group_function(cls, gf) -> "FunctionHandle":
-        return cls("group", group_fn=gf)
+        return cls(coeffs=cs)
 
     # -- evaluation ----------------------------------------------------
 
     def eval_exact(self, x: Fraction):
         """Exact value at a rational point, or None when no exact path exists."""
-        if self.variant == "builtin":
-            if self.name == "abs":
-                return abs(x)
-            if self.name == "signpow":
-                sgn = (x > 0) - (x < 0)
-                return x**self.power * sgn
-            return None  # sin, cos, exp
-        if self.variant == "polynomial":
+        if self.coeffs is not None:
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        return self.group_fn.value_exact(x)
+        if self.name == "abs":
+            return abs(x)
+        if self.name == "signpow":
+            sgn = (x > 0) - (x < 0)
+            return x**self.power * sgn
+        return None  # sin, cos, exp
 
     def eval_mp(self, x: Fraction):
         """mpmath value at a rational point; call inside an mp.workdps block."""
-        if self.variant == "group":
-            return self.group_fn.value_mp(x)
         exact = self.eval_exact(x)
         if exact is not None:
             return _to_mpf(exact)
-        xm = _to_mpf(x)
-        if self.name == "sin":
-            return mp.sin(xm)
-        if self.name == "cos":
-            return mp.cos(xm)
-        if self.name == "exp":
-            return mp.exp(xm)
-        raise EvaluatorError(f"no mp path for builtin {self.name!r}")  # unreachable
+        return _MP_FUNCTIONS[self.name](_to_mpf(x))
 
 
 # -- applying a stencil -------------------------------------------------------

@@ -99,14 +99,13 @@ def test_criterion_02_vanishing_difference_package():
         f = GroupFunction(grp, (1, 1), 2)
         assert phi_from_stencil(stn, f).eval_exact(2) == 0  # exactly
 
-        handle = f.handle()
         rng = random.Random(20260819)
         members = set()
         while len(members) < 100:
             e = (rng.randint(-10, 10), rng.randint(-10, 10))
             members.add(F(2) ** e[0] * F(3) ** e[1])
         for h in members:
-            assert apply_difference(stn, handle, F(0), h) == 0  # exactly
+            assert apply_difference(stn, f, F(0), h) == 0  # exactly
 
         non_members = set()
         extra_primes = (5, 7, 11, 13)
@@ -119,7 +118,7 @@ def test_criterion_02_vanishing_difference_package():
             assert membership(grp, h) is None
             non_members.add(h)
         for h in non_members:
-            assert apply_difference(stn, handle, F(0), h) == 0  # exactly
+            assert apply_difference(stn, f, F(0), h) == 0  # exactly
 
 
 # -- 3 ------------------------------------------------------------------------

@@ -10,6 +10,8 @@ by base); endpoint values are plain integer arithmetic, e.g.
 import json
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -134,21 +136,56 @@ class TestGroupFunction:
             with pytest.raises(CounterexampleError):
                 GroupFunction(group(2, 3), (1, 1), bad)
 
+    @pytest.mark.parametrize("s", [2, 2.0, F(4, 2)], ids=["int", "float", "Fraction"])
+    def test_integral_exponent_is_one_fraction_on_the_exact_path(self, s):
+        f = GroupFunction(group(2, 3), (1, 0), s)
+        assert f == GroupFunction(group(2, 3), (1, 0), F(2))
+        assert type(f.exponent) is Fraction
+        assert f.eval_exact(F(3, 2)) == -F(9, 4)  # member: chi = -1, (3/2)^2
+        with mp.workdps(MP_DPS):
+            assert counterexample._generator_powers(f) == [4, 9]
+
+    def test_float_exponent_is_the_dyadic_rational_it_stands_for(self):
+        f = GroupFunction(group(2, 3), (0, 1), 2.5)
+        g = GroupFunction(group(2, 3), (0, 1), F(5, 2))
+        assert f == g
+        with mp.workdps(MP_DPS):
+            for x in (F(3), F(2, 9), F(12)):
+                assert f.eval_mp(x) == g.eval_mp(x)
+        # 2.3 is not 23/10; its value is the one mp.mpf(2.3) gives
+        h = GroupFunction(group(2, 3), (0, 1), 2.3)
+        assert h.exponent == F(2.3) != F(23, 10)
+        with mp.workdps(MP_DPS):
+            assert h.eval_mp(F(3)) == -mp.power(3, mp.mpf(2.3))
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.inf, "exponent must be a positive real"),
+        (math.nan, "exponent must be a positive real"),
+        ("2", "bad exponent type str"),
+        (Decimal(2), "bad exponent type Decimal"),
+    ], ids=["inf", "nan", "str", "Decimal"])
+    def test_exponent_rejections(self, bad, message):
+        with pytest.raises(CounterexampleError, match=f"^{re.escape(message)}$"):
+            GroupFunction(group(2, 3), (1, 1), bad)
+
+    def test_huge_integer_exponent_is_accepted(self):
+        # math.isfinite would overflow on this int; only floats reach it
+        assert GroupFunction(group(2, 3), (1, 1), 10**400).exponent == 10**400
+
     def test_non_integer_exponent_has_no_exact_member_value(self):
         f = GroupFunction(group(2, 3), (1, 1), 6.5)
-        assert f.value_exact(F(4)) is None  # member, irrational value
-        assert f.value_exact(F(10)) == 0  # non-member: exactly zero anyway
+        assert f.eval_exact(F(4)) is None  # member, irrational value
+        assert f.eval_exact(F(10)) == 0  # non-member: exactly zero anyway
 
     def test_value_mp_matches_formula(self):
         f = GroupFunction(group(2, 3), (0, 1), 6.5)
-        got = float(f.value_mp(F(3)))
+        got = float(f.eval_mp(F(3)))
         assert got == pytest.approx(-(3.0**6.5), rel=1e-12)
 
     def test_handle_round_trip(self):
         f = GroupFunction(group(2, 3), (1, 1), 2)
-        h = f.handle()
-        assert h.eval_exact(F(6)) == 36
-        assert h.eval_exact(F(7)) == 0
+        assert f.eval_exact(F(6)) == 36
+        assert f.eval_exact(F(7)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +304,7 @@ class TestPhiFromStencil:
                 for base, expo in zip(g.generators, e):
                     h *= F(base) ** expo
                 chi = -1 if sum(c * x for c, x in zip(chi_bits, e)) % 2 else 1
-                lhs = apply_difference(stn, f.handle(), F(0), h)
+                lhs = apply_difference(stn, f, F(0), h)
                 assert lhs == chi * phi_val * h**s_int
 
 
@@ -417,9 +454,9 @@ class TestVerifyCounterexample:
         for _ in range(25):
             e = (rng.randint(-6, 6), rng.randint(-6, 6))
             h = F(2) ** e[0] * F(3) ** e[1]
-            assert apply_difference(stn, f.handle(), F(0), h) == 0
+            assert apply_difference(stn, f, F(0), h) == 0
         for h in (F(5), F(7, 11), F(1, 10)):
-            assert apply_difference(stn, f.handle(), F(0), h) == 0
+            assert apply_difference(stn, f, F(0), h) == 0
 
     def test_wrong_exponent_is_caught(self):
         # An exponent that is not a root of phi must fail the vanishing
@@ -462,6 +499,17 @@ class TestVerifyCounterexample:
         assert report.checks["difference_vanishes"] is False
         assert report.details["difference"] == {"failed_at": 0.2, "nonmember_exact_zero": False}
 
+    def test_slow_growth_just_below_the_order_has_a_witness(self):
+        # s = 19/10, n = 2, trivial character: |f(h)/h^2| = |h|^(-1/10)
+        # first passes 1e6 on the ray h = 2^-j at j = 200.
+        f = GroupFunction(group(2, 3), (0, 0), F(19, 10))
+        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
+        report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+        assert report.checks["nth_unbounded"] is True
+        detail = report.details["unbounded"]
+        assert (detail["witness_generator"], detail["witness_j"]) == (2, 200)
+        assert detail["relative_error"] <= 1e-9
+
     def test_exponent_above_the_order_has_no_witness_and_no_oscillation(self):
         # s = 5/2 > n = 2: |f(h)/h^2| = |h|^(1/2) shrinks along every ray,
         # and the trivial character never changes its sign.
@@ -475,13 +523,15 @@ class TestVerifyCounterexample:
 
     @pytest.mark.parametrize("character, s, oscillates", [
         ((1, 1), F(2), True), ((1, 1), F(5, 2), False), ((1, 1), F(3), False), ((0, 0), F(2), False),
-    ], ids=["chi=11,s=2", "chi=11,s=5/2", "chi=11,s=3", "chi=00,s=2"])
+        ((0, 0), 2 - F(1, 10**6), False),
+    ], ids=["chi=11,s=2", "chi=11,s=5/2", "chi=11,s=3", "chi=00,s=2", "chi=00,s=2-1e-6"])
     def test_oscillation_needs_a_sign_change_and_s_at_most_the_order(self, character, s,
                                                                      oscillates):
         # No ray reaches the threshold here.  chi = (1, 1) flips the sign of
         # f(h)/h^2 along each ray, but only for s <= n = 2 does its magnitude
         # stay at least 1; above the order it tends to 0.  At s = n with the
-        # trivial character the quotient is the constant 1.
+        # trivial character the quotient is the constant 1; at n - s = 1e-6
+        # it would pass the threshold only at j in the millions.
         f = GroupFunction(group(2, 3), character, s)
         samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
         report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
@@ -575,7 +625,7 @@ class TestGroupDifferences:
             with mp.workdps(MP_DPS):
                 got = list(counterexample._group_differences(stn, g, hs))
                 for h, v in zip(hs, got):
-                    ref = abs(_mp_apply(stn, g.handle(), F(0), h))
+                    ref = abs(_mp_apply(stn, g, F(0), h))
                     # a forward stencil at a negative step sees only x <= 0
                     assert ref > 0 or (v == 0 and min(stn.nodes) >= 0 and h < 0)
                     assert abs(abs(v) - ref) <= mp.mpf("1e-50") * ref
@@ -594,7 +644,7 @@ class TestGroupDifferences:
                 points = [a * h for a in stn.nodes]
                 size = mp.fsum(abs(c) * mp.power(_to_mpf(x), f.exponent)
                                for c, x in zip(stn.coeffs, points) if x > 0)
-                ref = abs(_mp_apply(stn, f.handle(), F(0), h))
+                ref = abs(_mp_apply(stn, f, F(0), h))
                 assert abs(abs(v) - ref) <= mp.mpf("1e-50") * size
 
     def test_negative_steps_through_h_samples(self):
@@ -617,7 +667,7 @@ class TestGroupDifferences:
         ok, detail = counterexample._check_difference_vanishes(stn, f, members, [])
         assert ok
         with mp.workdps(MP_DPS):
-            want = max(abs(_mp_apply(stn, f.handle(), F(0), h))
+            want = max(abs(_mp_apply(stn, f, F(0), h))
                        / (mp.mpf("1e-9") * mp.power(_to_mpf(abs(h)), f.exponent)) for h in members)
         assert want > 0
         assert abs(detail["worst_member_ratio_to_threshold"] - float(want)) <= 1e-6 * float(want)
@@ -642,7 +692,7 @@ class TestUnboundedEvaluatesF:
         assert detail["relative_error"] <= 1e-9
 
     def test_wrong_values_fail_only_nth_unbounded(self, monkeypatch):
-        monkeypatch.setattr(GroupFunction, "value_mp", lambda self, x: mp.mpf(0))
+        monkeypatch.setattr(GroupFunction, "eval_mp", lambda self, x: mp.mpf(0))
         report = run_case("thm32a")
         assert report.checks == {
             "difference_vanishes": True,
@@ -709,7 +759,7 @@ class TestScaleByTwoDevice:
         # half-integer stencil applied at step 2h -- checked exactly.
         base = riemann_symmetric(5)
         scaled = scale(base, 2)
-        f = GroupFunction(group(3, 5), (1, 1), 3).handle()
+        f = GroupFunction(group(3, 5), (1, 1), 3)
         for e in ((0, 0), (1, 0), (-2, 1), (3, -1)):
             h = F(3) ** e[0] * F(5) ** e[1]
             lhs = apply_difference(scaled, f, F(0), h)

@@ -86,9 +86,10 @@ class TestFunctionHandle:
     def test_transcendental_has_no_exact_path(self):
         assert FunctionHandle.builtin("sin").eval_exact(F(1, 3)) is None
 
-    def test_eval_mp_matches_math(self):
-        f = FunctionHandle.builtin("sin")
-        assert abs(float(f.eval_mp(F(1, 3))) - math.sin(1 / 3)) < 1e-15
+    @pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+    def test_eval_mp_matches_math(self, name):
+        f = FunctionHandle.builtin(name)
+        assert abs(float(f.eval_mp(F(1, 3))) - getattr(math, name)(1 / 3)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ codes and output bytes are asserted directly; subprocess tests cover the
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -195,6 +196,15 @@ class TestCmdStencil:
         from qriemann.stencil import stencil_from_json, stencil_to_json
 
         assert stencil_to_json(stencil_from_json(first)) + "\n" == first
+
+    def test_output_past_the_str_int_digit_limit(self, capsys):
+        # the n = 100 forward stencil at q = 3/2 holds integers longer than
+        # the interpreter's default 4300-digit limit on int <-> str
+        code = cli.main(["stencil", "--kind", "forward", "-n", "100", "-q", "3/2",
+                         "--output", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert stencil_from_json(captured.out) == gaussian_forward(100, F(3, 2))
 
     def test_invalid_q_exit_2(self, capsys):
         code = cli.main(["stencil", "--kind", "forward", "-n", "3", "-q", "1"])
@@ -394,7 +404,29 @@ class TestCmdDerive:
 # ---------------------------------------------------------------------------
 
 
+# SHA-256 of the stdout of `counterexample --case NAME`.  The seed picks the
+# sampled steps, and the report prints only the checks' verdicts, so one
+# digest holds at every seed.
+CASE_STDOUT_SHA256 = {
+    "prop25": "c7b542970e992f5301f4d4284ca6ec5ed22090e700ada5134de02a278c90469a",
+    "thm32a": "6e242b41f9c2840242b64aeab5cd2733ceb3266252280973717dab06d3bb63d2",
+    "thm32-n5": "39899e193abf8d7b6d6fe425d27e69fefb7a210d97d0a920ba0ab8a238e42ea8",
+    "thm32-n6": "d1cd43ed2b6bc8183e5a9f79055839ac2d37b97b3c77d38dbac42b2b2bc0743b",
+    "thm32-n7": "7a631e7ab1e06f2d982319b736914412a2db1a75317b5fb2112fca621a14e7f7",
+    "thm32-n8": "60d07db0698b9feed28ec6712d4590dc108dcdd5d356f72a4cdafadccf55e225",
+    "search-n9": "7f85c4bc6faa88e3cfcffd7c4e4b47cd496b84b8b52a6a222e8c292010786741",
+}
+
+
 class TestCmdCounterexample:
+    @pytest.mark.parametrize("seed", [1729, 7])
+    @pytest.mark.parametrize("case", list(CASE_STDOUT_SHA256))
+    def test_case_stdout_bytes_are_pinned(self, capsys, case, seed):
+        code = cli.main(["counterexample", f"--case={case}", f"--seed={seed}"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == CASE_STDOUT_SHA256[case]
+
     def test_named_case_exit_0(self, capsys):
         code = cli.main(["counterexample", "--case", "prop25"])
         assert code == 0
