@@ -49,6 +49,11 @@ from .stencil import (
 from .verify import DEFAULT_Q_GRID, DEFAULT_SEED, run_all
 
 
+# Largest derivative order the CLI builds a stencil for, and so at most
+# MAX_ORDER + 1 nodes: a larger -n or --nodes list exits 2 before any build.
+MAX_ORDER = 200
+
+
 def _parse_rational_list(text: str) -> list[Fraction]:
     items = [t for t in text.split(",") if t.strip()]
     if not items:
@@ -61,6 +66,19 @@ def _parse_int_list(text: str) -> list[int]:
         return [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise StencilError(f"bad integer list {text!r}") from exc
+
+
+def _bound_order(order: int):
+    if order > MAX_ORDER:
+        raise StencilError(f"-n {order} exceeds the largest supported order {MAX_ORDER}")
+
+
+def _parse_nodes(text: str) -> list[Fraction]:
+    nodes = _parse_rational_list(text)
+    if len(nodes) > MAX_ORDER + 1:
+        raise StencilError(f"--nodes has {len(nodes)} entries, more than the "
+                           f"{MAX_ORDER + 1} of the largest supported order {MAX_ORDER}")
+    return nodes
 
 
 def _parse_function(text: str) -> FunctionHandle:
@@ -84,8 +102,9 @@ def _build_stencil(args) -> Stencil:
         raise StencilError(f"--kind {kind} does not take --nodes")
     if args.order is None:
         raise StencilError(f"--kind {kind} requires -n")
+    _bound_order(args.order)
     if kind == "custom":
-        return vandermonde_solve(_parse_rational_list(args.nodes), args.order)
+        return vandermonde_solve(_parse_nodes(args.nodes), args.order)
     if kind in GAUSSIAN_BUILDERS:
         return GAUSSIAN_BUILDERS[kind](args.order, q)
     return CLASSICAL_BUILDERS[kind](args.order)
@@ -187,7 +206,8 @@ def cmd_counterexample(args) -> int:
                        (args.interval, "--interval"), (args.lower_order, "--lower-order")):
         if flag is None:
             raise CounterexampleError(f"--custom requires {name}")
-    stencil = vandermonde_solve(_parse_rational_list(args.nodes), args.order)
+    _bound_order(args.order)
+    stencil = vandermonde_solve(_parse_nodes(args.nodes), args.order)
     group = MultiplicativeGroup(tuple(_parse_int_list(args.generators)))
     character = tuple(_parse_int_list(args.character))
     interval = _parse_int_list(args.interval)

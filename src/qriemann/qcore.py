@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 
@@ -150,10 +151,11 @@ class QPolynomial:
             raise ValueError("exact_div requires a nonzero QPolynomial divisor")
         rem = list(self.coeffs)
         div = other.coeffs
-        lead = Fraction(div[-1])
+        lead = div[-1]
         quot = [0] * max(len(rem) - len(div) + 1, 0)
         for i in range(len(quot) - 1, -1, -1):
-            c = Fraction(rem[i + len(div) - 1]) / lead
+            # an int when integral, so a monic divisor keeps the updates in integers
+            c = _normalize_scalar(Fraction(rem[i + len(div) - 1], lead))
             quot[i] = c
             if c != 0:
                 for j, d in enumerate(div):
@@ -165,12 +167,15 @@ class QPolynomial:
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, q):
-        """Exact Horner evaluation; rational in, rational out."""
+        """Exact evaluation, rational in, rational out: at q = a/b, Horner on
+        the integer sum of c_i a^i b^(d-i), then one division by b^d."""
         q = Fraction(q)
-        acc = Fraction(0)
+        a, b = q.numerator, q.denominator
+        acc, bk = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+            acc = acc * a + c * bk
+            bk *= b
+        return Fraction(acc * b, bk)
 
     def _coerce(self, other):
         if isinstance(other, QPolynomial):
@@ -206,10 +211,13 @@ def q_factorial(n: int) -> QPolynomial:
     """Product of the quantum integers 1..n; the empty product for n = 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("q_factorial requires an integer n >= 0")
-    out = QPolynomial.one()
-    for i in range(1, n + 1):
-        out = out * q_integer(i)
-    return out
+    coeffs = [1]
+    for i in range(2, n + 1):
+        # times [i]_q: coefficient k of the product is the sum of coefficients
+        # k-i+1..k, a difference of two prefix sums i apart
+        sums = [0] * i + list(accumulate(coeffs + [0] * (i - 1)))
+        coeffs = [hi - lo for hi, lo in zip(sums[i:], sums)]
+    return QPolynomial(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -120,10 +120,11 @@ def qbinomial_consistency_suite(max_n: int = 20, cross_check_n: int = 12) -> Sui
             )
     for n in range(0, cross_check_n + 1):
         for k in range(0, n + 1):
-            res.check(
-                q_binomial(n, k) == q_binomial_by_factorials(n, k),
-                f"Pascal route != factorial route at n={n}, k={k}",
-            )
+            try:
+                same = q_binomial(n, k) == q_binomial_by_factorials(n, k)
+            except ValueError:  # a remainder: the factorials themselves are wrong
+                same = False
+            res.check(same, f"Pascal route != factorial route at n={n}, k={k}")
     return res
 
 
@@ -162,9 +163,11 @@ def _qbinomial_terms(N: int, first: int, step: int, q: Fraction) -> list:
 
 
 def _qbinomial_sum(terms: list, a: Fraction) -> Fraction:
-    """The expanded side, sum_k t_k a^(N-k)."""
-    N = len(terms) - 1
-    return sum((t * a ** (N - k) for k, t in enumerate(terms)), Fraction(0))
+    """The expanded side, sum_k t_k a^(N-k), by Horner."""
+    acc = Fraction(0)
+    for t in terms:
+        acc = acc * a + t
+    return acc
 
 
 def _qbinomial_product(N: int, first: int, step: int, q: Fraction, a: Fraction) -> Fraction:

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qriemann.qcore import (
     QPolynomial,
@@ -22,6 +24,24 @@ from qriemann.qcore import (
 )
 
 F = Fraction
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+scalars = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6))
+points = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=50),
+    # large height: numerator and denominator far past a machine word
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+def fraction_horner(coeffs, q):
+    """Reference evaluation: Horner with every step in Fraction."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * F(q) + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +59,8 @@ class TestQPolynomial:
         z = QPolynomial.zero()
         assert z.coeffs == ()
         assert z.degree == -1
-        assert z(F(7, 3)) == 0
+        for q in (0, 1, -3, F(7, 3), F(10**30 + 1, 3**70)):
+            assert isinstance(z(q), Fraction) and z(q) == 0
         assert QPolynomial((0, 0, 0)) == z
 
     def test_constant_and_one(self):
@@ -102,6 +123,24 @@ class TestQPolynomial:
                 continue
             assert (a * b).exact_div(b) == a
 
+    @SETTINGS
+    @given(st.lists(scalars, max_size=12), points)
+    def test_evaluation_matches_fraction_horner(self, coeffs, q):
+        value = QPolynomial(coeffs)(q)
+        assert isinstance(value, Fraction)
+        assert value == fraction_horner(coeffs, q)
+
+    def test_exact_division_fraction_coefficients_non_monic(self):
+        # (3/2 - q/5)(2/3 + 4q + 7q^2) divided by its non-monic first factor
+        a = QPolynomial((F(2, 3), 4, 7))
+        b = QPolynomial((F(3, 2), F(-1, 5)))
+        assert (a * b).exact_div(b) == a
+        assert (a * b).exact_div(a) == b
+        with pytest.raises(ValueError):
+            (a * b + 1).exact_div(b)
+        with pytest.raises(ValueError):
+            a.exact_div(QPolynomial((F(1, 2), 3)))
+
     def test_immutability(self):
         p = QPolynomial((1, 2))
         with pytest.raises(AttributeError):
@@ -147,7 +186,8 @@ class TestQIntegerFactorial:
             assert q_factorial(n)(F(1)) == math.factorial(n)
 
     def test_q_factorial_product_structure(self):
-        for n in range(2, 9):
+        # with q_factorial(0) == 1 this is q_factorial(n) == prod of q_integer(1..n)
+        for n in range(1, 16):
             assert q_factorial(n) == q_factorial(n - 1) * q_integer(n)
 
     def test_q_factorial_rejects_negative(self):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qriemann import cli, verify
+from qriemann import cli, qcore, verify
 from qriemann.stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
@@ -105,6 +105,26 @@ class TestSuites:
         for label in ("monic collapse", "a=1 collapse", "vanishing moment", "top moment",
                       "even-power", "odd-power"):
             assert label in failures
+
+    def test_consistency_suite_catches_a_wrong_q_factorial(self, monkeypatch, capsys):
+        # [7]! with its q^3 coefficient off by one: [7 k] for 0 < k < 7 leaves a
+        # remainder, and so does every [n 7] and [n n-7] up to n = 12
+        real = qcore.q_factorial
+
+        def bumped(n):
+            coeffs = real(n).coeffs
+            return qcore.QPolynomial(c + (n == 7 and i == 3) for i, c in enumerate(coeffs))
+
+        monkeypatch.setattr(qcore, "q_factorial", bumped)
+        res = qbinomial_consistency_suite()
+        assert res.failed == 6 + 2 * 5
+        assert res.failures[:6] == [f"Pascal route != factorial route at n=7, k={k}"
+                                    for k in range(1, 7)]
+        assert not any(f"n={n}," in m for n in range(7) for m in res.failures)
+        assert cli.main(["verify", "--max-n", "1", "--q-list", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "qbinomial-consistency: FAILED (16 of 553 checks)" in out
+        assert out.endswith("FAILED suites: qbinomial-consistency\n")
 
     def test_seed_reproducibility(self):
         a = qbinomial_product_suite(count=30, seed=1234)
@@ -206,6 +226,50 @@ class TestCmdStencil:
         assert (code, captured.err) == (0, "")
         assert stencil_from_json(captured.out) == gaussian_forward(100, F(3, 2))
 
+    def test_order_bound_is_checked_before_any_build(self, capsys, monkeypatch):
+        built = []
+
+        def forward(n, q):
+            built.append(n)
+            return gaussian_forward(2, q)
+
+        monkeypatch.setitem(cli.GAUSSIAN_BUILDERS, "forward", forward)
+        assert cli.MAX_ORDER == 200
+        assert cli.main(["stencil", "--kind", "forward", "-n", "201", "-q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: -n 201 exceeds the largest supported order 200\n"
+        assert built == []
+        assert cli.main(["derive", "--kind", "forward", "-n", "201", "-q", "2",
+                         "--function", "sin"]) == 2
+        assert built == []
+        capsys.readouterr()
+        assert cli.main(["stencil", "--kind", "forward", "-n", "200", "-q", "2"]) == 0
+        assert built == [200]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("order,count,error", [
+        (200, 201, None),
+        (201, 202, "-n 201 exceeds the largest supported order 200"),
+        (3, 202, "--nodes has 202 entries, more than the 201 of the largest supported order 200"),
+        (2000, 2001, "-n 2000 exceeds the largest supported order 200"),
+    ], ids=["n200-nodes201", "n201-nodes202", "n3-nodes202", "n2000-nodes2001"])
+    def test_node_count_bound_is_checked_before_any_solve(self, capsys, monkeypatch,
+                                                          order, count, error):
+        solved = []
+        monkeypatch.setattr(cli, "vandermonde_solve",
+                            lambda nodes, n: solved.append((len(nodes), n)) or vandermonde_solve((0, 1), 1))
+        nodes = "--nodes=" + ",".join(map(str, range(count)))
+        code = cli.main(["stencil", "--kind", "custom", f"-n{order}", nodes])
+        err = capsys.readouterr().err
+        if error is None:
+            assert (code, err, solved) == (0, "", [(count, order)])
+            return
+        assert (code, err, solved) == (2, f"error: {error}\n", [])
+        assert cli.main(["counterexample", "--custom", f"-n{order}", nodes, "--generators=2",
+                         "--character=1", "--interval=1,2", "--lower-order=1"]) == 2
+        assert (capsys.readouterr().err, solved) == (f"error: {error}\n", [])
+
     def test_invalid_q_exit_2(self, capsys):
         code = cli.main(["stencil", "--kind", "forward", "-n", "3", "-q", "1"])
         assert code == 2
@@ -269,7 +333,26 @@ class TestCmdStencil:
 # ---------------------------------------------------------------------------
 
 
+# SHA-256 of the stdout of `verify` at the default seed and q grid; the
+# default --max-n is 8, so the first two digests are the same report.
+VERIFY_STDOUT_SHA256 = {
+    "defaults": ([], "110d9e3a8de3d773948d26171e690349c2a0f34cd409527e3bd26a1ac99b7dcd"),
+    "max-n-8": (["--max-n", "8"],
+                "110d9e3a8de3d773948d26171e690349c2a0f34cd409527e3bd26a1ac99b7dcd"),
+    "max-n-8-json": (["--max-n", "8", "--output", "json"],
+                     "f2fc0949b489939cd32f1b09d0dd19393fa9aa5299d2392b5053684c5083f9fe"),
+}
+
+
 class TestCmdVerify:
+    @pytest.mark.parametrize("name", list(VERIFY_STDOUT_SHA256))
+    def test_stdout_bytes_are_pinned(self, capsys, name):
+        flags, digest = VERIFY_STDOUT_SHA256[name]
+        code = cli.main(["verify", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
     def test_text_report(self, capsys):
         code = cli.main(["verify", "--max-n", "3", "--q-list", "2,-2"])
         assert code == 0
