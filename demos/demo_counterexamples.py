@@ -25,11 +25,12 @@ from qriemann.counterexample import NAMED_CASES
 
 
 def describe(report):
+    window = report.phi_on_interval
     terms = " ".join(
-        f"{'+' if c > 0 else '-'}{abs(c)}*{b}^s" for c, b in report.phi.terms
+        f"{'+' if c > 0 else '-'}{abs(c)}*{b}^s" for c, b in window.phi.terms
     )
-    lo, hi = report.exponent_interval
-    lo_v, hi_v = report.phi_endpoints
+    lo, hi = window.interval
+    lo_v, hi_v = window.lo_value, window.hi_value
     print(f"  phi(s) = {terms}")
     print(f"  endpoints: phi({lo}) = {lo_v}, phi({hi}) = {hi_v}")
     print(f"  root: s* = {report.exponent}")

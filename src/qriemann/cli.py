@@ -28,8 +28,8 @@ from .counterexample import (
     GroupFunction,
     MultiplicativeGroup,
     NoSignChangeError,
+    PhiOnInterval,
     find_exponent,
-    printed_phi,
     run_case,
     run_search,
     verify_counterexample,
@@ -210,17 +210,10 @@ def cmd_counterexample(args) -> int:
     stencil = vandermonde_solve(_parse_nodes(args.nodes), args.order)
     group = MultiplicativeGroup(tuple(_parse_int_list(args.generators)))
     character = tuple(_parse_int_list(args.character))
-    interval = _parse_int_list(args.interval)
-    if len(interval) != 2:
-        raise CounterexampleError("--interval takes exactly two integers LO,HI")
-    if args.exponent is not None:
-        s_star = args.exponent
-    else:
-        s_star = find_exponent(printed_phi(stencil, group, character), interval[0], interval[1])
+    window = PhiOnInterval.of(stencil, group, character, _parse_int_list(args.interval))
+    s_star = find_exponent(window) if args.exponent is None else args.exponent
     f = GroupFunction(group, character, s_star)
-    report = verify_counterexample(
-        stencil, f, args.lower_order, seed=args.seed, exponent_interval=tuple(interval)
-    )
+    report = verify_counterexample(stencil, f, args.lower_order, window, seed=args.seed)
     print(report.to_json())
     return 0 if report.passed() else 1
 

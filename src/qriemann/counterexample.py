@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
@@ -208,8 +208,8 @@ class ExponentialSum:
         return sum((c * b**s for c, b in self.terms), Fraction(0))
 
     def eval_mp(self, s):
-        """mpmath value; call inside an mp.workdps block."""
-        sm = _to_mpf(s) if isinstance(s, Fraction) else mp.mpf(s)
+        """mpmath value at a rational or float s; call inside an mp.workdps block."""
+        sm = _to_mpf(Fraction(s))
         return mp.fsum(_to_mpf(c) * mp.power(_to_mpf(b), sm) for c, b in self.terms)
 
     def primitive(self) -> tuple["ExponentialSum", Fraction]:
@@ -260,19 +260,68 @@ def printed_phi(stencil: Stencil, group: MultiplicativeGroup, character,
     return phi.negated() if flip_sign else phi
 
 
+@dataclass(frozen=True)
+class PhiOnInterval:
+    """phi of one character on an integer interval (lo, hi), built once per run.
+
+    phi is the printed presentation (printed_phi's sum: content removed, sign
+    as printed).  The exact endpoint values phi(lo) and phi(hi) are computed
+    here, from which sign_change follows; reports and searches serialize
+    phi and its endpoints through phi_jsonable.
+    """
+
+    character: tuple
+    phi: ExponentialSum
+    interval: tuple  # integers lo < hi
+    lo_value: Fraction = field(init=False)
+    hi_value: Fraction = field(init=False)
+
+    def __post_init__(self):
+        interval = tuple(self.interval)
+        if not (len(interval) == 2 and all(isinstance(v, int) for v in interval)
+                and interval[0] < interval[1]):
+            raise CounterexampleError(f"the interval must be two integers lo < hi, not {interval}")
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "lo_value", self.phi.eval_exact(interval[0]))
+        object.__setattr__(self, "hi_value", self.phi.eval_exact(interval[1]))
+
+    @classmethod
+    def of(cls, stencil: Stencil, group: MultiplicativeGroup, character, interval,
+           flip_sign: bool = False) -> "PhiOnInterval":
+        return cls(tuple(character), printed_phi(stencil, group, character, flip_sign), interval)
+
+    @property
+    def sign_change(self) -> bool:
+        """phi(lo) * phi(hi) < 0 strictly, so an exact zero at an endpoint
+        does not qualify."""
+        return self.lo_value * self.hi_value < 0
+
+    def phi_jsonable(self) -> dict:
+        return {
+            "phi_terms": [
+                {"coeff": format_rational(c), "base": format_rational(b)}
+                for c, b in self.phi.terms
+            ],
+            "phi_endpoints": [format_rational(self.lo_value), format_rational(self.hi_value)],
+        }
+
+
 def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
-    """(value, sign) of phi at s: exact at integers, else the sum of
-    c_i exp(s ln b_i) over the (c_i, ln b_i) pairs in logs."""
-    if float(s).is_integer():
-        v = phi.eval_exact(int(round(s)))
+    """(value, sign) of phi at s as an mpf: at an integer the exact value,
+    rounded once, which keeps its exact sign (an mpf's exponent is
+    unbounded); else the sum of c_i exp(s ln b_i) over the (c_i, ln b_i)
+    pairs in logs.  Call inside an mp.workdps block."""
+    if s.is_integer():
+        v = _to_mpf(phi.eval_exact(int(s)))
     else:
         sm = mp.mpf(s)
         v = mp.fsum(c * mp.exp(sm * lb) for c, lb in logs)
     return v, (v > 0) - (v < 0)
 
 
-def find_exponent(phi: ExponentialSum, lo, hi) -> float:
-    """Bisect a sign change of phi on [lo, hi] down to float resolution.
+def find_exponent(window: PhiOnInterval) -> Fraction:
+    """Bisect the sign change of phi on the window's interval down to float
+    resolution; returns the double it lands on, as an exact Fraction.
 
     Requires phi(lo) * phi(hi) < 0 strictly.  Integer probes are evaluated
     exactly, so an exact integer root is returned exactly.  Other probes sum
@@ -283,35 +332,29 @@ def find_exponent(phi: ExponentialSum, lo, hi) -> float:
     endpoints the one with the smaller |phi| wins, so the residual is as
     small as doubles allow.
     """
-    lo, hi = float(lo), float(hi)
-    if not (lo < hi):
-        raise CounterexampleError("need lo < hi")
-
-    def as_mpf(v):
-        return _to_mpf(v) if isinstance(v, Fraction) else v
-
+    if not window.sign_change:
+        raise NoSignChangeError(
+            "phi({}) * phi({}) < 0 is required, strictly; "
+            "no admissible sign change on this interval".format(*window.interval)
+        )
+    phi = window.phi
+    lo, hi = (float(v) for v in window.interval)
+    slo = 1 if window.lo_value > 0 else -1
     with mp.workdps(MP_DPS):
         logs = [(_to_mpf(c), mp.log(_to_mpf(b))) for c, b in phi.terms]
-        vlo, slo = _phi_signed_value(phi, logs, lo)
-        vhi, shi = _phi_signed_value(phi, logs, hi)
-        if slo == 0 or shi == 0 or slo == shi:
-            raise NoSignChangeError(
-                f"phi({lo}) * phi({hi}) < 0 is required, strictly; "
-                "no admissible sign change on this interval"
-            )
-        vlo, vhi = as_mpf(vlo), as_mpf(vhi)
+        vlo, vhi = _to_mpf(window.lo_value), _to_mpf(window.hi_value)
         for _ in range(200):
             mid = (lo + hi) / 2
             if not (lo < mid < hi):
                 break  # float resolution reached
             vmid, smid = _phi_signed_value(phi, logs, mid)
             if smid == 0:
-                return mid
+                return Fraction(mid)
             if smid == slo:
-                lo, vlo = mid, as_mpf(vmid)
+                lo, vlo = mid, vmid
             else:
-                hi, vhi = mid, as_mpf(vmid)
-        return lo if abs(vlo) <= abs(vhi) else hi
+                hi, vhi = mid, vmid
+        return Fraction(lo if abs(vlo) <= abs(vhi) else hi)
 
 
 # -- the full verification ----------------------------------------------------
@@ -323,11 +366,8 @@ class CounterexampleReport:
 
     stencil: Stencil
     generators: tuple
-    character: tuple
-    exponent_interval: tuple
+    phi_on_interval: PhiOnInterval  # the character, printed phi, interval and endpoints
     exponent: float
-    phi: ExponentialSum  # presentation form (content removed, sign as printed)
-    phi_endpoints: tuple  # exact Fractions of phi at the interval endpoints
     checks: dict
     details: dict
 
@@ -335,17 +375,14 @@ class CounterexampleReport:
         return all(self.checks.values())
 
     def to_jsonable(self) -> dict:
+        window = self.phi_on_interval
         return {
             "stencil": stencil_to_jsonable(self.stencil),
             "generators": list(self.generators),
-            "character": list(self.character),
-            "exponent_interval": list(self.exponent_interval),
+            "character": list(window.character),
+            "exponent_interval": list(window.interval),
             "exponent": self.exponent,
-            "phi_terms": [
-                {"coeff": format_rational(c), "base": format_rational(b)}
-                for c, b in self.phi.terms
-            ],
-            "phi_endpoints": [format_rational(v) for v in self.phi_endpoints],
+            **window.phi_jsonable(),
             "checks": dict(self.checks),
         }
 
@@ -514,10 +551,9 @@ def verify_counterexample(
     stencil: Stencil,
     f: GroupFunction,
     lower_order: int,
+    phi_on_interval: PhiOnInterval,
     h_samples: dict | None = None,
     seed: int = DEFAULT_SEED,
-    exponent_interval: tuple | None = None,
-    flip_sign: bool = False,
 ) -> CounterexampleReport:
     """Check the three facts that make (stencil, f) a genuine separation:
 
@@ -528,7 +564,12 @@ def verify_counterexample(
     (c) the ordinary n-th quotient f(h)/h^n is unbounded (or oscillates
         between fixed opposite values) along generator rays, so the ordinary
         derivative cannot exist.
+
+    phi_on_interval is phi of f's character on the claimed interval, as the
+    caller built it; the report prints it.
     """
+    if phi_on_interval.character != f.character:
+        raise CounterexampleError("phi_on_interval is for another character than f's")
     if not isinstance(lower_order, int) or lower_order < 0:
         raise CounterexampleError("lower_order must be an integer >= 0")
     s_star = float(f.exponent)
@@ -548,31 +589,16 @@ def verify_counterexample(
         nonmembers = list(h_samples["nonmembers"])
         peano_set = list(h_samples["peano"])
 
-    pres_phi = printed_phi(stencil, f.group, f.character, flip_sign)
-
     ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)
     ok_b = peano_bound_check(f, 0, lower_order, eps, peano_set)
     ok_c, detail_c = _check_unbounded(stencil, f, s_star)
 
-    if exponent_interval is None:
-        lo = int(math.floor(s_star))
-        hi = int(math.ceil(s_star))
-        if hi == lo:
-            lo, hi = lo - 1, hi + 1
-        exponent_interval = (lo, hi)
-    endpoints = (
-        pres_phi.eval_exact(int(exponent_interval[0])),
-        pres_phi.eval_exact(int(exponent_interval[1])),
-    )
     return CounterexampleReport(
         stencil=stencil,
         generators=f.group.generators,
-        character=f.character,
-        exponent_interval=tuple(exponent_interval),
+        phi_on_interval=phi_on_interval,
         exponent=s_star,
-        phi=pres_phi,
-        phi_endpoints=endpoints,
         checks={
             "difference_vanishes": ok_a,
             "lower_peano_bound": ok_b,
@@ -586,29 +612,12 @@ def verify_counterexample(
 # -- character search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterHit:
-    character: tuple
-    phi: ExponentialSum  # primitive presentation, no sign flip
-    lo_value: Fraction
-    hi_value: Fraction
-    sign_change: bool
-
-
 def character_search(stencil: Stencil, generators, lo: int, hi: int) -> list:
-    """Evaluate phi at the integer endpoints for every sign character and
-    flag the admissible ones: a root in (lo, hi) needs phi(lo)*phi(hi) < 0
-    strictly, so an exact zero at an endpoint does not qualify."""
+    """phi on (lo, hi) for every sign character, as PhiOnInterval values;
+    the admissible ones are those with a sign_change."""
     group = MultiplicativeGroup(tuple(generators))
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo < hi):
-        raise CounterexampleError("need integer endpoints lo < hi")
-    k = len(group.generators)
-    out = []
-    for bits in _all_bits(k):
-        phi = printed_phi(stencil, group, bits)
-        vlo, vhi = phi.eval_exact(lo), phi.eval_exact(hi)
-        out.append(CharacterHit(bits, phi, vlo, vhi, vlo * vhi < 0))
-    return out
+    return [PhiOnInterval.of(stencil, group, bits, (lo, hi))
+            for bits in _all_bits(len(group.generators))]
 
 
 def _all_bits(k: int):
@@ -622,15 +631,7 @@ def search_to_jsonable(stencil: Stencil, generators, lo: int, hi: int, hits: lis
         "generators": list(generators),
         "interval": [lo, hi],
         "results": [
-            {
-                "character": list(h.character),
-                "phi_terms": [
-                    {"coeff": format_rational(c), "base": format_rational(b)}
-                    for c, b in h.phi.terms
-                ],
-                "phi_endpoints": [format_rational(h.lo_value), format_rational(h.hi_value)],
-                "sign_change": h.sign_change,
-            }
+            {"character": list(h.character), **h.phi_jsonable(), "sign_change": h.sign_change}
             for h in hits
         ],
         "admissible": sum(1 for h in hits if h.sign_change),
@@ -725,17 +726,9 @@ def run_case(name: str, seed: int = DEFAULT_SEED) -> CounterexampleReport:
     case = NAMED_CASES[name]
     stencil = case.build()
     group = MultiplicativeGroup(case.generators)
-    pres_phi = printed_phi(stencil, group, case.character, case.flip_sign)
-    s_star = find_exponent(pres_phi, case.interval[0], case.interval[1])
-    f = GroupFunction(group, case.character, s_star)
-    return verify_counterexample(
-        stencil,
-        f,
-        case.lower_order,
-        seed=seed,
-        exponent_interval=case.interval,
-        flip_sign=case.flip_sign,
-    )
+    window = PhiOnInterval.of(stencil, group, case.character, case.interval, case.flip_sign)
+    f = GroupFunction(group, case.character, find_exponent(window))
+    return verify_counterexample(stencil, f, case.lower_order, window, seed=seed)
 
 
 def run_search(name: str) -> dict:

@@ -238,10 +238,10 @@ def estimate_derivative(
     two_sided) with a converged / diverged / oscillating verdict.
 
     converged: the last three deltas each shrink by at least 1.5x (exact
-    zeros count) and the final delta is below tol (default 1e-8 scaled by
-    max(1, |quotient|)).  diverged: the magnitudes grow without bound --
-    either past 1e12 outright, or monotone growth (last five ratios >= 1.2)
-    spanning three decades.  Anything else is oscillating, reported with the
+    zeros count) and the final delta is below tol (finite and > 0; default
+    1e-8 scaled by max(1, |quotient|)).  diverged: the magnitudes grow
+    without bound -- either past 1e12 outright, or monotone growth (last
+    five ratios >= 1.2) spanning three decades.  Anything else is oscillating, reported with the
     last quotients seen on each side of 0.
 
     For orders >= 3 rows with |h| < 1e-8 are dropped: beyond that point the
@@ -255,6 +255,8 @@ def estimate_derivative(
         raise EvaluatorError("ratio must lie strictly between 0 and 1")
     if not isinstance(steps, int) or not 2 <= steps <= 60:
         raise EvaluatorError("steps must be an integer in 2..60")
+    if tol is not None and not 0 < tol < float("inf"):
+        raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)
     prev_q = None

@@ -294,12 +294,13 @@ def test_criterion_09_root_packages():
     with criterion(9, "root-packages", budget=5.0):
         for name, terms in expected.items():
             report = run_case(name)
-            assert report.phi.terms == terms, name
+            window = report.phi_on_interval
+            assert window.phi.terms == terms, name
 
-            lo_val, hi_val = report.phi_endpoints
+            lo_val, hi_val = window.lo_value, window.hi_value
             assert lo_val * hi_val < 0, name  # exact endpoint sign change
 
-            residual = abs(float(report.phi.eval_mp(report.exponent)))
+            residual = abs(float(window.phi.eval_mp(report.exponent)))
             bound = 1e-9 * max(abs(float(lo_val)), abs(float(hi_val)))
             assert residual < bound, (name, residual, bound)
 

@@ -27,6 +27,7 @@ from qriemann.counterexample import (
     GroupFunction,
     MultiplicativeGroup,
     NoSignChangeError,
+    PhiOnInterval,
     character_search,
     evaluate,
     find_exponent,
@@ -49,6 +50,11 @@ def group(*gens):
 
 def prop25_stencil():
     return vandermonde_solve((1, 2, 3), 2)
+
+
+def window_for(stn, f, interval=(1, 3), flip_sign=False):
+    """phi of f's character on interval, as verify_counterexample takes it."""
+    return PhiOnInterval.of(stn, f.group, f.character, interval, flip_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +319,72 @@ class TestPhiFromStencil:
 # ---------------------------------------------------------------------------
 
 
+def on_interval(phi, lo, hi):
+    """A bare phi on (lo, hi); find_exponent reads only phi and the interval."""
+    return PhiOnInterval((), phi, (lo, hi))
+
+
 class TestFindExponent:
     def test_exact_integer_root(self):
         f = GroupFunction(group(2, 3), (1, 1), 2)
-        phi = phi_from_stencil(prop25_stencil(), f)
-        assert find_exponent(phi, 1, 3) == 2.0
+        s = find_exponent(window_for(prop25_stencil(), f))
+        assert s == 2 and isinstance(s, Fraction)
 
     def test_root_in_open_interval(self):
         phi = ExponentialSum(((F(1), F(3)), (F(-6), F(2)), (F(-15), F(1))))
-        s = find_exponent(phi, 4, 5)
+        s = find_exponent(on_interval(phi, 4, 5))
         assert 4 < s < 5
         assert abs(float(phi.eval_mp(s))) < 1e-9 * 36
 
     def test_no_sign_change_raises(self):
         phi = ExponentialSum(((F(1), F(2)), (F(1), F(1))))  # positive everywhere
         with pytest.raises(NoSignChangeError):
-            find_exponent(phi, 1, 5)
+            find_exponent(on_interval(phi, 1, 5))
 
     def test_zero_endpoint_raises(self):
         # phi(1) = 3 - 4 + 1 = 0: a zero endpoint is not a sign change.
         phi = ExponentialSum(((F(1), F(3)), (F(-2), F(2)), (F(1), F(1))))
         with pytest.raises(NoSignChangeError):
-            find_exponent(phi, 1, 3)
+            find_exponent(on_interval(phi, 1, 3))
+
+    @pytest.mark.parametrize("name", sorted(NAMED_CASES))
+    def test_exact_value_of_the_reported_double(self, name):
+        # the root is carried exactly: the Fraction of the very double the
+        # report prints
+        report = run_case(name)
+        s = find_exponent(report.phi_on_interval)
+        assert isinstance(s, Fraction)
+        assert s == report.exponent
+
+
+class TestPhiOnInterval:
+    @pytest.mark.parametrize("interval", [(3, 1), (2, 2), (1, 2, 3), (F(1), 3), (1.0, 3)],
+                             ids=["reversed", "empty", "three", "fraction", "float"])
+    def test_interval_is_two_integers_lo_below_hi(self, interval):
+        with pytest.raises(CounterexampleError, match="two integers lo < hi"):
+            PhiOnInterval.of(prop25_stencil(), group(2, 3), (1, 1), interval)
+
+    def test_sign_change_follows_the_exact_endpoints(self):
+        # prop25's printed phi is -3^s + 2*2^s + 1: phi(1) = 2, phi(3) = -10,
+        # and phi(2) = 0 exactly
+        w = PhiOnInterval.of(prop25_stencil(), group(2, 3), (1, 1), (1, 3))
+        assert (w.lo_value, w.hi_value, w.sign_change) == (2, -10, True)
+        w = PhiOnInterval.of(prop25_stencil(), group(2, 3), (1, 1), (2, 3))
+        assert (w.lo_value, w.hi_value, w.sign_change) == (0, -10, False)
+
+    def test_run_case_builds_phi_once(self, monkeypatch):
+        calls = []
+        printed = counterexample.printed_phi
+        monkeypatch.setattr(counterexample, "printed_phi",
+                            lambda *args: calls.append(args) or printed(*args))
+        assert run_case("thm32-n6").passed()
+        assert len(calls) == 1
+
+    def test_verify_rejects_another_characters_phi(self):
+        f = GroupFunction(group(2, 3), (1, 1), 2)
+        other = PhiOnInterval.of(prop25_stencil(), group(2, 3), (0, 1), (1, 3))
+        with pytest.raises(CounterexampleError, match="another character"):
+            verify_counterexample(prop25_stencil(), f, 1, other)
 
 
 
@@ -388,9 +438,10 @@ class TestNamedCases:
     def test_case_passes_with_expected_phi(self, name):
         report = run_case(name)
         terms, endpoints, interval = EXPECTED_PRESENTATIONS[name]
-        assert report.phi.terms == terms
-        assert report.phi_endpoints == endpoints
-        assert report.exponent_interval == interval
+        window = report.phi_on_interval
+        assert window.phi.terms == terms
+        assert (window.lo_value, window.hi_value) == endpoints
+        assert window.interval == interval
         lo, hi = interval
         assert float(lo) < report.exponent < float(hi) or report.exponent in (
             float(lo) + 1,
@@ -411,7 +462,7 @@ class TestNamedCases:
             report = run_case(name)
             _, (lo_val, hi_val), _ = EXPECTED_PRESENTATIONS[name]
             scale_bound = 1e-9 * max(abs(float(lo_val)), abs(float(hi_val)))
-            assert abs(float(report.phi.eval_mp(report.exponent))) < scale_bound
+            assert abs(float(report.phi_on_interval.phi.eval_mp(report.exponent))) < scale_bound
 
     def test_unknown_case(self):
         with pytest.raises(CounterexampleError):
@@ -446,7 +497,7 @@ class TestVerifyCounterexample:
     def test_prop25_difference_vanishes_exactly(self):
         stn = prop25_stencil()
         f = GroupFunction(group(2, 3), (1, 1), 2)
-        report = verify_counterexample(stn, f, lower_order=1, exponent_interval=(1, 3))
+        report = verify_counterexample(stn, f, 1, window_for(stn, f))
         assert report.passed()
         # The underlying claim, checked directly: the difference is exactly
         # zero both on and off the group.
@@ -463,7 +514,7 @@ class TestVerifyCounterexample:
         # check: the machinery detects a broken package.
         stn = prop25_stencil()
         f = GroupFunction(group(2, 3), (1, 1), F(5, 2))
-        report = verify_counterexample(stn, f, lower_order=1, exponent_interval=(1, 3))
+        report = verify_counterexample(stn, f, 1, window_for(stn, f))
         assert report.checks["difference_vanishes"] is False
         assert not report.passed()
 
@@ -487,7 +538,8 @@ class TestVerifyCounterexample:
         f = GroupFunction(group(2, 3), (1, 1), 2)
         samples = {"members": [F(1, 2), F(1, 5)], "nonmembers": [], "peano": [F(1, 2)]}
         with pytest.raises(CounterexampleError, match="1/5 is not in the group"):
-            verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+            verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
+                                  h_samples=samples)
 
     def test_nonmember_step_that_reaches_the_group_is_caught(self):
         # Node 5 maps the step 1/5 onto 1, which is in G, so the difference
@@ -495,7 +547,7 @@ class TestVerifyCounterexample:
         stn = vandermonde_solve((1, 2, 5), 2)
         f = GroupFunction(group(2, 3), (1, 1), 2)
         samples = {"members": [], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(stn, f, lower_order=1, h_samples=samples)
+        report = verify_counterexample(stn, f, 1, window_for(stn, f), h_samples=samples)
         assert report.checks["difference_vanishes"] is False
         assert report.details["difference"] == {"failed_at": 0.2, "nonmember_exact_zero": False}
 
@@ -504,7 +556,8 @@ class TestVerifyCounterexample:
         # first passes 1e6 on the ray h = 2^-j at j = 200.
         f = GroupFunction(group(2, 3), (0, 0), F(19, 10))
         samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
+                                       h_samples=samples)
         assert report.checks["nth_unbounded"] is True
         detail = report.details["unbounded"]
         assert (detail["witness_generator"], detail["witness_j"]) == (2, 200)
@@ -515,7 +568,8 @@ class TestVerifyCounterexample:
         # and the trivial character never changes its sign.
         f = GroupFunction(group(2, 3), (0, 0), F(5, 2))
         samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
+                                       h_samples=samples)
         assert report.checks["nth_unbounded"] is False
         detail = report.details["unbounded"]
         assert detail["witness_generator"] is None
@@ -534,7 +588,8 @@ class TestVerifyCounterexample:
         # it would pass the threshold only at j in the millions.
         f = GroupFunction(group(2, 3), character, s)
         samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(prop25_stencil(), f, lower_order=1, h_samples=samples)
+        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
+                                       h_samples=samples)
         assert report.checks["nth_unbounded"] is oscillates
         detail = report.details["unbounded"]
         assert detail["witness_generator"] is None
@@ -578,7 +633,7 @@ class TestDifferenceCheckMutations:
         else:
             stn = perturb_coefficient(stn, -1)  # the largest node is positive and in G
         report = verify_counterexample(stn, f, case.lower_order,
-                                       exponent_interval=case.interval, flip_sign=case.flip_sign)
+                                       window_for(stn, f, case.interval, case.flip_sign))
         assert report.checks == {
             "difference_vanishes": False,
             "lower_peano_bound": True,
@@ -601,8 +656,9 @@ class TestPeanoBoundMutations:
         samples = {"members": counterexample._sample_members(f.group, rng, 20),
                    "nonmembers": counterexample._sample_nonmembers(f.group, stn, rng, 20),
                    "peano": [h]}
-        report = verify_counterexample(stn, f, case.lower_order, h_samples=samples,
-                                       exponent_interval=case.interval, flip_sign=case.flip_sign)
+        report = verify_counterexample(stn, f, case.lower_order,
+                                       window_for(stn, f, case.interval, case.flip_sign),
+                                       h_samples=samples)
         assert report.checks == {
             "difference_vanishes": True,
             "lower_peano_bound": holds,
@@ -653,12 +709,13 @@ class TestGroupDifferences:
         members = [-h for h in random_members(f.group, rng, 20)]
         samples = {"members": members, "nonmembers": [F(1, 10), F(7, 3)],
                    "peano": [F(1, 2), F(-1, 3)]}
-        report = verify_counterexample(stn, f, case.lower_order, h_samples=samples,
-                                       exponent_interval=case.interval)
+        report = verify_counterexample(stn, f, case.lower_order, window_for(stn, f, case.interval),
+                                       h_samples=samples)
         assert report.checks["difference_vanishes"] is True
         # node -4 times a negative step is a positive point in G
-        broken = verify_counterexample(perturb_coefficient(stn, 0), f, case.lower_order,
-                                       h_samples=samples, exponent_interval=case.interval)
+        broken_stn = perturb_coefficient(stn, 0)
+        broken = verify_counterexample(broken_stn, f, case.lower_order,
+                                       window_for(broken_stn, f, case.interval), h_samples=samples)
         assert broken.checks["difference_vanishes"] is False
 
     def test_threshold_is_a_billionth_of_h_to_the_s(self):

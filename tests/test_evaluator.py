@@ -378,6 +378,14 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError):
             estimate_derivative(s, f, 0.0, steps=61)
 
+    @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # tol = 0 would turn f(x) = x, every quotient exactly 1, into a
+        # nonexistence verdict; an infinite tol accepts any shrinking table
+        with pytest.raises(EvaluatorError, match="tol must be a finite number > 0"):
+            estimate_derivative(gaussian_forward(1, 2), FunctionHandle.rational_polynomial([0, 1]),
+                                0, tol=tol)
+
 
 class TestConvergenceTableOutput:
     def make_table(self):

@@ -475,6 +475,15 @@ class TestCmdDerive:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1", "inf"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        code = cli.main(["derive", "--kind", "forward", "-n", "1", "-q", "2",
+                         "--function", "poly:0,1", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be a finite number > 0" in captured.err
+
     def test_bad_steps_exit_2(self, capsys):
         code = cli.main(["derive", "--kind", "forward", "-n", "2", "-q", "2",
                          "--function", "sin", "--at", "0", "--steps", "99"])
@@ -500,6 +509,25 @@ CASE_STDOUT_SHA256 = {
     "search-n9": "7f85c4bc6faa88e3cfcffd7c4e4b47cd496b84b8b52a6a222e8c292010786741",
 }
 
+PROP25_CUSTOM = ["--nodes=1,2,3", "-n2", "--generators=2,3", "--character=1,1",
+                 "--interval=1,3", "--lower-order=1"]
+
+# (flags, exit code, SHA-256 of stdout) of `counterexample --custom`.
+CUSTOM_STDOUT_SHA256 = {
+    # the root is exactly 2; the same bytes as --case prop25
+    "prop25": (PROP25_CUSTOM, 0,
+               "c7b542970e992f5301f4d4284ca6ec5ed22090e700ada5134de02a278c90469a"),
+    # thm32-n6's stencil without its sign flip: a root inside (4, 5)
+    "nodes-3..3": (["--nodes=-3,-2,-1,0,1,2,3", "-n6", "--generators=2,3", "--character=1,1",
+                    "--interval=4,5", "--lower-order=4", "--seed=9"], 0,
+                   "367f309c5bf933ea42f350aed603a010e1be263f1bc38295f07ebddf27e8954e"),
+    "prop25-exponent-2.5": (PROP25_CUSTOM + ["--exponent=2.5"], 1,
+                            "5b4dedc7dbdd656897caba354a4e1a03c8f57957fc45df1618596c7f9f913e24"),
+    # the trivial character has phi(1) = 0: no sign change, nothing printed
+    "trivial-character": (PROP25_CUSTOM + ["--character=0,0"], 3,
+                          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
 
 class TestCmdCounterexample:
     @pytest.mark.parametrize("seed", [1729, 7])
@@ -509,6 +537,22 @@ class TestCmdCounterexample:
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         assert hashlib.sha256(captured.out.encode()).hexdigest() == CASE_STDOUT_SHA256[case]
+
+    @pytest.mark.parametrize("name", list(CUSTOM_STDOUT_SHA256))
+    def test_custom_stdout_bytes_are_pinned(self, capsys, name):
+        flags, code, digest = CUSTOM_STDOUT_SHA256[name]
+        assert cli.main(["counterexample", "--custom", *flags]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("exponent", [[], ["--exponent=2"]], ids=["located", "given"])
+    @pytest.mark.parametrize("interval", ["3,1", "2,2"])
+    def test_custom_interval_needs_lo_below_hi(self, capsys, interval, exponent):
+        # checked whether or not the exponent is given
+        argv = ["counterexample", "--custom", *PROP25_CUSTOM, f"--interval={interval}", *exponent]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "two integers lo < hi" in captured.err
 
     def test_named_case_exit_0(self, capsys):
         code = cli.main(["counterexample", "--case", "prop25"])
