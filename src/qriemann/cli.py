@@ -211,6 +211,9 @@ def cmd_counterexample(args) -> int:
     group = MultiplicativeGroup(tuple(_parse_int_list(args.generators)))
     character = tuple(_parse_int_list(args.character))
     window = PhiOnInterval.of(stencil, group, character, _parse_int_list(args.interval))
+    lo, hi = window.interval
+    if args.exponent is not None and not lo <= args.exponent <= hi:
+        raise CounterexampleError(f"--exponent {args.exponent} lies outside --interval [{lo}, {hi}]")
     s_star = find_exponent(window) if args.exponent is None else args.exponent
     f = GroupFunction(group, character, s_star)
     report = verify_counterexample(stencil, f, args.lower_order, window, seed=args.seed)
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", help="comma-separated bits (custom)")
     p.add_argument("--interval", help="LO,HI integer exponent bracket (custom)")
     p.add_argument("--exponent", type=float, default=None,
-                   help="use this exponent instead of locating a root (custom)")
+                   help="use this exponent, within --interval, instead of locating a root (custom)")
     p.add_argument("--lower-order", type=int, default=None,
                    help="claimed intact differentiability order (custom)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

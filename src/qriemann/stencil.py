@@ -80,6 +80,13 @@ def _check_order(n) -> None:
         raise StencilError("order must be an integer >= 1")
 
 
+def _over_common_denominator(xs) -> tuple[int, list[int]]:
+    """(D, [x * D for x in xs]) with D the lcm of the denominators of the
+    Fractions xs, so each x is P / D with integer P."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
 # -- the stencil itself -------------------------------------------------------
 
 
@@ -209,7 +216,9 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
         A_k = n! / prod_{j != k} (a_k - a_j),
 
     computed exactly in O(n^2); distinct nodes make every A_k finite and
-    nonzero.
+    nonzero.  Over the common denominator D of the nodes, a_k = P_k / D with
+    integer P_k, so A_k = n! D^n / prod_{j != k} (P_k - P_j): one integer
+    product per k and one division.
     """
     _check_order(n)
     pts = [Fraction(a) for a in nodes]
@@ -220,9 +229,10 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
             f"need exactly {n + 1} nodes for order {n}, got {len(pts)}; "
             "excess-node systems are not supported"
         )
-    fact = math.factorial(n)
-    coeffs = [fact / math.prod(ak - aj for j, aj in enumerate(pts) if j != k)
-              for k, ak in enumerate(pts)]
+    d, ps = _over_common_denominator(pts)
+    top = math.factorial(n) * d**n
+    coeffs = [Fraction(top, math.prod(pk - pj for j, pj in enumerate(ps) if j != k))
+              for k, pk in enumerate(ps)]
     return Stencil(order=n, nodes=tuple(pts), coeffs=tuple(coeffs), kind="custom", q=None)
 
 
@@ -388,12 +398,25 @@ def scale(s: Stencil, r) -> Stencil:
 
 
 def verify_vandermonde(s: Stencil) -> list[tuple[int, Fraction]]:
-    """Exact residuals (j, sum_k A_k a_k^j - target_j) for j = 0..order."""
+    """Exact residuals (j, sum_k A_k a_k^j - target_j) for j = 0..order.
+
+    With a_k = P_k / D and A_k = C_k / E over the common denominators D of
+    the nodes and E of the coefficients,
+
+        sum_k A_k a_k^j = (sum_k C_k P_k^j) / (E D^j),
+
+    so each C_k P_k^j is a running integer, multiplied by P_k per step, and
+    each j costs one integer sum and one Fraction.
+    """
+    d, ps = _over_common_denominator(s.nodes)
+    den, terms = _over_common_denominator(s.coeffs)  # den = E D^j below
     out = []
     for j in range(s.order + 1):
-        total = sum((c * a**j for a, c in zip(s.nodes, s.coeffs)), Fraction(0))
-        target = Fraction(math.factorial(s.order)) if j == s.order else Fraction(0)
-        out.append((j, total - target))
+        if j:
+            terms = [t * p for t, p in zip(terms, ps)]
+            den *= d
+        target = math.factorial(s.order) if j == s.order else 0
+        out.append((j, Fraction(sum(terms) - target * den, den)))
     return out
 
 

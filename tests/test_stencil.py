@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qriemann.stencil as stencil_module
 from qriemann.qcore import q_binomial
@@ -59,6 +61,25 @@ def assert_exact_order(s: Stencil):
 
     want = [F(0)] * s.order + [F(math.factorial(s.order))]
     assert moments(s, s.order) == want, s
+
+
+def residual_oracle(s: Stencil):
+    """(j, sum_k A_k a_k^j - target_j) for j = 0..order, summed term by term."""
+    target = [F(0)] * s.order + [F(math.factorial(s.order))]
+    return [(j, m - t) for j, (m, t) in enumerate(zip(moments(s, s.order), target))]
+
+
+def solve_oracle(nodes):
+    """{a_k: n! / prod_{j != k} (a_k - a_j)}, multiplied out term by term."""
+    n = len(nodes) - 1
+    out = {}
+    for a in nodes:
+        den = F(1)
+        for b in nodes:
+            if b != a:
+                den *= a - b
+        out[a] = math.factorial(n) / den
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +204,10 @@ class TestVandermondeSolve:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(StencilError):
             vandermonde_solve((0, 1, 1), 2)
+        with pytest.raises(StencilError, match="duplicate nodes"):
+            vandermonde_solve((F(1, 3), F(2, 6), 5), 2)  # equal as rationals
 
     def test_random_node_sets_have_exact_order(self):
-        import math
-
         rng = random.Random(5150)
         for _ in range(40):
             n = rng.randint(1, 12)
@@ -196,13 +217,49 @@ class TestVandermondeSolve:
             s = vandermonde_solve(tuple(nodes), n)
             assert_exact_order(s)
             assert all(r == 0 for _, r in verify_vandermonde(s)), s
-            # each weight is n! over the product of the node differences
-            for a, c in zip(s.nodes, s.coeffs):
-                den = F(1)
-                for b in s.nodes:
-                    if b != a:
-                        den *= a - b
-                assert c == math.factorial(n) / den, (s, a)
+            assert s.as_map() == solve_oracle(s.nodes), s
+
+
+# ---------------------------------------------------------------------------
+# Moment arithmetic against plain Fraction oracles
+# ---------------------------------------------------------------------------
+
+# Node sets mixing 0, negative nodes and denominators up to 10^12, so the
+# common denominator of the nodes is far from 1.
+big_rationals = st.one_of(
+    st.just(F(0)),
+    st.integers(-30, 30).map(F),
+    st.fractions(min_value=-30, max_value=30, max_denominator=10**12),
+)
+big_node_sets = st.lists(big_rationals, min_size=2, max_size=9, unique=True)
+ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+class TestMomentOracles:
+    @ORACLE_SETTINGS
+    @given(big_node_sets)
+    def test_solver_matches_the_product_oracle(self, nodes):
+        s = vandermonde_solve(nodes, len(nodes) - 1)
+        assert s.as_map() == solve_oracle(nodes)
+        assert verify_vandermonde(s) == residual_oracle(s)
+        assert all(r == 0 for _, r in verify_vandermonde(s))
+
+    @ORACLE_SETTINGS
+    @given(big_node_sets, st.data())
+    def test_residuals_of_a_bumped_stencil(self, nodes, data):
+        # bumping A_k by b moves residual j by b a_k^j, so with a_k != 0
+        # every residual is nonzero and every term of the sum is checked
+        s = vandermonde_solve(nodes, len(nodes) - 1)
+        k = data.draw(st.sampled_from([i for i, a in enumerate(s.nodes) if a != 0]))
+        bump = data.draw(st.fractions(max_denominator=10**12).filter(
+            lambda b: b != 0 and b != -s.coeffs[k]))
+        coeffs = list(s.coeffs)
+        coeffs[k] += bump
+        broken = Stencil(order=s.order, nodes=s.nodes, coeffs=tuple(coeffs))
+        got = verify_vandermonde(broken)
+        assert got == residual_oracle(broken)
+        assert all(r != 0 for _, r in got)
+        assert [type(r) for _, r in got] == [F] * (s.order + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,19 @@ class TestCmdStencil:
             assert stencil_from_json(json.dumps(doc)) == built, name
 
 
+# SHA-256 of the text stdout of the n = 100 forward stencil at q = 3/2, whose
+# exact moment check is the costly part of the text output.
+STENCIL_TEXT_FORWARD_100_SHA256 = "0b6d7366207ea43680e4d5f7ae482500ea9b08cab7d437f9f8a9d7016d93f8d1"
+
+
+def test_stencil_text_bytes_are_pinned(capsys):
+    code = cli.main(["stencil", "--kind=forward", "-n100", "-q3/2", "--output=text"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.endswith("moment conditions: all satisfied\n")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == STENCIL_TEXT_FORWARD_100_SHA256
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify
 # ---------------------------------------------------------------------------
@@ -553,6 +566,20 @@ class TestCmdCounterexample:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "two integers lo < hi" in captured.err
+
+    @pytest.mark.parametrize("exponent, interval", [
+        ("2", "5,9"),  # prop25's root, far below the interval
+        ("0.9999999999999999", "1,3"),  # the double just below lo
+        ("3.0000000000000004", "1,3"),  # the double just above hi
+    ])
+    def test_given_exponent_outside_the_interval_exit_2(self, capsys, exponent, interval):
+        argv = ["counterexample", "--custom", *PROP25_CUSTOM, f"--interval={interval}",
+                f"--exponent={exponent}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --exponent {float(exponent)} lies outside "
+                                f"--interval [{interval.replace(',', ', ')}]\n")
 
     def test_named_case_exit_0(self, capsys):
         code = cli.main(["counterexample", "--case", "prop25"])
