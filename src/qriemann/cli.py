@@ -51,6 +51,8 @@ from .verify import DEFAULT_Q_GRID, DEFAULT_SEED, run_all
 
 # Largest derivative order the CLI builds a stencil for, and so at most
 # MAX_ORDER + 1 nodes: a larger -n or --nodes list exits 2 before any build.
+# It also bounds derive's signpowN power and poly: degree and the endpoints
+# of counterexample's --interval.
 MAX_ORDER = 200
 
 
@@ -83,8 +85,15 @@ def _parse_nodes(text: str) -> list[Fraction]:
 
 def _parse_function(text: str) -> FunctionHandle:
     if text.startswith("poly:"):
-        return FunctionHandle.rational_polynomial(_parse_rational_list(text[len("poly:"):]))
-    return FunctionHandle.builtin(text)
+        coeffs = _parse_rational_list(text[len("poly:"):])
+        if len(coeffs) > MAX_ORDER + 1:
+            raise EvaluatorError(f"poly: has {len(coeffs)} coefficients, more than the "
+                                 f"{MAX_ORDER + 1} of the largest supported degree {MAX_ORDER}")
+        return FunctionHandle.rational_polynomial(coeffs)
+    f = FunctionHandle.builtin(text)
+    if f.power is not None and f.power > MAX_ORDER:
+        raise EvaluatorError(f"signpow{f.power} exceeds the largest supported power {MAX_ORDER}")
+    return f
 
 
 def _build_stencil(args) -> Stencil:
@@ -162,8 +171,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    s = _build_stencil(args)
     f = _parse_function(args.function)
+    s = _build_stencil(args)
     table = estimate_derivative(
         s,
         f,
@@ -210,7 +219,10 @@ def cmd_counterexample(args) -> int:
     stencil = vandermonde_solve(_parse_nodes(args.nodes), args.order)
     group = MultiplicativeGroup(tuple(_parse_int_list(args.generators)))
     character = tuple(_parse_int_list(args.character))
-    window = PhiOnInterval.of(stencil, group, character, _parse_int_list(args.interval))
+    interval = _parse_int_list(args.interval)
+    if not all(0 <= v <= MAX_ORDER for v in interval):
+        raise CounterexampleError(f"--interval endpoints must lie in [0, {MAX_ORDER}]")
+    window = PhiOnInterval.of(stencil, group, character, interval)
     lo, hi = window.interval
     if args.exponent is not None and not lo <= args.exponent <= hi:
         raise CounterexampleError(f"--exponent {args.exponent} lies outside --interval [{lo}, {hi}]")
@@ -270,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--custom", action="store_true")
     p.add_argument("--nodes", help="comma-separated rational nodes (custom)")
     p.add_argument("-n", "--order", type=int, help="derivative order (custom)")
-    p.add_argument("--generators", help="comma-separated primes (custom)")
+    p.add_argument("--generators", help="comma-separated primes up to 10**9 (custom)")
     p.add_argument("--character", help="comma-separated bits (custom)")
-    p.add_argument("--interval", help="LO,HI integer exponent bracket (custom)")
+    p.add_argument("--interval", help=f"LO,HI integer exponent bracket in [0, {MAX_ORDER}] (custom)")
     p.add_argument("--exponent", type=float, default=None,
                    help="use this exponent, within --interval, instead of locating a root (custom)")
     p.add_argument("--lower-order", type=int, default=None,

@@ -36,6 +36,9 @@ from .verify import DEFAULT_SEED
 
 UNBOUNDED_THRESHOLD = 1e6
 UNBOUNDED_MAX_J = 1000
+# Largest generator accepted, so that _is_prime's trial division takes at
+# most about 3 * 10^4 steps.
+MAX_GENERATOR = 10**9
 
 
 class CounterexampleError(ValueError):
@@ -70,8 +73,8 @@ class MultiplicativeGroup:
         if len(set(gens)) != len(gens):
             raise CounterexampleError("generators must be distinct")
         for g in gens:
-            if not isinstance(g, int) or not _is_prime(g):
-                raise CounterexampleError(f"generator {g!r} is not a prime")
+            if not isinstance(g, int) or g > MAX_GENERATOR or not _is_prime(g):
+                raise CounterexampleError(f"generator {g!r} is not a prime up to {MAX_GENERATOR}")
         object.__setattr__(self, "generators", gens)
 
 
@@ -166,16 +169,6 @@ class GroupFunction:
         return self.chi(e) * mp.power(_to_mpf(x), _to_mpf(s))
 
 
-def evaluate(f: GroupFunction, x):
-    """f at a single point: exact Fraction when available, else float."""
-    x = Fraction(x)
-    v = f.eval_exact(x)
-    if v is not None:
-        return v
-    with mp.workdps(MP_DPS):
-        return float(f.eval_mp(x))
-
-
 # -- exponential sums ---------------------------------------------------------
 
 
@@ -250,22 +243,12 @@ def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:
     return ExponentialSum(tuple(terms))
 
 
-def printed_phi(stencil: Stencil, group: MultiplicativeGroup, character,
-                flip_sign: bool = False) -> ExponentialSum:
-    """phi as reports print it: phi_from_stencil's sum for this character
-    with its positive content removed, negated when flip_sign is set.  phi
-    does not depend on the exponent; the exponent-1 GroupFunction only
-    carries the character and checks it against the group."""
-    phi, _ = phi_from_stencil(stencil, GroupFunction(group, character, 1)).primitive()
-    return phi.negated() if flip_sign else phi
-
-
 @dataclass(frozen=True)
 class PhiOnInterval:
     """phi of one character on an integer interval (lo, hi), built once per run.
 
-    phi is the printed presentation (printed_phi's sum: content removed, sign
-    as printed).  The exact endpoint values phi(lo) and phi(hi) are computed
+    phi is the printed presentation (built by of: content removed, sign as
+    printed).  The exact endpoint values phi(lo) and phi(hi) are computed
     here, from which sign_change follows; reports and searches serialize
     phi and its endpoints through phi_jsonable.
     """
@@ -288,7 +271,12 @@ class PhiOnInterval:
     @classmethod
     def of(cls, stencil: Stencil, group: MultiplicativeGroup, character, interval,
            flip_sign: bool = False) -> "PhiOnInterval":
-        return cls(tuple(character), printed_phi(stencil, group, character, flip_sign), interval)
+        """phi as reports print it: phi_from_stencil's sum for this character
+        with its positive content removed, negated when flip_sign is set.
+        phi does not depend on the exponent; the exponent-1 GroupFunction
+        only carries the character and checks it against the group."""
+        phi, _ = phi_from_stencil(stencil, GroupFunction(group, character, 1)).primitive()
+        return cls(tuple(character), phi.negated() if flip_sign else phi, interval)
 
     @property
     def sign_change(self) -> bool:

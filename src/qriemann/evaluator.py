@@ -245,7 +245,8 @@ def estimate_derivative(
     last quotients seen on each side of 0.
 
     For orders >= 3 rows with |h| < 1e-8 are dropped: beyond that point the
-    quotient digits carry no information at any reasonable precision.
+    quotient digits carry no information at any reasonable precision.  An
+    exact step or quotient past the largest double raises EvaluatorError.
     """
     h0 = Fraction(h0)
     ratio = Fraction(ratio)
@@ -267,9 +268,15 @@ def estimate_derivative(
         if two_sided and i % 2 == 1:
             h = -h
         qt = difference_quotient(s, f, x, h)
-        delta = None if prev_q is None else abs(float(qt) - float(prev_q))
+        try:  # every row is reported as doubles, and an exact value may not fit one
+            float(h)
+            qf = float(qt)
+        except OverflowError:
+            raise EvaluatorError(f"row {i + 1}: the step h or its quotient lies outside "
+                                 "the double range") from None
+        delta = None if prev_q is None else abs(qf - prev_q)
         table.rows.append((h, qt, delta))
-        prev_q = qt
+        prev_q = qf
     if len(table.rows) < 2:
         raise EvaluatorError("fewer than two usable rows; raise h0 or lower the order")
 

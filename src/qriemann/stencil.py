@@ -16,8 +16,8 @@ dilates by q (E delta_a = delta_{qa}) and j runs over range(first, n, step);
 _FAMILIES holds the seed, first and step of each.  The closed form expands
 that product by the q-binomial theorem, taking each Gaussian binomial from
 the last by [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k); recursive_build
-applies its factors one at a time, and GaussianNormalizer scales it to n-th
-moment n!.
+applies its factors one at a time.  Either map is scaled to n-th moment n! by
+one normalizing constant, which is the built stencil's coefficient at q^N.
 """
 
 from __future__ import annotations
@@ -170,39 +170,6 @@ _FAMILIES = {
 }
 
 
-def _family(family: str, n: int) -> tuple[dict, range]:
-    """(seed, j-range) of a _FAMILIES row at order n."""
-    if family not in _FAMILIES:
-        raise StencilError(f"unknown normalizer family {family!r}")
-    seed, first, step = _FAMILIES[family]
-    if (n - first) % step:
-        raise StencilError(f"{family} requires {'odd' if first % 2 else 'even'} order")
-    return seed, range(first, n, step)
-
-
-def _normalizer(seed: dict, js: range, n: int, q: Fraction) -> Fraction:
-    """n! over the n-th moment of seed * prod_{j in js} (E - q^j)."""
-    qn = q**n
-    moment = math.prod(qn - q**j for j in js) * sum(c * a**n for a, c in seed.items())
-    return Fraction(math.factorial(n)) / moment
-
-
-@dataclass(frozen=True)
-class GaussianNormalizer:
-    """The rational factor that scales a raw q-power difference so its n-th
-    moment equals n!.  family is one of forward / shifted / symmetric_even /
-    symmetric_odd."""
-
-    family: str
-    value: Fraction
-
-    @classmethod
-    def compute(cls, family: str, n: int, q) -> "GaussianNormalizer":
-        q = _validate_q(q)
-        _check_order(n)
-        return cls(family=family, value=_normalizer(*_family(family, n), n, q))
-
-
 # -- the moment solver --------------------------------------------------------
 
 
@@ -267,13 +234,16 @@ def _expand(seed: dict, js: range, q: Fraction) -> dict:
 
 def _gaussian(name: str, n: int, q, raw) -> Stencil:
     """The GAUSSIAN_BUILDERS family `name` at order n, normalized, from
-    raw(seed, js, q), the map of seed * prod_{j in js} (E - q^j)."""
+    raw(seed, js, q), the map of seed * prod_{j in js} (E - q^j), times
+    lam = n! / (that map's n-th moment)."""
     q = _validate_q(q)
     _check_order(n)
     if name not in GAUSSIAN_FAMILIES:  # only recursive_build passes a caller's name
         raise StencilError(f"unknown recursion family {name!r}; expected one of {GAUSSIAN_FAMILIES}")
-    seed, js = _family(f"symmetric_{'odd' if n % 2 else 'even'}" if name == "symmetric" else name, n)
-    lam = _normalizer(seed, js, n, q)
+    seed, first, step = _FAMILIES[f"symmetric_{'odd' if n % 2 else 'even'}" if name == "symmetric" else name]
+    js, qn = range(first, n, step), q**n
+    moment = math.prod(qn - q**j for j in js) * sum(c * a**n for a, c in seed.items())
+    lam = Fraction(math.factorial(n)) / moment
     mapping = raw(seed, js, q)
     return Stencil(n, tuple(mapping), tuple(lam * c for c in mapping.values()), "gaussian_" + name, q)
 

@@ -220,10 +220,10 @@ def qbinomial_squared_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
 
 
 def _gaussian_builders() -> dict:
-    """GAUSSIAN_BUILDERS with each builder looked up by name in this module at
-    call time, so a builder patched in here (an injected fault, a tracer) is
-    the one the suites run."""
-    return {family: globals()[build.__name__] for family, build in GAUSSIAN_BUILDERS.items()}
+    """GAUSSIAN_BUILDERS' families, in its order, each with its builder as
+    this module names it at call time, so a builder patched in here (an
+    injected fault, a tracer) is the one the suites run."""
+    return dict(zip(GAUSSIAN_BUILDERS, (gaussian_forward, gaussian_shifted, gaussian_symmetric)))
 
 
 def closed_vs_solver_suite(max_n: int = 10, q_grid=DEFAULT_Q_GRID) -> SuiteResult:
@@ -271,27 +271,16 @@ def scaling_suite(max_n: int = 8, q_grid=SCALING_Q_GRID, seed: int = DEFAULT_SEE
     """Scaling behavior: the q <-> 1/q reflection per family, scale-invariance
     of the moment conditions, and the classical coincidences at low order."""
     res = SuiteResult("scaling")
+    builders = _gaussian_builders()
     for n in range(1, max_n + 1):
+        top = {"forward": n - 1, "shifted": n, "symmetric": (n + 1) // 2 - 1}  # N of the node q^N
         for q in q_grid:
-            res.check(
-                same_difference(scale(gaussian_forward(n, 1 / q), q ** (n - 1)),
-                                gaussian_forward(n, q)),
-                f"forward reflection fails at n={n}, q={q}",
-            )
-            res.check(
-                same_difference(scale(gaussian_shifted(n, 1 / q), q**n),
-                                gaussian_shifted(n, q)),
-                f"shifted reflection fails at n={n}, q={q}",
-            )
-            m = (n + 1) // 2
-            res.check(
-                same_difference(scale(gaussian_symmetric(n, 1 / q), q ** (m - 1)),
-                                gaussian_symmetric(n, q)),
-                f"symmetric reflection fails at n={n}, q={q}",
-            )
+            for family, build in builders.items():
+                res.check(same_difference(scale(build(n, 1 / q), q ** top[family]), build(n, q)),
+                          f"{family} reflection fails at n={n}, q={q}")
 
     rng = random.Random(seed)
-    builders = tuple(_gaussian_builders().values())
+    builders = tuple(builders.values())
     for _ in range(random_count):
         build = rng.choice(builders)
         n = rng.randint(1, 6)

@@ -29,7 +29,6 @@ from qriemann.counterexample import (
     NoSignChangeError,
     PhiOnInterval,
     character_search,
-    evaluate,
     find_exponent,
     membership,
     phi_from_stencil,
@@ -71,6 +70,18 @@ class TestMultiplicativeGroup:
         for bad in ((4,), (1,), (2, 9), (0,)):
             with pytest.raises(CounterexampleError):
                 MultiplicativeGroup(bad)
+
+    def test_generators_are_bounded_before_the_primality_test(self, monkeypatch):
+        # 999999937 is the largest prime up to MAX_GENERATOR = 10^9; 10^9 + 7
+        # is prime too, and 10^18 + 3 would take 10^9 trial divisions
+        assert counterexample.MAX_GENERATOR == 10**9
+        assert group(999999937).generators == (999999937,)
+        tested = []
+        monkeypatch.setattr(counterexample, "_is_prime", lambda p: tested.append(p) or p == 2)
+        for big in (10**9 + 7, 10**18 + 3):
+            with pytest.raises(CounterexampleError, match="is not a prime up to 1000000000"):
+                group(2, big)
+        assert tested == [2, 2]
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(CounterexampleError):
@@ -115,21 +126,21 @@ class TestMembership:
 class TestGroupFunction:
     def test_example_values(self):
         f = GroupFunction(group(2, 3), (1, 1), 2)
-        assert evaluate(f, F(6)) == 36  # exponents (1,1), sign (-1)^2
-        assert evaluate(f, F(-4)) == 0
+        assert f.eval_exact(F(6)) == 36  # exponents (1,1), sign (-1)^2
+        assert f.eval_exact(F(-4)) == 0
         g = GroupFunction(group(2, 3), (1, 0), 2)
-        assert evaluate(g, F(2)) == -4
+        assert g.eval_exact(F(2)) == -4
 
     def test_zero_off_support(self):
         f = GroupFunction(group(2, 3), (1, 1), 2)
-        assert evaluate(f, F(10)) == 0
-        assert evaluate(f, F(7, 5)) == 0
-        assert evaluate(f, F(0)) == 0
+        assert f.eval_exact(F(10)) == 0
+        assert f.eval_exact(F(7, 5)) == 0
+        assert f.eval_exact(F(0)) == 0
 
     def test_fractional_member_value(self):
         # f(1/2) with character (1,0): sign (-1)^(-1) = -1, value -(1/4).
         f = GroupFunction(group(2, 3), (1, 0), 2)
-        assert evaluate(f, F(1, 2)) == -F(1, 4)
+        assert f.eval_exact(F(1, 2)) == -F(1, 4)
 
     def test_character_validation(self):
         with pytest.raises(CounterexampleError):
@@ -374,9 +385,9 @@ class TestPhiOnInterval:
 
     def test_run_case_builds_phi_once(self, monkeypatch):
         calls = []
-        printed = counterexample.printed_phi
-        monkeypatch.setattr(counterexample, "printed_phi",
-                            lambda *args: calls.append(args) or printed(*args))
+        extract = counterexample.phi_from_stencil
+        monkeypatch.setattr(counterexample, "phi_from_stencil",
+                            lambda *args: calls.append(args) or extract(*args))
         assert run_case("thm32-n6").passed()
         assert len(calls) == 1
 

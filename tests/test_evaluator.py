@@ -378,6 +378,15 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError):
             estimate_derivative(s, f, 0.0, steps=61)
 
+    @pytest.mark.parametrize("coeffs,h0", [
+        ([0, 10**400], F(1, 10)),  # the exact quotient, 10^400
+        ([0, 1], F(10**400)),  # the step
+    ], ids=["quotient", "step"])
+    def test_exact_rows_past_the_largest_double_raise(self, coeffs, h0):
+        f = FunctionHandle.rational_polynomial(coeffs)
+        with pytest.raises(EvaluatorError, match="row 1: the step h or its quotient lies outside"):
+            estimate_derivative(riemann_classic(1), f, 0, h0=h0)
+
     @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf")])
     def test_tol_must_be_finite_and_positive(self, tol):
         # tol = 0 would turn f(x) = x, every quotient exactly 1, into a

@@ -1,5 +1,6 @@
-"""A stdlib lint: every module-level import in the package is used, and
-every module-level private name is read.
+"""A stdlib lint: every module-level import in the package is used, every
+module-level private name is read, and ``qriemann.__all__`` lists exactly
+the package's public names.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 public re-exports.  A name counts as used when it appears anywhere in the
@@ -10,9 +11,12 @@ attribute, outside its own definition.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import qriemann
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qriemann"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -103,3 +107,10 @@ def test_private_name_detector_flags_unread_and_keeps_read_names():
         "b.py": "import a\nfrom a import _Imported\nx = a._ATTR\ny = _Imported()\n",
     }
     assert unread_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 3: _self_only"]
+
+
+def test_all_lists_exactly_the_public_bindings():
+    # a name removed from the package cannot stay behind in __all__
+    public = {name for name, value in vars(qriemann).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(qriemann.__all__) == sorted(public | {"__version__"})

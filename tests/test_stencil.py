@@ -19,7 +19,6 @@ from qriemann.qcore import q_binomial
 from qriemann.stencil import (
     KINDS,
     ExcessNodesError,
-    GaussianNormalizer,
     Stencil,
     StencilError,
     format_rational,
@@ -390,7 +389,7 @@ class TestExpand:
         # with the Gaussian binomial evaluated as a polynomial.
         seed, first, step = stencil_module._FAMILIES[family]
         for n in range(first or 1, 31, step):
-            _, js = stencil_module._family(family, n)
+            js = range(first, n, step)
             N = len(js)
             for q in DEFAULT_Q_GRID:
                 r = q**step
@@ -452,33 +451,26 @@ class TestClassicalStencils:
 
 
 class TestNormalizer:
+    """The normalizing constant is the built stencil's coefficient at q^N,
+    N = n-1 forward, n shifted, (n+1)//2 - 1 symmetric."""
+
     def test_forward_order_one(self):
-        assert GaussianNormalizer.compute("forward", 1, F(7)).value == F(1)
+        assert gaussian_forward(1, F(7)).coeff_at(1) == F(1)
 
     def test_forward_order_three_base_two(self):
         # 3! / ((8-2)(8-4)) = 6/24 = 1/4, the top-node coefficient above.
-        assert GaussianNormalizer.compute("forward", 3, F(2)).value == F(1, 4)
+        assert gaussian_forward(3, F(2)).coeff_at(4) == F(1, 4)
 
     def test_shifted_order_two_base_two(self):
         # 2! / ((4-1)(4-2)) = 1/3.
-        assert GaussianNormalizer.compute("shifted", 2, F(2)).value == F(1, 3)
+        assert gaussian_shifted(2, F(2)).coeff_at(4) == F(1, 3)
 
     def test_symmetric_odd_order_one(self):
         # Empty product leaves n!/2 = 1/2.
-        assert GaussianNormalizer.compute("symmetric_odd", 1, F(5)).value == F(1, 2)
+        assert gaussian_symmetric(1, F(5)).coeff_at(1) == F(1, 2)
 
     def test_symmetric_even_order_two(self):
-        assert GaussianNormalizer.compute("symmetric_even", 2, F(3)).value == F(1)
-
-    def test_parity_mismatch_rejected(self):
-        with pytest.raises(StencilError):
-            GaussianNormalizer.compute("symmetric_even", 3, F(2))
-        with pytest.raises(StencilError):
-            GaussianNormalizer.compute("symmetric_odd", 4, F(2))
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(StencilError):
-            GaussianNormalizer.compute("sideways", 2, F(2))
+        assert gaussian_symmetric(2, F(3)).coeff_at(1) == F(1)
 
     def test_matches_the_paper_product_formulas(self):
         # n! / (c * prod_j (q^n - q^j)), written out per family.
@@ -506,15 +498,17 @@ class TestNormalizer:
                 den *= q**n - q**j
             return math.factorial(n) / den
 
-        formulas = {"forward": (forward, (0, 1)), "shifted": (shifted, (0, 1)),
-                    "symmetric_even": (symmetric_even, (0,)),
-                    "symmetric_odd": (symmetric_odd, (1,))}
-        for family, (formula, parities) in formulas.items():
+        # formula, builder, parities of n, exponent N of the top node q^N
+        formulas = [(forward, gaussian_forward, (0, 1), lambda n: n - 1),
+                    (shifted, gaussian_shifted, (0, 1), lambda n: n),
+                    (symmetric_even, gaussian_symmetric, (0,), lambda n: n // 2 - 1),
+                    (symmetric_odd, gaussian_symmetric, (1,), lambda n: (n - 1) // 2)]
+        for formula, build, parities, top in formulas:
             for n in range(1, 15):
                 if n % 2 not in parities:
                     continue
                 for q in DEFAULT_Q_GRID:
-                    assert GaussianNormalizer.compute(family, n, q).value == formula(n, q), (family, n, q)
+                    assert build(n, q).coeff_at(q ** top(n)) == formula(n, q), (formula.__name__, n, q)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qriemann import cli, qcore, verify
+from qriemann import cli, counterexample, qcore, verify
 from qriemann.stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
@@ -341,6 +341,35 @@ def test_stencil_text_bytes_are_pinned(capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == STENCIL_TEXT_FORWARD_100_SHA256
 
 
+# (flags, SHA-256 of the default JSON stdout) of `stencil`, one per kind
+# besides forward (see GOLDEN_FORWARD_3_2), symmetric at odd and even n.
+STENCIL_JSON_SHA256 = {
+    "shifted": (["--kind=shifted", "-n5", "-q3/2"],
+                "0f6565f796950aae1088f4e8ed1db640fbee0d0aca7a1382094f505b0af9f30b"),
+    "symmetric-odd": (["--kind=symmetric", "-n5", "-q=-7/4"],
+                      "1600e2b9ef49a9607bc05dc1ce89fbde5e7a65ce7b8e33d531a92aed532fe5ef"),
+    "symmetric-even": (["--kind=symmetric", "-n6", "-q2"],
+                       "009d47b6165fbc6e49908cbbb3c836837891b5c32f5cb339b55d1ca74ddfef6a"),
+    "mz": (["--kind=mz", "-n6"],
+           "557831220041607bd5ca9d0690e83536a0230b531ab6b7fe7058de9a8f956999"),
+    "riemann": (["--kind=riemann", "-n7"],
+                "0f80691e1374f93b606471bc093e23b2abb26b53c9a5023f4649b590c2714dbf"),
+    "riemann-symmetric": (["--kind=riemann-symmetric", "-n6"],
+                          "5d276d750ace955cdee8922e98b556676c5b2339df2100c4bb3bb285cc19abd6"),
+    "custom": (["--kind=custom", "-n3", "--nodes=-1,1/3,2,5"],
+               "f218a7a5e62cdb424ae2a4c237359a04bfdd827b05cb77b3e6a0c8c6d3c8ef62"),
+}
+
+
+@pytest.mark.parametrize("name", list(STENCIL_JSON_SHA256))
+def test_stencil_json_bytes_are_pinned(capsys, name):
+    flags, digest = STENCIL_JSON_SHA256[name]
+    code = cli.main(["stencil", *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # CLI: verify
 # ---------------------------------------------------------------------------
@@ -419,7 +448,66 @@ class TestCmdVerify:
 # ---------------------------------------------------------------------------
 
 
+# (flags, SHA-256 of the CSV stdout) of `derive`: sin, cos and exp take the
+# 60-digit path, the polynomials, signpow3 and abs the exact one.
+DERIVE_CSV_SHA256 = {
+    "forward-sin": (["--kind=forward", "-n3", "-q2", "--function=sin", "--at=0"],
+                    "ef6ac3cb0aeda07abe1792646197fef2314ceca2573881a45f1da3e9e3030725"),
+    "symmetric-cos": (["--kind=symmetric", "-n4", "-q3", "--function=cos", "--at=-1/2"],
+                      "d6f98c0c458cb118b6d3a223a44dc5948da16bd80a1e9eb7c69d2495e7335bbe"),
+    "shifted-exp": (["--kind=shifted", "-n2", "-q=-2", "--function=exp", "--at=1", "--steps=40"],
+                    "dbb183c9bc8759f9a1fc9e77f40d8c44fc48b05de6364a36818a35e5a8fccb8c"),
+    "riemann-poly": (["--kind=riemann", "-n2", "--function=poly:1,5,1", "--at=1/2"],
+                     "fe775b72f01a2f9d389ad1088fd38a75529a6fdcec9a8e0000b9ce868fb19a16"),
+    "riemann-symmetric-signpow3": (["--kind=riemann-symmetric", "-n3", "--function=signpow3",
+                                    "--at=0"],
+                                   "5b3967f7b496f9afd040211b5ac5c16d108f84f3c5720d526ceb218cf8696f7b"),
+    "mz-poly": (["--kind=mz", "-n2", "--function=poly:0,0,0,1", "--at=1/7", "--steps=40"],
+                "d77e8ee2d4a0e283415d86bca56a430603772ae75b9bd0ebefe21bb90fd1a64c"),
+    "custom-abs": (["--kind=custom", "-n1", "--nodes=-1,2", "--function=abs", "--at=1/7"],
+                   "6215c0b6b7b1633affe1f0e8fb533074249e640433cec17644b5e28853e69e7e"),
+}
+
+
 class TestCmdDerive:
+    @pytest.mark.parametrize("name", list(DERIVE_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, capsys, name):
+        flags, digest = DERIVE_CSV_SHA256[name]
+        code = cli.main(["derive", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [
+        ["--function=poly:0," + str(10**400)],  # the quotient, 10^400
+        ["--function=poly:0,1", "--h0=" + str(10**400)],  # the step
+    ], ids=["quotient-overflows", "step-overflows"])
+    def test_rows_outside_the_double_range_exit_2(self, capsys, flags):
+        code = cli.main(["derive", "--kind=riemann", "-n1", "--at=0", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: row 1: the step h or its quotient lies "
+                                "outside the double range\n")
+
+    @pytest.mark.parametrize("function,error", [
+        ("signpow10000000", "signpow10000000 exceeds the largest supported power 200"),
+        ("signpow201", "signpow201 exceeds the largest supported power 200"),
+        ("poly:" + ",".join(["1"] * 5000),
+         "poly: has 5000 coefficients, more than the 201 of the largest supported degree 200"),
+        ("poly:" + ",".join(["1"] * 202),
+         "poly: has 202 coefficients, more than the 201 of the largest supported degree 200"),
+    ], ids=["signpow10000000", "signpow201", "poly-5000", "poly-202"])
+    def test_function_bound_is_checked_before_any_build(self, capsys, monkeypatch,
+                                                        function, error):
+        built = []
+        monkeypatch.setattr(cli, "_build_stencil", lambda args: built.append(args))
+        code = cli.main(["derive", "--kind=riemann", "-n2", f"--function={function}", "--at=1/3"])
+        assert (code, capsys.readouterr().err, built) == (2, f"error: {error}\n", [])
+
+    def test_function_bound_admits_order_200(self):
+        assert cli._parse_function("signpow200").power == 200
+        assert len(cli._parse_function("poly:" + ",".join(["1"] * 201)).coeffs) == 201
+
     def test_sin_converges_exit_0(self, capsys):
         code = cli.main(["derive", "--kind", "forward", "-n", "3", "-q", "2",
                          "--function", "sin", "--at", "0"])
@@ -580,6 +668,32 @@ class TestCmdCounterexample:
         assert captured.out == ""
         assert captured.err == (f"error: --exponent {float(exponent)} lies outside "
                                 f"--interval [{interval.replace(',', ', ')}]\n")
+
+    @pytest.mark.parametrize("interval", ["1,30000000", "-1,2", "0,201"])
+    def test_custom_interval_bound_is_checked_before_phi(self, capsys, monkeypatch, interval):
+        built = []
+        monkeypatch.setattr(cli.PhiOnInterval, "of", lambda *args: built.append(args))
+        argv = ["counterexample", "--custom", *PROP25_CUSTOM, f"--interval={interval}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, built) == (
+            "", "error: --interval endpoints must lie in [0, 200]\n", [])
+
+    def test_custom_interval_bound_admits_0_to_200(self, capsys):
+        # prop25's phi is 2 at 0 and negative at 200, with its one root at 2
+        argv = ["counterexample", "--custom", *PROP25_CUSTOM, "--interval=0,200"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["exponent_interval"], doc["exponent"]) == ([0, 200], 2.0)
+
+    def test_custom_generator_bound_is_checked_before_primality(self, capsys, monkeypatch):
+        tested = []  # the real test would take 10^9 trial divisions on 10^18 + 3
+        monkeypatch.setattr(counterexample, "_is_prime", lambda p: tested.append(p) or p == 2)
+        argv = ["counterexample", "--custom", *PROP25_CUSTOM, "--generators=2,1000000000000000003"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, tested) == ("", [2])
+        assert captured.err == "error: generator 1000000000000000003 is not a prime up to 1000000000\n"
 
     def test_named_case_exit_0(self, capsys):
         code = cli.main(["counterexample", "--case", "prop25"])
