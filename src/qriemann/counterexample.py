@@ -378,13 +378,12 @@ class CounterexampleReport:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def _sample_members(group: MultiplicativeGroup, rng: random.Random, count: int,
-                    max_exp: int = 10) -> list:
-    """Members of G in (0, 1]: products of generator powers, exponents <= 0."""
+def _sample_members(group: MultiplicativeGroup, rng: random.Random, count: int) -> list:
+    """Members of G in (0, 1]: products of generator powers, exponents in -10..0."""
     out = []
     k = len(group.generators)
     while len(out) < count:
-        e = [rng.randint(-max_exp, 0) for _ in range(k)]
+        e = [rng.randint(-10, 0) for _ in range(k)]
         if all(v == 0 for v in e):
             continue
         h = Fraction(1)
@@ -394,10 +393,11 @@ def _sample_members(group: MultiplicativeGroup, rng: random.Random, count: int,
     return out
 
 
-def _escape_primes(group: MultiplicativeGroup, count: int = 2) -> list:
+def _escape_primes(group: MultiplicativeGroup) -> list:
+    """The two smallest primes outside G's generators."""
     out = []
     p = 2
-    while len(out) < count:
+    while len(out) < 2:
         if _is_prime(p) and p not in group.generators:
             out.append(p)
         p += 1
@@ -507,7 +507,7 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
                       "members": len(members), "nonmembers": len(nonmembers)}
 
 
-def _check_unbounded(stencil: Stencil, f: GroupFunction, s_star: float) -> tuple[bool, dict]:
+def _check_unbounded(stencil: Stencil, f: GroupFunction) -> tuple[bool, dict]:
     """Along h = g^-j the n-th quotient has magnitude g^(j(n-s)).  For s < n,
     take each generator in turn and the smallest j with j(n-s) log10 g past
     log10 of the threshold; the first such j <= UNBOUNDED_MAX_J is the
@@ -515,7 +515,7 @@ def _check_unbounded(stencil: Stencil, f: GroupFunction, s_star: float) -> tuple
     1e-9 relative.  Without a witness, s <= n keeps the magnitude at least 1,
     so a nontrivial character makes the quotient oscillate in sign, which
     denies the limit just as thoroughly; for s > n the quotient tends to 0."""
-    n = stencil.order
+    n, s_star = stencil.order, float(f.exponent)
     limit = math.log10(UNBOUNDED_THRESHOLD)
     witness_generators = f.group.generators if s_star < n else ()
     for g in witness_generators:
@@ -580,7 +580,7 @@ def verify_counterexample(
     ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)
     ok_b = peano_bound_check(f, 0, lower_order, eps, peano_set)
-    ok_c, detail_c = _check_unbounded(stencil, f, s_star)
+    ok_c, detail_c = _check_unbounded(stencil, f)
 
     return CounterexampleReport(
         stencil=stencil,
@@ -631,7 +631,6 @@ def search_to_jsonable(stencil: Stencil, generators, lo: int, hi: int, hits: lis
 
 @dataclass(frozen=True)
 class NamedCase:
-    name: str
     build: object  # () -> Stencil
     generators: tuple
     character: tuple
@@ -642,7 +641,6 @@ class NamedCase:
 
 NAMED_CASES = {
     "prop25": NamedCase(
-        name="prop25",
         build=lambda: vandermonde_solve((1, 2, 3), 2),
         generators=(2, 3),
         character=(1, 1),
@@ -651,7 +649,6 @@ NAMED_CASES = {
         flip_sign=False,
     ),
     "thm32a": NamedCase(
-        name="thm32a",
         build=lambda: riemann_classic(7),
         generators=(2, 3, 5, 7),
         character=(0, 1, 1, 0),
@@ -660,7 +657,6 @@ NAMED_CASES = {
         flip_sign=False,
     ),
     "thm32-n5": NamedCase(
-        name="thm32-n5",
         build=lambda: scale(riemann_symmetric(5), 2),
         generators=(3, 5),
         character=(1, 1),
@@ -669,7 +665,6 @@ NAMED_CASES = {
         flip_sign=True,
     ),
     "thm32-n6": NamedCase(
-        name="thm32-n6",
         build=lambda: riemann_symmetric(6),
         generators=(2, 3),
         character=(1, 1),
@@ -678,7 +673,6 @@ NAMED_CASES = {
         flip_sign=True,
     ),
     "thm32-n7": NamedCase(
-        name="thm32-n7",
         build=lambda: scale(riemann_symmetric(7), 2),
         generators=(3, 5, 7),
         character=(0, 1, 1),
@@ -687,7 +681,6 @@ NAMED_CASES = {
         flip_sign=True,
     ),
     "thm32-n8": NamedCase(
-        name="thm32-n8",
         build=lambda: riemann_symmetric(8),
         generators=(2, 3),
         character=(1, 0),

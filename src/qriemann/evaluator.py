@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .stencil import GAUSSIAN_FAMILIES, Stencil, _validate_q, recursive_build
+from .stencil import GAUSSIAN_FAMILIES, Stencil, recursive_build
 
 MP_DPS = 60
 
@@ -149,12 +149,8 @@ def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
     every value is exact, else a float from MP_DPS digits.  The stencil
     equals the family's closed form exactly, and so does the quotient.
     """
-    q = _validate_q(q)
     if not isinstance(n, int) or n < 1:
         raise EvaluatorError("order must be an integer >= 1")
-    x, h = Fraction(x), Fraction(h)
-    if h == 0:
-        raise EvaluatorError("step h must be nonzero")
     if family not in GAUSSIAN_FAMILIES:
         raise EvaluatorError(f"unknown recursion family {family!r}")
     return difference_quotient(recursive_build(family, n, q), f, x, h)
@@ -246,7 +242,8 @@ def estimate_derivative(
 
     For orders >= 3 rows with |h| < 1e-8 are dropped: beyond that point the
     quotient digits carry no information at any reasonable precision.  An
-    exact step or quotient past the largest double raises EvaluatorError.
+    exact step or quotient past the largest double, or a step that rounds to
+    a zero double, raises EvaluatorError.
     """
     h0 = Fraction(h0)
     ratio = Fraction(ratio)
@@ -269,11 +266,12 @@ def estimate_derivative(
             h = -h
         qt = difference_quotient(s, f, x, h)
         try:  # every row is reported as doubles, and an exact value may not fit one
-            float(h)
-            qf = float(qt)
+            hf, qf = float(h), float(qt)
         except OverflowError:
+            hf = 0.0
+        if hf == 0:  # past the largest double, or a nonzero h below the smallest
             raise EvaluatorError(f"row {i + 1}: the step h or its quotient lies outside "
-                                 "the double range") from None
+                                 "the double range")
         delta = None if prev_q is None else abs(qf - prev_q)
         table.rows.append((h, qt, delta))
         prev_q = qf

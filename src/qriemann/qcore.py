@@ -52,10 +52,6 @@ class QPolynomial:
         return cls((1,))
 
     @classmethod
-    def constant(cls, c) -> "QPolynomial":
-        return cls((c,))
-
-    @classmethod
     def q_power(cls, k: int) -> "QPolynomial":
         """The monomial q**k."""
         if k < 0:
@@ -64,23 +60,13 @@ class QPolynomial:
 
     # -- structure ----------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPolynomial((other,))
-        return NotImplemented
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(("QPolynomial", self.coeffs))
@@ -88,8 +74,7 @@ class QPolynomial:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, QPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -98,23 +83,6 @@ class QPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return QPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QPolynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "QPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -132,18 +100,6 @@ class QPolynomial:
         return QPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPolynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = QPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Divide exactly by ``other``; raise ValueError on any remainder."""
@@ -176,13 +132,6 @@ class QPolynomial:
             acc = acc * a + c * bk
             bk *= b
         return Fraction(acc * b, bk)
-
-    def _coerce(self, other):
-        if isinstance(other, QPolynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial((other,))
-        return NotImplemented
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -311,18 +311,6 @@ def scaling_suite(max_n: int = 8, q_grid=SCALING_Q_GRID, seed: int = DEFAULT_SEE
     return res
 
 
-ALL_SUITES = (
-    "pascal",
-    "qbinomial-consistency",
-    "qbinomial-product",
-    "qbinomial-specialized",
-    "qbinomial-squared",
-    "closed-vs-solver",
-    "recursion",
-    "scaling",
-)
-
-
 def run_all(max_n: int = 10, seed: int = DEFAULT_SEED, q_grid=DEFAULT_Q_GRID) -> list:
     """Run every suite; max_n caps the stencil grids (the q-identity suites
     keep their own documented depths)."""

@@ -53,20 +53,18 @@ class TestQPolynomial:
     def test_trailing_zeros_trimmed(self):
         p = QPolynomial((1, 2, 0, 0))
         assert p.coeffs == (1, 2)
-        assert p.degree == 1
+        assert len(p.coeffs) - 1 == 1
 
     def test_zero_polynomial(self):
         z = QPolynomial.zero()
         assert z.coeffs == ()
-        assert z.degree == -1
+        assert len(z.coeffs) - 1 == -1
         for q in (0, 1, -3, F(7, 3), F(10**30 + 1, 3**70)):
             assert isinstance(z(q), Fraction) and z(q) == 0
         assert QPolynomial((0, 0, 0)) == z
 
-    def test_constant_and_one(self):
+    def test_one(self):
         assert QPolynomial.one().coeffs == (1,)
-        assert QPolynomial.constant(F(5, 2)).coeffs == (F(5, 2),)
-        assert QPolynomial.constant(0) == QPolynomial.zero()
 
     def test_q_power(self):
         p = QPolynomial.q_power(3)
@@ -80,12 +78,10 @@ class TestQPolynomial:
         assert p(F(-5, 3)) == F(1) + F(10, 3) + F(3) * F(25, 9)
         assert isinstance(p(F(-5, 3)), Fraction)
 
-    def test_addition_subtraction(self):
+    def test_addition(self):
         a = QPolynomial((1, 2))
         b = QPolynomial((3, -2, 1))
         assert (a + b).coeffs == (4, 0, 1)
-        assert (b - a).coeffs == (2, -4, 1)
-        assert (a - a) == QPolynomial.zero()
 
     def test_multiplication(self):
         # (1 + q)(1 - q) = 1 - q^2
@@ -94,13 +90,14 @@ class TestQPolynomial:
         assert (a * b).coeffs == (1, 0, -1)
         assert (a * QPolynomial.zero()) == QPolynomial.zero()
 
-    def test_power(self):
-        # (1 + q)^3 = 1 + 3q + 3q^2 + q^3
-        p = QPolynomial((1, 1)) ** 3
-        assert p.coeffs == (1, 3, 3, 1)
-        assert (QPolynomial((2, 5)) ** 0) == QPolynomial.one()
-        with pytest.raises(ValueError):
-            QPolynomial((1, 1)) ** -1
+    def test_scalars_only_multiply(self):
+        # an int scales a polynomial; + and == take only polynomials
+        p = QPolynomial((1, 2))
+        assert (-1 * p).coeffs == (-1, -2)
+        assert (p * F(1, 2)).coeffs == (F(1, 2), 1)
+        with pytest.raises(TypeError):
+            p + 1
+        assert QPolynomial.one() != 1
 
     def test_exact_division(self):
         # (1 - q^3) / (1 - q) = 1 + q + q^2
@@ -137,7 +134,7 @@ class TestQPolynomial:
         assert (a * b).exact_div(b) == a
         assert (a * b).exact_div(a) == b
         with pytest.raises(ValueError):
-            (a * b + 1).exact_div(b)
+            (a * b + QPolynomial.one()).exact_div(b)
         with pytest.raises(ValueError):
             a.exact_div(QPolynomial((F(1, 2), 3)))
 
@@ -222,7 +219,7 @@ class TestQBinomial:
     def test_degree(self):
         for n in range(0, 13):
             for k in range(0, n + 1):
-                assert q_binomial(n, k).degree == k * (n - k)
+                assert len(q_binomial(n, k).coeffs) - 1 == k * (n - k)
 
     def test_palindromic_coefficients(self):
         for n in range(0, 16):

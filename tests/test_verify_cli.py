@@ -17,17 +17,20 @@ from pathlib import Path
 import pytest
 
 from qriemann import cli, counterexample, qcore, verify
+from qriemann.counterexample import CounterexampleError, NoSignChangeError
+from qriemann.evaluator import EvaluatorError
 from qriemann.stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
     KINDS,
+    ExcessNodesError,
     Stencil,
+    StencilError,
     gaussian_forward,
     stencil_from_json,
     vandermonde_solve,
 )
 from qriemann.verify import (
-    ALL_SUITES,
     closed_vs_solver_suite,
     pascal_suite,
     qbinomial_consistency_suite,
@@ -42,7 +45,15 @@ from qriemann.verify import (
 F = Fraction
 
 ROOT = Path(__file__).resolve().parents[1]
+SUITE_NAMES = ["pascal", "qbinomial-consistency", "qbinomial-product", "qbinomial-specialized",
+               "qbinomial-squared", "closed-vs-solver", "recursion", "scaling"]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# SHA-256 of each demo's stdout; the demos print seeded, exact results.
+DEMO_STDOUT_SHA256 = {
+    "demo_convergence.py": "314af693ba3635fd91bf0de30d0e314e3c6676d96b7c7aab4019ff64b2259d01",
+    "demo_counterexamples.py": "22d63f3a8d78d3435f8028c4e2a0fd684b270b7d2e23e12a04092ecfe0de7fef",
+    "demo_stencils.py": "f5d911052de37d42188f76a40d10f17c1d7aa2381d30820616cd99dad5c88b1f",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +64,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 class TestSuites:
     def test_run_all_green(self):
         results = run_all(max_n=6, seed=99)
-        assert [r.name for r in results] == list(ALL_SUITES)
+        assert [r.name for r in results] == SUITE_NAMES
         for r in results:
             assert r.ok, r.summary()
             assert r.failed == 0
@@ -399,7 +410,7 @@ class TestCmdVerify:
         code = cli.main(["verify", "--max-n", "3", "--q-list", "2,-2"])
         assert code == 0
         out = capsys.readouterr().out
-        for name in ALL_SUITES:
+        for name in SUITE_NAMES:
             assert f"{name}: ok (" in out
         assert "all suites passed" in out
 
@@ -408,7 +419,7 @@ class TestCmdVerify:
                          "--output", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert [row["suite"] for row in doc] == list(ALL_SUITES)
+        assert [row["suite"] for row in doc] == SUITE_NAMES
         assert all(row["ok"] for row in doc)
 
     def test_seed_gives_identical_bytes(self, capsys):
@@ -478,15 +489,18 @@ class TestCmdDerive:
         assert (code, captured.err) == (0, "")
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("flags", [
-        ["--function=poly:0," + str(10**400)],  # the quotient, 10^400
-        ["--function=poly:0,1", "--h0=" + str(10**400)],  # the step
-    ], ids=["quotient-overflows", "step-overflows"])
-    def test_rows_outside_the_double_range_exit_2(self, capsys, flags):
-        code = cli.main(["derive", "--kind=riemann", "-n1", "--at=0", *flags])
+    @pytest.mark.parametrize("flags,row", [
+        (["-n1", "--at=0", "--function=poly:0," + str(10**400)], 1),  # the quotient, 10^400
+        (["-n1", "--at=0", "--function=poly:0,1", "--h0=" + str(10**400)], 1),  # the step
+        # a nonzero step that rounds to the double 0.0 would print as h = 0.0
+        (["-n2", "--at=1", "--function=sin", "--h0=1e-400"], 1),
+        (["-n2", "--at=1", "--function=sin", "--ratio=1e-300", "--steps=3"], 3),  # h = 1e-601
+    ], ids=["quotient-overflows", "step-overflows", "step-underflows", "row-3-step-underflows"])
+    def test_rows_outside_the_double_range_exit_2(self, capsys, flags, row):
+        code = cli.main(["derive", "--kind=riemann", *flags])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: row 1: the step h or its quotient lies "
+        assert captured.err == (f"error: row {row}: the step h or its quotient lies "
                                 "outside the double range\n")
 
     @pytest.mark.parametrize("function,error", [
@@ -776,6 +790,79 @@ class TestCmdCounterexample:
 # ---------------------------------------------------------------------------
 
 
+class TestRationalDigitBound:
+    """Every rational the CLI parses holds at most cli.MAX_DIGITS digits,
+    checked before any build."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stencil", "--kind=forward", "-n1", "-q1e1000"],
+        ["stencil", "--kind=custom", "-n1", "--nodes=0,1e1000"],
+        ["stencil", "--kind=custom", "-n1", "--nodes=0," + "1" * 1001],
+        ["derive", "--kind=riemann", "-n2", "--function=sin", "--at=1e100000"],
+        ["derive", "--kind=riemann", "-n2", "--function=sin", "--h0=1e-1000"],
+        ["derive", "--kind=riemann", "-n2", "--function=sin", "--ratio=1/1e1000"],
+        ["derive", "--kind=riemann", "-n2", "--function=poly:0,1e1_000"],
+        ["counterexample", "--custom", "--nodes=1,2,5e5000", "-n2", "--generators=2,5",
+         "--character=1,1", "--interval=1,200", "--lower-order=1"],
+    ], ids=["q", "nodes", "nodes-long-text", "at", "h0", "ratio", "poly", "counterexample-nodes"])
+    def test_over_the_bound_exits_2_before_any_build(self, capsys, monkeypatch, argv):
+        built = []
+        monkeypatch.setitem(cli.GAUSSIAN_BUILDERS, "forward", lambda *args: built.append(args))
+        monkeypatch.setitem(cli.CLASSICAL_BUILDERS, "riemann", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "vandermonde_solve", lambda *args: built.append(args))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, built) == ("", [])
+        assert captured.err.startswith("error: rational ")
+        assert captured.err.endswith(" has more than 1000 digits\n")
+        assert captured.err.count("\n") == 1
+
+    def test_over_the_bound_in_the_q_grid_exits_2_before_any_suite(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_all", lambda **kwargs: ran.append(kwargs))
+        assert cli.main(["verify", "--q-list=2,3/1e1000"]) == 2
+        assert (capsys.readouterr().err, ran) == ("error: rational 3/1e1000 has more than 1000 digits\n", [])
+
+    def test_just_under_the_bound_runs(self, capsys):
+        assert cli.MAX_DIGITS == 1000
+        assert cli.main(["stencil", "--kind=forward", "-n1", "-q1e999"]) == 0
+        assert json.loads(capsys.readouterr().out)["q"] == str(10**999)
+        assert cli.main(["stencil", "--kind=custom", "-n1", "--nodes=0," + "1" * 1000]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == ["0", "1" * 1000]
+
+    def test_over_the_bound_message_is_one_short_line(self, capsys):
+        assert cli.main(["derive", "--kind=riemann", "-n2", "--function=sin", "--at=" + "7" * 5000]) == 2
+        assert capsys.readouterr().err == "error: rational 77777777777777777777... has more than 1000 digits\n"
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("error", [StencilError, ExcessNodesError, EvaluatorError,
+                                       CounterexampleError, ValueError])
+    def test_value_errors_exit_2_with_one_line(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "cmd_stencil", fail)
+        assert cli.main(["stencil", "--kind=riemann", "-n2"]) == 2
+        assert capsys.readouterr() == ("", "error: bad input\n")
+
+    def test_no_sign_change_exits_3(self, capsys, monkeypatch):
+        def fail(args):
+            raise NoSignChangeError("phi keeps its sign")
+
+        monkeypatch.setattr(cli, "cmd_counterexample", fail)
+        assert cli.main(["counterexample", "--case=prop25"]) == 3
+        assert capsys.readouterr() == ("", "error: phi keeps its sign\n")
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def fail(args):
+            raise RuntimeError("a bug, not an input")
+
+        monkeypatch.setattr(cli, "cmd_stencil", fail)
+        with pytest.raises(RuntimeError):
+            cli.main(["stencil", "--kind=riemann", "-n2"])
+
+
 class TestEntryPoints:
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli.main([]) == 2
@@ -805,7 +892,7 @@ class TestEntryPoints:
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip()
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.name]
 
     def test_module_execution_usage_error(self):
         proc = subprocess.run(
