@@ -140,10 +140,11 @@ def _build_stencil(args) -> Stencil:
     return CLASSICAL_BUILDERS[kind](args.order)
 
 
-def _print_stencil(s, output: str):
-    if output == "json":
+def cmd_stencil(args) -> int:
+    s = _build_stencil(args)
+    if args.output == "json":
         print(stencil_to_json(s))
-    elif output == "csv":
+    elif args.output == "csv":
         print("node,coeff")
         for a, c in zip(s.nodes, s.coeffs):
             print(f"{format_rational(a)},{format_rational(c)}")
@@ -156,11 +157,6 @@ def _print_stencil(s, output: str):
         residuals = verify_vandermonde(s)
         ok = all(r == 0 for _, r in residuals)
         print(f"moment conditions: {'all satisfied' if ok else 'VIOLATED'}")
-
-
-def cmd_stencil(args) -> int:
-    s = _build_stencil(args)
-    _print_stencil(s, args.output)
     return 0
 
 

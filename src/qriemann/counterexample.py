@@ -205,19 +205,6 @@ class ExponentialSum:
         sm = _to_mpf(Fraction(s))
         return mp.fsum(_to_mpf(c) * mp.power(_to_mpf(b), sm) for c, b in self.terms)
 
-    def primitive(self) -> tuple["ExponentialSum", Fraction]:
-        """Divide out the positive rational content; returns (primitive, content)."""
-        g = 0
-        l = 1
-        for c, _ in self.terms:
-            g = math.gcd(g, abs(c.numerator))
-            l = math.lcm(l, c.denominator)
-        content = Fraction(g, l)
-        return ExponentialSum(tuple((c / content, b) for c, b in self.terms)), content
-
-    def negated(self) -> "ExponentialSum":
-        return ExponentialSum(tuple((-c, b) for c, b in self.terms))
-
 
 def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:
     """The exponential sum governing steps inside G:
@@ -227,8 +214,8 @@ def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:
     with one term chi(a_k) A_k * a_k^s per positive node a_k in G.  Nodes
     that are nonpositive or outside G contribute nothing for h in G and are
     skipped.  The character's sign convention is kept raw here, so the
-    identity above holds exactly; presentation-level sign or content
-    normalization is a separate, named step.
+    identity above holds exactly; PhiOnInterval.of removes the content and
+    sets the printed sign.
     """
     terms = []
     for a, c in zip(s.nodes, s.coeffs):
@@ -247,10 +234,10 @@ def phi_from_stencil(s: Stencil, f: GroupFunction) -> ExponentialSum:
 class PhiOnInterval:
     """phi of one character on an integer interval (lo, hi), built once per run.
 
-    phi is the printed presentation (built by of: content removed, sign as
-    printed).  The exact endpoint values phi(lo) and phi(hi) are computed
-    here, from which sign_change follows; reports and searches serialize
-    phi and its endpoints through phi_jsonable.
+    phi is the printed presentation that of builds: coprime integer
+    coefficients, sign as printed.  The exact endpoint values phi(lo) and
+    phi(hi) are computed here, from which sign_change follows; reports and
+    searches serialize phi and its endpoints through phi_jsonable.
     """
 
     character: tuple
@@ -272,11 +259,16 @@ class PhiOnInterval:
     def of(cls, stencil: Stencil, group: MultiplicativeGroup, character, interval,
            flip_sign: bool = False) -> "PhiOnInterval":
         """phi as reports print it: phi_from_stencil's sum for this character
-        with its positive content removed, negated when flip_sign is set.
+        divided by its content, the gcd of the coefficients' numerators over
+        the lcm of their denominators, negated as well when flip_sign is set.
         phi does not depend on the exponent; the exponent-1 GroupFunction
         only carries the character and checks it against the group."""
-        phi, _ = phi_from_stencil(stencil, GroupFunction(group, character, 1)).primitive()
-        return cls(tuple(character), phi.negated() if flip_sign else phi, interval)
+        terms = phi_from_stencil(stencil, GroupFunction(group, character, 1)).terms
+        content = Fraction(math.gcd(*(c.numerator for c, _ in terms)),
+                           math.lcm(*(c.denominator for c, _ in terms)))
+        content = -content if flip_sign else content
+        phi = ExponentialSum(tuple((c / content, b) for c, b in terms))
+        return cls(tuple(character), phi, interval)
 
     @property
     def sign_change(self) -> bool:
@@ -446,19 +438,17 @@ def _group_power(powers: list, e):
     return math.prod(p**k for p, k in zip(powers, e) if k)
 
 
-def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers=None):
+def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
     """Yield sum_k A_k f(a_k h), as an mpf, for each step h; call inside an
     mp.workdps block.
 
     A point a_k h > 0 in G has an exponent vector e over the generators, so
     (a_k h)^s = prod_i (g_i^s)^e_i.  The g_i^s (powers, from
-    _generator_powers unless given) are the only transcendental values; each
-    point then costs one membership test and a few integer powers of them.
-    At an integer exponent they are exact, and so is each sum until it is
-    rounded once.
+    _generator_powers) are the only transcendental values; each point then
+    costs one membership test and a few integer powers of them.  At an
+    integer exponent they are exact, and so is each sum until it is rounded
+    once.
     """
-    if powers is None:
-        powers = _generator_powers(f)
     exact = isinstance(powers[0], Fraction)
     coeffs = stencil.coeffs if exact else [_to_mpf(c) for c in stencil.coeffs]
     for h in steps:
@@ -613,19 +603,6 @@ def _all_bits(k: int):
         yield tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
 
 
-def search_to_jsonable(stencil: Stencil, generators, lo: int, hi: int, hits: list) -> dict:
-    return {
-        "stencil": stencil_to_jsonable(stencil),
-        "generators": list(generators),
-        "interval": [lo, hi],
-        "results": [
-            {"character": list(h.character), **h.phi_jsonable(), "sign_change": h.sign_change}
-            for h in hits
-        ],
-        "admissible": sum(1 for h in hits if h.sign_change),
-    }
-
-
 # -- named reproductions ------------------------------------------------------
 
 
@@ -713,9 +690,20 @@ def run_case(name: str, seed: int = DEFAULT_SEED) -> CounterexampleReport:
 
 
 def run_search(name: str) -> dict:
+    """Run a named character search; returns the report the CLI prints as
+    JSON, with the count of admissible characters."""
     if name not in SEARCH_CASES:
         raise CounterexampleError(f"unknown search {name!r}; searches: {sorted(SEARCH_CASES)}")
     spec = SEARCH_CASES[name]
     stencil = spec["build"]()
     hits = character_search(stencil, spec["generators"], *spec["interval"])
-    return search_to_jsonable(stencil, spec["generators"], *spec["interval"], hits)
+    return {
+        "stencil": stencil_to_jsonable(stencil),
+        "generators": list(spec["generators"]),
+        "interval": list(spec["interval"]),
+        "results": [
+            {"character": list(h.character), **h.phi_jsonable(), "sign_change": h.sign_change}
+            for h in hits
+        ],
+        "admissible": sum(1 for h in hits if h.sign_change),
+    }

@@ -20,13 +20,13 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .stencil import GAUSSIAN_FAMILIES, Stencil, recursive_build
+from .stencil import GAUSSIAN_BUILDERS, Stencil, recursive_build
 
 MP_DPS = 60
 
 _MP_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp}
 
-BUILTIN_NAMES = (*_MP_FUNCTIONS, "abs", "signpow")
+BUILTIN_NAMES = (*_MP_FUNCTIONS, "abs", "signpowN")
 
 
 class EvaluatorError(ValueError):
@@ -38,8 +38,8 @@ def _to_mpf(x: Fraction):
 
 
 class FunctionHandle:
-    """A function the CLI can name: a builtin (sin, cos, exp, abs, or the
-    signed power signpow(n): x -> x^n * sgn x) or an exact
+    """A function the CLI can name: a builtin (sin, cos, exp, abs, or
+    signpowN, the signed power x -> x^N * sgn x for N >= 1) or an exact
     rational-coefficient polynomial."""
 
     __slots__ = ("name", "power", "coeffs")
@@ -50,21 +50,16 @@ class FunctionHandle:
         self.coeffs = coeffs
 
     @classmethod
-    def builtin(cls, name: str, power: int | None = None) -> "FunctionHandle":
-        # accept "signpow3" as shorthand for ("signpow", 3)
-        if name.startswith("signpow") and name != "signpow":
+    def builtin(cls, name: str) -> "FunctionHandle":
+        if name.startswith("signpow"):
             tail = name[len("signpow"):]
-            if not tail.isdigit():
+            power = int(tail) if tail.isdecimal() else 0
+            if power < 1:
                 raise EvaluatorError(f"bad signed-power name {name!r}; use signpowN with N >= 1")
-            name, power = "signpow", int(tail)
+            return cls(name="signpow", power=power)
         if name not in BUILTIN_NAMES:
             raise EvaluatorError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
-        if name == "signpow":
-            if not isinstance(power, int) or power < 1:
-                raise EvaluatorError("signpow requires an integer power >= 1")
-        elif power is not None:
-            raise EvaluatorError(f"builtin {name!r} takes no power")
-        return cls(name=name, power=power)
+        return cls(name=name)
 
     @classmethod
     def rational_polynomial(cls, coeffs) -> "FunctionHandle":
@@ -149,10 +144,11 @@ def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
     every value is exact, else a float from MP_DPS digits.  The stencil
     equals the family's closed form exactly, and so does the quotient.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise EvaluatorError("order must be an integer >= 1")
-    if family not in GAUSSIAN_FAMILIES:
-        raise EvaluatorError(f"unknown recursion family {family!r}")
+    if family not in GAUSSIAN_BUILDERS:
+        raise EvaluatorError(f"unknown recursion family {family!r}; "
+                             f"expected one of {tuple(GAUSSIAN_BUILDERS)}")
     return difference_quotient(recursive_build(family, n, q), f, x, h)
 
 

@@ -9,7 +9,9 @@ moment conditions
 so that sum_k A_k f(x + a_k h) / h^n converges to the n-th derivative for
 smooth f.  This module builds the classical equally-spaced stencils, the
 divided-difference solution of the moment system on any nodes, and the
-geometric-node (q-power) families, entirely over the rationals.
+geometric-node (q-power) families, entirely over the rationals.  Both
+classical stencils come from one closed form, (-1)^k C(n,k) at node top - k
+with top = n or n/2; mz is the q = 2 forward family under its own kind.
 
 Each q-power family is a seed difference times prod_j (E - q^j), where E
 dilates by q (E delta_a = delta_{qa}) and j runs over range(first, n, step);
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 KINDS = (
@@ -76,7 +78,7 @@ def _validate_q(q) -> Fraction:
 
 
 def _check_order(n) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise StencilError("order must be an integer >= 1")
 
 
@@ -143,17 +145,6 @@ def same_difference(a: Stencil, b: Stencil) -> bool:
     """True when two stencils define the same difference: equal order and
     equal node->coefficient maps, ignoring kind/q bookkeeping."""
     return a.order == b.order and a.nodes == b.nodes and a.coeffs == b.coeffs
-
-
-def _from_map(order: int, mapping: dict, kind: str, q: Fraction | None) -> Stencil:
-    items = [(a, c) for a, c in mapping.items() if c != 0]
-    return Stencil(
-        order=order,
-        nodes=tuple(a for a, _ in items),
-        coeffs=tuple(c for _, c in items),
-        kind=kind,
-        q=q,
-    )
 
 
 # -- the geometric-node families ----------------------------------------------
@@ -238,8 +229,9 @@ def _gaussian(name: str, n: int, q, raw) -> Stencil:
     lam = n! / (that map's n-th moment)."""
     q = _validate_q(q)
     _check_order(n)
-    if name not in GAUSSIAN_FAMILIES:  # only recursive_build passes a caller's name
-        raise StencilError(f"unknown recursion family {name!r}; expected one of {GAUSSIAN_FAMILIES}")
+    if name not in GAUSSIAN_BUILDERS:  # only recursive_build passes a caller's name
+        raise StencilError(f"unknown recursion family {name!r}; "
+                           f"expected one of {tuple(GAUSSIAN_BUILDERS)}")
     seed, first, step = _FAMILIES[f"symmetric_{'odd' if n % 2 else 'even'}" if name == "symmetric" else name]
     js, qn = range(first, n, step), q**n
     moment = math.prod(qn - q**j for j in js) * sum(c * a**n for a, c in seed.items())
@@ -274,24 +266,27 @@ def gaussian_symmetric(n: int, q) -> Stencil:
     return built
 
 
+def _binomial(n: int, d: int, kind: str) -> Stencil:
+    """(-1)^k C(n,k) at node n/d - k for k = 0..n, the order checked first."""
+    _check_order(n)
+    top = Fraction(n, d)
+    return Stencil(n, tuple(top - k for k in range(n + 1)),
+                   tuple((-1) ** k * math.comb(n, k) for k in range(n + 1)), kind)
+
+
 def riemann_classic(n: int) -> Stencil:
     """Classical order-n difference: coefficient (-1)^k C(n,k) at node n-k."""
-    _check_order(n)
-    mapping = {Fraction(n - k): Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)}
-    return _from_map(n, mapping, "riemann", None)
+    return _binomial(n, 1, "riemann")
 
 
 def riemann_symmetric(n: int) -> Stencil:
     """Classical symmetric order-n difference: (-1)^k C(n,k) at node n/2 - k."""
-    _check_order(n)
-    mapping = {Fraction(n, 2) - k: Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)}
-    return _from_map(n, mapping, "riemann_symmetric", None)
+    return _binomial(n, 2, "riemann_symmetric")
 
 
 def mz_stencil(n: int) -> Stencil:
     """The q = 2 forward stencil on nodes {0, 1, 2, 4, ..., 2^(n-1)}."""
-    base = gaussian_forward(n, Fraction(2))
-    return Stencil(order=n, nodes=base.nodes, coeffs=base.coeffs, kind="mz", q=Fraction(2))
+    return replace(gaussian_forward(n, 2), kind="mz")
 
 
 # The one map from the CLI's --kind names to builders.  Gaussian builders take
@@ -307,29 +302,21 @@ CLASSICAL_BUILDERS = {
     "riemann": riemann_classic,
     "riemann-symmetric": riemann_symmetric,
 }
-GAUSSIAN_FAMILIES = tuple(GAUSSIAN_BUILDERS)
 
 
 # -- recursive construction ---------------------------------------------------
 
 
-def _dilate(mapping: dict, r: Fraction) -> dict:
-    return {r * a: c for a, c in mapping.items()}
-
-
-def _combine(mapping_q: dict, mapping_1: dict, factor: Fraction) -> dict:
-    """mapping_q - factor * mapping_1, dropping exact zeros."""
-    out = dict(mapping_q)
-    for a, c in mapping_1.items():
-        out[a] = out.get(a, Fraction(0)) - factor * c
-    return {a: c for a, c in out.items() if c != 0}
-
-
 def _recurse(seed: dict, js: range, q: Fraction) -> dict:
-    """seed * prod_{j in js} (E - q^j), one factor at a time."""
+    """seed * prod_{j in js} (E - q^j), one factor at a time: each factor
+    takes the map D to D dilated by q minus q^j D, dropping exact zeros."""
     mapping = dict(seed)
     for j in js:
-        mapping = _combine(_dilate(mapping, q), mapping, q**j)
+        qj = q**j
+        out = {q * a: c for a, c in mapping.items()}
+        for a, c in mapping.items():
+            out[a] = out.get(a, 0) - qj * c
+        mapping = {a: c for a, c in out.items() if c != 0}
     return mapping
 
 
@@ -429,6 +416,8 @@ def stencil_from_json(text: str) -> Stencil:
     required = {"order", "kind", "q", "nodes", "coeffs"}
     if not isinstance(obj, dict) or not required.issubset(obj):
         raise StencilError(f"stencil JSON must carry keys {sorted(required)}")
+    if not (isinstance(obj["nodes"], list) and isinstance(obj["coeffs"], list)):
+        raise StencilError("stencil JSON nodes and coeffs must be arrays")
     return Stencil(
         order=obj["order"],
         nodes=tuple(parse_rational(a) for a in obj["nodes"]),

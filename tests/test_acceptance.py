@@ -336,7 +336,7 @@ def test_criterion_11_parity_witness():
     with criterion(11, "parity-witness"):
         h_samples = [F(1), F(-1), F(1, 2), F(-3, 5), F(7, 3), F(-2), F(9, 8)]
         for n in range(3, 7):
-            f = FunctionHandle.builtin("signpow", power=n)
+            f = FunctionHandle.builtin(f"signpow{n}")
             target = float(math.factorial(n))
             for q in (F(2), F(3)):
                 table = estimate_derivative(gaussian_forward(n, q), f, F(0))

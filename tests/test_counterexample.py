@@ -34,11 +34,17 @@ from qriemann.counterexample import (
     phi_from_stencil,
     run_case,
     run_search,
-    search_to_jsonable,
     verify_counterexample,
 )
 from qriemann.evaluator import MP_DPS, _mp_apply, _to_mpf, apply_difference
-from qriemann.stencil import Stencil, riemann_classic, riemann_symmetric, scale, vandermonde_solve
+from qriemann.stencil import (
+    Stencil,
+    riemann_classic,
+    riemann_symmetric,
+    scale,
+    stencil_to_jsonable,
+    vandermonde_solve,
+)
 
 F = Fraction
 
@@ -247,18 +253,6 @@ class TestExponentialSum:
         with pytest.raises(CounterexampleError):
             ExponentialSum(((F(1), F(-2)),))
 
-    def test_primitive_extracts_content(self):
-        phi = ExponentialSum(((F(-1, 32), F(5)), (F(5, 32), F(3)), (F(10, 32), F(1))))
-        prim, content = phi.primitive()
-        assert content == F(1, 32)
-        assert prim.terms == ((F(-1), F(5)), (F(5), F(3)), (F(10), F(1)))
-
-    def test_negated(self):
-        phi = self.phi_n6()
-        neg = phi.negated()
-        assert neg.terms == ((F(-1), F(3)), (F(6), F(2)), (F(15), F(1)))
-        assert neg.eval_exact(4) == 30
-
 
 # ---------------------------------------------------------------------------
 # phi extraction from stencils
@@ -382,6 +376,19 @@ class TestPhiOnInterval:
         assert (w.lo_value, w.hi_value, w.sign_change) == (2, -10, True)
         w = PhiOnInterval.of(prop25_stencil(), group(2, 3), (1, 1), (2, 3))
         assert (w.lo_value, w.hi_value, w.sign_change) == (0, -10, False)
+
+    @pytest.mark.parametrize("stn, gens, bits, printed", [
+        # thm32-n5's stencil: raw sum (-5^s + 5 3^s + 10) / 32, content 1/32
+        (scale(riemann_symmetric(5), 2), (3, 5), (1, 1), ((-1, 5), (5, 3), (10, 1))),
+        # raw sum 2 3^s - 4 2^s + 2, content 2
+        (Stencil(2, (1, 2, 3), (2, -4, 2)), (2, 3), (0, 0), ((1, 3), (-2, 2), (1, 1))),
+    ], ids=["content-1/32", "content-2"])
+    def test_printed_phi_has_coprime_integer_coefficients(self, stn, gens, bits, printed):
+        plain = PhiOnInterval.of(stn, group(*gens), bits, (3, 4))
+        flipped = PhiOnInterval.of(stn, group(*gens), bits, (3, 4), flip_sign=True)
+        assert plain.phi.terms == printed
+        assert flipped.phi.terms == tuple((-c, b) for c, b in printed)
+        assert (flipped.lo_value, flipped.hi_value) == (-plain.lo_value, -plain.hi_value)
 
     def test_run_case_builds_phi_once(self, monkeypatch):
         calls = []
@@ -690,7 +697,8 @@ class TestGroupDifferences:
         for expo in (f.exponent + 0.25, F(13, 2), 3.0625):
             g = GroupFunction(f.group, f.character, expo)
             with mp.workdps(MP_DPS):
-                got = list(counterexample._group_differences(stn, g, hs))
+                powers = counterexample._generator_powers(g)
+                got = list(counterexample._group_differences(stn, g, hs, powers))
                 for h, v in zip(hs, got):
                     ref = abs(_mp_apply(stn, g, F(0), h))
                     # a forward stencil at a negative step sees only x <= 0
@@ -706,7 +714,8 @@ class TestGroupDifferences:
         hs = random_members(f.group, rng, 20)
         hs += [-h for h in hs]
         with mp.workdps(MP_DPS):
-            got = list(counterexample._group_differences(stn, f, hs))
+            powers = counterexample._generator_powers(f)
+            got = list(counterexample._group_differences(stn, f, hs, powers))
             for h, v in zip(hs, got):
                 points = [a * h for a in stn.nodes]
                 size = mp.fsum(abs(c) * mp.power(_to_mpf(x), f.exponent)
@@ -799,6 +808,16 @@ class TestCharacterSearch:
         assert result["admissible"] == 0
         assert len(result["results"]) == 8
         assert all(row["sign_change"] is False for row in result["results"])
+
+    def test_n9_report_fields(self):
+        result = run_search("search-n9")
+        assert list(result) == ["stencil", "generators", "interval", "results", "admissible"]
+        assert result["stencil"] == stencil_to_jsonable(scale(riemann_symmetric(9), 2))
+        assert (result["generators"], result["interval"]) == ([3, 5, 7], [7, 9])
+        assert [row["character"] for row in result["results"]] == [
+            [a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        for row in result["results"]:
+            assert list(row) == ["character", "phi_terms", "phi_endpoints", "sign_change"]
 
     def test_n9_trivial_character_has_exact_zero_endpoint(self):
         result = run_search("search-n9")

@@ -59,20 +59,17 @@ class TestFunctionHandle:
         for name in ("sin", "cos", "exp", "abs"):
             FunctionHandle.builtin(name)
 
-    def test_signpow_forms(self):
-        f = FunctionHandle.builtin("signpow", power=3)
-        g = FunctionHandle.builtin("signpow3")
-        assert f.eval_exact(F(-2)) == g.eval_exact(F(-2)) == 8
-        assert f.eval_exact(F(2)) == 8
+    def test_signpow_values(self):
+        f = FunctionHandle.builtin("signpow3")
+        assert f.eval_exact(F(-2)) == f.eval_exact(F(2)) == 8
         assert FunctionHandle.builtin("signpow2").eval_exact(F(-3)) == -9
 
-    def test_unknown_builtin(self):
+    @pytest.mark.parametrize("name", ["signpow", "signpow0", "signpow-1", "signpowx",
+                                      "tanh", "signpow²"])
+    def test_bad_builtin_names(self, name):
+        # a superscript digit passes str.isdigit but not int()
         with pytest.raises(EvaluatorError):
-            FunctionHandle.builtin("tanh")
-
-    def test_bad_signpow_power(self):
-        with pytest.raises(EvaluatorError):
-            FunctionHandle.builtin("signpow", power=0)
+            FunctionHandle.builtin(name)
 
     def test_abs_exact(self):
         f = FunctionHandle.builtin("abs")
@@ -274,6 +271,12 @@ class TestRecursiveQuotient:
         with pytest.raises(EvaluatorError):
             recursive_quotient("diagonal", 2, F(2), f, 0.0, 0.5)
 
+    @pytest.mark.parametrize("order", [0, 2.5, True], ids=repr)
+    def test_bad_order(self, order):
+        f = FunctionHandle.builtin("sin")
+        with pytest.raises(EvaluatorError, match="order must be an integer >= 1"):
+            recursive_quotient("forward", order, F(2), f, 0.0, 0.5)
+
     def test_bad_q_and_h(self):
         f = FunctionHandle.builtin("sin")
         with pytest.raises(Exception):
@@ -444,7 +447,7 @@ class TestPeanoBound:
 
     def test_signpow_small_o_of_lower_order(self):
         for n in range(2, 6):
-            f = FunctionHandle.builtin("signpow", power=n)
+            f = FunctionHandle.builtin(f"signpow{n}")
             assert peano_bound_check(f, F(0), n - 1, 0.5, self.h_set()) is True
 
     def test_validation(self):

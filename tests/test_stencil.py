@@ -116,6 +116,22 @@ class TestRationalText:
 # ---------------------------------------------------------------------------
 
 
+# every public name that builds a stencil from an order
+ORDER_TAKERS = {
+    "riemann_classic": riemann_classic,
+    "riemann_symmetric": riemann_symmetric,
+    "mz_stencil": mz_stencil,
+    "gaussian_forward": lambda n: gaussian_forward(n, 2),
+    "gaussian_shifted": lambda n: gaussian_shifted(n, 2),
+    "gaussian_symmetric": lambda n: gaussian_symmetric(n, 2),
+    **{f"recursive_build_{family}": (lambda n, family=family: recursive_build(family, n, 2))
+       for family in ("forward", "shifted", "symmetric")},
+    "vandermonde_solve": lambda n: vandermonde_solve((0, 1), n),
+    "stencil_from_json": lambda n: stencil_from_json(json.dumps(
+        {"order": n, "kind": "custom", "q": None, "nodes": ["0", "1"], "coeffs": ["-1", "1"]})),
+}
+
+
 class TestStencilType:
     def test_nodes_sorted_with_coeffs_aligned(self):
         s = Stencil(order=1, nodes=(F(1), F(0)), coeffs=(F(1), F(-1)))
@@ -141,6 +157,14 @@ class TestStencilType:
     def test_unknown_kind_rejected(self):
         with pytest.raises(StencilError):
             Stencil(order=1, nodes=(0, 1), coeffs=(-1, 1), kind="mystery")
+
+    @pytest.mark.parametrize("order", [0, -1, 2.5, "3", True], ids=repr)
+    @pytest.mark.parametrize("build", ORDER_TAKERS.values(), ids=ORDER_TAKERS)
+    def test_every_builder_rejects_an_order_that_is_not_a_positive_int(self, build, order):
+        # True is an int to isinstance; the classical closed form must check
+        # the order before it divides by it, or 2.5 and "3" raise TypeError
+        with pytest.raises(StencilError, match="order must be an integer >= 1"):
+            build(order)
 
     def test_broken_moments_allowed(self):
         # Validation of the moment conditions is deliberately separate:
@@ -667,6 +691,15 @@ class TestJson:
     def test_rational_q_as_string(self):
         doc = json.loads(stencil_to_json(gaussian_forward(2, F(5, 3))))
         assert doc["q"] == "5/3"
+
+    @pytest.mark.parametrize("key,text", [("nodes", "01"), ("coeffs", "12")])
+    def test_node_and_coeff_lists_must_be_arrays(self, key, text):
+        # a string of one-character rationals would otherwise split into them
+        doc = {"order": 1, "kind": "custom", "q": None, "nodes": ["0", "1"], "coeffs": ["1", "2"]}
+        assert stencil_from_json(json.dumps(doc)).coeffs == (1, 2)
+        doc[key] = text
+        with pytest.raises(StencilError, match="must be arrays"):
+            stencil_from_json(json.dumps(doc))
 
     def test_parse_errors(self):
         with pytest.raises(StencilError):
