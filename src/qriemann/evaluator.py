@@ -3,14 +3,18 @@
 A function is any object with eval_exact(x), the exact Fraction value at a
 rational x or None when there is no exact path, and eval_mp(x), its mpmath
 value: FunctionHandle for the builtins and polynomials, and
-counterexample.GroupFunction for the group-supported functions.  Every
-argument is reduced to an exact rational before evaluation.  Functions with
-an exact path (polynomials, abs, signed powers, group-supported functions at
-integer exponents, and any function off its support) are combined in pure
-Fraction arithmetic, so cancellation identities come out exactly zero.
+counterexample.GroupFunction for the group-supported functions.  Functions
+with an exact path (polynomials, abs, signed powers, group-supported
+functions at integer exponents, and any function off its support) are
+combined exactly, so cancellation identities come out exactly zero.
 Transcendental values go through mpmath at 60 significant digits before being
 rounded to float once, at the very end; plain double precision would drown the
 small-h difference quotients the convergence tables are built from.
+
+A single difference takes each point x + a_k h as a reduced Fraction.  A
+convergence table of FunctionHandle rows prepares the stencil once instead:
+over the common denominator D of the nodes, the points of a row are integers
+N_k over one M, and each row yields the same value as difference_quotient.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .stencil import GAUSSIAN_BUILDERS, Stencil, recursive_build
+from .stencil import GAUSSIAN_BUILDERS, Stencil, _over_common_denominator, recursive_build
 
 MP_DPS = 60
 
@@ -42,12 +46,14 @@ class FunctionHandle:
     signpowN, the signed power x -> x^N * sgn x for N >= 1) or an exact
     rational-coefficient polynomial."""
 
-    __slots__ = ("name", "power", "coeffs")
+    __slots__ = ("name", "power", "coeffs", "_over")
 
     def __init__(self, name=None, power=None, coeffs=None):
         self.name = name
         self.power = power
         self.coeffs = coeffs
+        # (E, [e_j]): the coefficients c_j = e_j / E over one denominator
+        self._over = None if coeffs is None else _over_common_denominator(coeffs)
 
     @classmethod
     def builtin(cls, name: str) -> "FunctionHandle":
@@ -70,19 +76,38 @@ class FunctionHandle:
 
     # -- evaluation ----------------------------------------------------
 
+    def _exact_over(self, ns, m: int):
+        """(ws, w) with f(n / m) = ws[k] / w for the k-th integer n of ns and
+        an integer m > 0, or None when no exact path exists (sin, cos, exp).
+
+        A polynomial sum_j e_j x^j / E takes Horner on the integers
+        e_j m^(deg - j), so that ws[k] = sum_j e_j n^j m^(deg - j) and
+        w = E m^deg.
+        """
+        if self.coeffs is not None:
+            den, es = self._over
+            scaled, mk = [es[-1]], 1
+            for e in reversed(es[:-1]):
+                mk *= m
+                scaled.append(e * mk)
+            ws = []
+            for n in ns:
+                acc = 0
+                for c in scaled:
+                    acc = acc * n + c
+                ws.append(acc)
+            return ws, den * mk
+        if self.name == "abs":
+            return [abs(n) for n in ns], m
+        if self.name == "signpow":
+            p = self.power
+            return [n**p if n > 0 else -n**p for n in ns], m**p
+        return None
+
     def eval_exact(self, x: Fraction):
         """Exact value at a rational point, or None when no exact path exists."""
-        if self.coeffs is not None:
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        if self.name == "abs":
-            return abs(x)
-        if self.name == "signpow":
-            sgn = (x > 0) - (x < 0)
-            return x**self.power * sgn
-        return None  # sin, cos, exp
+        over = self._exact_over((x.numerator,), x.denominator)
+        return None if over is None else Fraction(over[0][0], over[1])
 
     def eval_mp(self, x: Fraction):
         """mpmath value at a rational point; call inside an mp.workdps block."""
@@ -131,6 +156,57 @@ def apply_difference(s: Stencil, f: FunctionHandle, x, h):
 def difference_quotient(s: Stencil, f: FunctionHandle, x, h):
     """The difference divided by h^order; exact Fraction when possible."""
     return _apply(s, f, x, h, s.order)
+
+
+def _row_quotients(s: Stencil, f, x):
+    """h -> difference_quotient(s, f, x, h) for the rows of one table.
+
+    With x = u/v, h = p/t and a_k = P_k/D over the common denominator D of
+    the nodes, the points are x + a_k h = N_k / M with N_k = u D t + P_k p v
+    and M = v D t > 0, taken without a gcd.  Exact functions sum integer
+    values over one denominator into one Fraction per row.  sin, cos and exp
+    convert the coefficients once per table, and each point as one quotient
+    at MP_DPS: mpf(N_k) / mpf(M), exact operands when both fit the precision,
+    else _to_mpf of the reduced Fraction.  Either is the mpf _to_mpf gives,
+    so every row equals difference_quotient's.  Functions that are not
+    FunctionHandles go through difference_quotient.
+    """
+    if not isinstance(f, FunctionHandle):
+        return lambda h: difference_quotient(s, f, x, h)
+    x = Fraction(x)
+    v, order = x.denominator, s.order
+    d, ps = _over_common_denominator(s.nodes)
+    ud, vd = x.numerator * d, v * d
+
+    def points(h):
+        t, pv = h.denominator, h.numerator * v
+        base = ud * t
+        return [base + pk * pv for pk in ps], vd * t
+
+    fn = _MP_FUNCTIONS.get(f.name)
+    if fn is None:
+        den, cs = _over_common_denominator(s.coeffs)
+
+        def exact_row(h):
+            ws, w = f._exact_over(*points(h))
+            return Fraction(sum(c * wk for c, wk in zip(cs, ws)) * h.denominator**order,
+                            den * w * h.numerator**order)
+
+        return exact_row
+
+    with mp.workdps(MP_DPS):
+        cs = [_to_mpf(c) for c in s.coeffs]
+
+    def mp_row(h):
+        ns, m = points(h)
+        with mp.workdps(MP_DPS):
+            bits, mm = mp.prec, mp.mpf(m)
+            wide = m.bit_length() > bits
+            values = (fn(_to_mpf(Fraction(n, m)) if wide or n.bit_length() > bits
+                         else mp.mpf(n) / mm) for n in ns)
+            return float(mp.fsum(c * y for c, y in zip(cs, values)) / _to_mpf(h) ** order)
+
+    return mp_row
 
 
 # -- recursive quotients ------------------------------------------------------
@@ -253,6 +329,7 @@ def estimate_derivative(
         raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)
+    quotient = _row_quotients(s, f, x)
     prev_q = None
     for i in range(steps):
         h = h0 * ratio**i
@@ -260,7 +337,7 @@ def estimate_derivative(
             break
         if two_sided and i % 2 == 1:
             h = -h
-        qt = difference_quotient(s, f, x, h)
+        qt = quotient(h)
         try:  # every row is reported as doubles, and an exact value may not fit one
             hf, qf = float(h), float(qt)
         except OverflowError:

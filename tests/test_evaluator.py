@@ -12,10 +12,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
+from qriemann import evaluator
+from qriemann.counterexample import GroupFunction, MultiplicativeGroup
 from qriemann.evaluator import (
+    MP_DPS,
     EvaluatorError,
     FunctionHandle,
+    _exact_apply,
+    _mp_apply,
+    _to_mpf,
     apply_difference,
     difference_quotient,
     estimate_derivative,
@@ -23,6 +32,8 @@ from qriemann.evaluator import (
     recursive_quotient,
 )
 from qriemann.stencil import (
+    CLASSICAL_BUILDERS,
+    GAUSSIAN_BUILDERS,
     gaussian_forward,
     gaussian_shifted,
     gaussian_symmetric,
@@ -79,6 +90,13 @@ class TestFunctionHandle:
         f = FunctionHandle.rational_polynomial([F(1), F(5), F(1)])
         # 1 + 5x + x^2 at x = 1/2 is 1 + 5/2 + 1/4 = 15/4.
         assert f.eval_exact(F(1, 2)) == F(15, 4)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=9),
+           st.fractions(max_denominator=10**9))
+    def test_polynomial_exact_is_the_literal_sum(self, coeffs, x):
+        f = FunctionHandle.rational_polynomial(coeffs)
+        assert f.eval_exact(x) == sum(c * x**j for j, c in enumerate(coeffs))
 
     def test_transcendental_has_no_exact_path(self):
         assert FunctionHandle.builtin("sin").eval_exact(F(1, 3)) is None
@@ -397,6 +415,120 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError, match="tol must be a finite number > 0"):
             estimate_derivative(gaussian_forward(1, 2), FunctionHandle.rational_polynomial([0, 1]),
                                 0, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# estimate_derivative's rows against single differences
+# ---------------------------------------------------------------------------
+
+# Custom nodes past the 203 bits of MP_DPS: the points x + a_k h built on
+# them are quotients of integers too wide for one mpf.  The tall nodes
+# k + 1/(2^210 + i) pass it on their own.  The tiny nodes k/(10^30 + i) pass
+# it over their common denominator, and their differences cancel about 30n
+# digits, so one changed last bit of a point shows in the quotient's float.
+_NODE_FAMILIES = {
+    "small": lambda i, k: F(k, 3),
+    "tall": lambda i, k: k + F(1, 2**210 + i),
+    "tiny": lambda i, k: F(k, 10**30 + i),
+}
+# x over 3 * 10^55, 185 bits: its points N_k / M, M = 3 * 10^55 * D * t
+# for the nodes' denominator D and the step's t, outgrow the precision
+# partway through a table
+_TALL_X = F(10**55 + 7, 3 * 10**55)
+
+
+def _custom(family, ks):
+    return vandermonde_solve([_NODE_FAMILIES[family](i, k) for i, k in enumerate(ks)],
+                             len(ks) - 1)
+
+
+@st.composite
+def _tables(draw):
+    """(stencil, function, x, h0, ratio, steps, two_sided) over every kind,
+    builtin and polynomial, with nodes or x of small and of large height."""
+    kind = draw(st.sampled_from([*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom"]))
+    n = draw(st.integers(1, 4))
+    if kind == "custom":
+        ks = draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1, unique=True))
+        s = _custom(draw(st.sampled_from(list(_NODE_FAMILIES))), ks)
+    elif kind in GAUSSIAN_BUILDERS:
+        s = GAUSSIAN_BUILDERS[kind](n, draw(st.sampled_from([F(2), F(-2), F(3, 2), F(-5, 3),
+                                                             F(31, 29)])))
+    else:
+        s = CLASSICAL_BUILDERS[kind](n)
+    name = draw(st.sampled_from(["sin", "cos", "exp", "abs", "signpow1", "signpow4", "poly"]))
+    if name == "poly":
+        f = FunctionHandle.rational_polynomial(
+            draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=50),
+                          min_size=1, max_size=8)))
+    else:
+        f = FunctionHandle.builtin(name)
+    x = draw(st.one_of(st.fractions(min_value=-2, max_value=2, max_denominator=30),
+                       st.integers(0, 10**9).map(lambda k: _TALL_X + F(k, 10**55))))
+    h0 = draw(st.sampled_from([F(1, 10), F(-1, 7), F(3, 1000)]))
+    ratio = draw(st.sampled_from([F(1, 2), F(2, 3), F(1, 10)]))
+    return s, f, x, h0, ratio, draw(st.integers(2, 6)), draw(st.booleans())
+
+
+class TestTableRowsMatchSingleDifferences:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_tables())
+    # wide points on the mp path, x whose points outgrow the precision
+    # partway through the table, numerators too wide over a denominator that
+    # fits, and wide points on the exact path
+    @example((_custom("tiny", [-1, 2, 5]), FunctionHandle.builtin("sin"), F(1, 3), F(1, 10),
+              F(1, 2), 6, True))
+    @example((_custom("tiny", [0, -3, 1, 4]), FunctionHandle.builtin("exp"), F(-2, 7), F(-1, 7),
+              F(1, 2), 6, False))
+    @example((_custom("tall", [0, -3, 1, 4]), FunctionHandle.builtin("cos"), F(-2, 7), F(-1, 7),
+              F(2, 3), 5, False))
+    @example((gaussian_symmetric(4, F(3, 2)), FunctionHandle.builtin("cos"), _TALL_X, F(1, 10),
+              F(1, 10), 6, True))
+    @example((gaussian_forward(2, F(5, 3)), FunctionHandle.builtin("sin"), 3**160 + F(2, 7),
+              F(1, 10), F(1, 2), 6, True))
+    @example((_custom("tall", [3, -2]), FunctionHandle.builtin("signpow4"), _TALL_X, F(3, 1000),
+              F(1, 2), 4, True))
+    def test_rows_equal_the_reference(self, table_args):
+        s, f, x, h0, ratio, steps, two_sided = table_args
+        table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=steps,
+                                    two_sided=two_sided)
+        assert len(table.rows) == steps
+        for h, qt, _ in table.rows:
+            exact = _exact_apply(s, f, x, h)
+            if exact is not None:
+                assert type(qt) is Fraction and qt == exact / h**s.order
+            else:
+                with mp.workdps(MP_DPS):
+                    ref = float(_mp_apply(s, f, x, h) / _to_mpf(h) ** s.order)
+                assert type(qt) is float and repr(qt) == repr(ref)
+
+    def test_coefficients_convert_once_per_table(self, monkeypatch):
+        s = gaussian_forward(5, F(3, 2))
+        calls = []
+        to_mpf = evaluator._to_mpf
+        monkeypatch.setattr(evaluator, "_to_mpf", lambda v: calls.append(v) or to_mpf(v))
+        table = estimate_derivative(s, FunctionHandle.builtin("sin"), F(1, 3), steps=20)
+        hs = [h for h, _, _ in table.rows]
+        assert len(hs) == 20
+        # the n + 1 coefficients once, then each row's step h; every point
+        # fits the precision, so none goes through _to_mpf
+        assert calls == [*s.coeffs, *hs]
+
+    @pytest.mark.parametrize("exponent", [F(5, 2), 3], ids=["mp", "exact"])
+    def test_group_function_rows_are_single_quotients(self, monkeypatch, exponent):
+        s = gaussian_forward(3, 2)
+        g = GroupFunction(MultiplicativeGroup((2, 3)), (1, 0), exponent)
+        calls = []
+        quotient = evaluator.difference_quotient
+        monkeypatch.setattr(evaluator, "difference_quotient",
+                            lambda *a: calls.append(a) or quotient(*a))
+        table = estimate_derivative(s, g, 0, h0=F(1, 3), steps=8)
+        hs = [h for h, _, _ in table.rows]
+        assert [a[3] for a in calls] == hs
+        assert [qt for _, qt, _ in table.rows] == [quotient(s, g, 0, h) for h in hs]
+
+
+# ---------------------------------------------------------------------------
 
 
 class TestConvergenceTableOutput:

@@ -480,6 +480,38 @@ DERIVE_CSV_SHA256 = {
 }
 
 
+# (flags, exit code, SHA-256 of the JSON stdout, SHA-256 of the text stdout)
+# of `derive` on points of large height.  The custom nodes have 31-digit
+# denominators, and x in symmetric-sin-tall-x has a 56-digit one: their
+# points x + a_k h are quotients of integers wider than the 60-digit mpf
+# precision, the latter only from the 16th row on.  The poly and signpow5
+# rows sum exact values of degree 6 and 5 down to h ~ 1e-8.
+_D31 = "1" + "0" * 30
+DERIVE_TALL_SHA256 = {
+    "forward-cos-far": (["--kind=forward", "-n12", "-q31/29", "--function=cos",
+                         "--at=123456789/1000"], 3,
+                        "a463314510501315699c6aa907b3e5d18cca7641157d7ebf80886815ff73b475",
+                        "3a18a7f3fc07e2174894e9172d115c3707a6978b26d714058c54d6919a79d354"),
+    "custom-sin-31-digit-nodes": (["--kind=custom", "-n3",
+                                   f"--nodes=-1/{_D31}3,1/{_D31}1,2/{_D31}7,3/{_D31}9",
+                                   "--function=sin", "--at=1/3"], 3,
+                                  "0b8825b5ec6b101ab276e361275678ea97ada37cb2fda5fa1db724d7083b0a80",
+                                  "a5a55a6fb4e9a2107ef7c500f0753f3f58b43b14e06e5a286c21d84a10eccd24"),
+    "symmetric-sin-tall-x": (["--kind=symmetric", "-n4", "-q=3/2", "--function=sin",
+                              f"--at={10**55 + 7}/{3 * 10**55}"], 0,
+                             "3a116c004d4bba4f901d956b7dfbac2116dd158e13cdccd3a04154016cce9487",
+                             "b3beee568c78558e2f92821248ec0475c30395fe5135fd0f89b5025f2c47aeb6"),
+    "shifted-poly6": (["--kind=shifted", "-n5", "-q5/3", "--function=poly:1,-2,3/4,0,5,-1/3,7/2",
+                       "--at=-2/9", "--steps=60"], 3,
+                      "a0c21fc35fa2ca20649d7a2bf72774a9d9fb7700e4c7a3a9a7919b900442c22f",
+                      "0fa6519b6c6d82fec98796ab16fbac0798d60f14030db20be0c9f4659cb5037d"),
+    "riemann-signpow5": (["--kind=riemann", "-n4", "--function=signpow5", "--at=0",
+                          "--steps=60"], 3,
+                         "747c9ad1906f6b68586c10c5975e2302285d6dd2cc7f9ff71550430e010d19cc",
+                         "1139f3e33f19b2c9c54e5a44082ee0fb64fb948e16842b22fd1864e4baf01429"),
+}
+
+
 class TestCmdDerive:
     @pytest.mark.parametrize("name", list(DERIVE_CSV_SHA256))
     def test_csv_bytes_are_pinned(self, capsys, name):
@@ -487,6 +519,16 @@ class TestCmdDerive:
         code = cli.main(["derive", *flags])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize("name", list(DERIVE_TALL_SHA256))
+    def test_tall_point_bytes_are_pinned(self, capsys, name, output):
+        flags, want_code, json_digest, text_digest = DERIVE_TALL_SHA256[name]
+        code = cli.main(["derive", *flags, f"--output={output}"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (want_code, "")
+        digest = json_digest if output == "json" else text_digest
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("flags,row", [
