@@ -373,15 +373,10 @@ class CounterexampleReport:
 def _sample_members(group: MultiplicativeGroup, rng: random.Random, count: int) -> list:
     """Members of G in (0, 1]: products of generator powers, exponents in -10..0."""
     out = []
-    k = len(group.generators)
     while len(out) < count:
-        e = [rng.randint(-10, 0) for _ in range(k)]
-        if all(v == 0 for v in e):
-            continue
-        h = Fraction(1)
-        for g, ei in zip(group.generators, e):
-            h *= Fraction(g) ** ei
-        out.append(h)
+        e = [rng.randint(-10, 0) for _ in group.generators]
+        if any(e):
+            out.append(Fraction(1, math.prod(g**-ei for g, ei in zip(group.generators, e))))
     return out
 
 
@@ -399,9 +394,11 @@ def _escape_primes(group: MultiplicativeGroup) -> list:
 def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
                        rng: random.Random, count: int) -> list:
     """Positive rationals outside G such that no positive stencil node maps
-    them back into G; differences over them must cancel to literal zero."""
+    them back into G; differences over them must cancel to literal zero.
+    A node in G keeps a step outside G outside it, so only the positive
+    nodes outside G are tested against each step."""
     primes = _escape_primes(group)
-    positive_nodes = [a for a in stencil.nodes if a > 0]
+    outside = [a for a in stencil.nodes if a > 0 and membership(group, a) is None]
     out = []
     attempts = 0
     while len(out) < count:
@@ -417,7 +414,7 @@ def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
             h = base / primes[attempts % len(primes)]
         if membership(group, h) is not None:
             continue
-        if any(membership(group, a * h) is not None for a in positive_nodes):
+        if any(membership(group, a * h) is not None for a in outside):
             continue
         out.append(h)
     return out
@@ -439,28 +436,38 @@ def _group_power(powers: list, e):
 
 
 def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
-    """Yield sum_k A_k f(a_k h), as an mpf, for each step h; call inside an
-    mp.workdps block.
+    """Yield (sum_k A_k f(a_k h), |h|^s) for each step h, the sum as an mpf
+    and |h|^s None for h outside G; call inside an mp.workdps block.
 
-    A point a_k h > 0 in G has an exponent vector e over the generators, so
-    (a_k h)^s = prod_i (g_i^s)^e_i.  The g_i^s (powers, from
-    _generator_powers) are the only transcendental values; each point then
-    costs one membership test and a few integer powers of them.  At an
-    integer exponent they are exact, and so is each sum until it is rounded
-    once.
+    Works in exponent coordinates: a member x of G has x^s = prod_i
+    (g_i^s)^e_i over its exponent vector e, and the g_i^s (powers, from
+    _generator_powers) are the only transcendental values.  Each nonzero
+    node a and each step h costs one membership test of |a| or |h|.  For h
+    in G, a point a h > 0 lies in G exactly when a does, with exponent
+    vector e(a) + e(h), so it adds w_a chi(h) |h|^s, where the weight
+    w_a = chi(a) A_a |a|^s is formed once per call.  For h outside G, the
+    nodes in G put every point outside G; each other node's point a h > 0
+    costs one membership test.  At an integer exponent the powers are
+    exact, and so is each sum until it is rounded once.
     """
     exact = isinstance(powers[0], Fraction)
-    coeffs = stencil.coeffs if exact else [_to_mpf(c) for c in stencil.coeffs]
+    weights = []  # (a, A_a, w_a), w_a None for a outside G
+    for a, c in zip(stencil.nodes, stencil.coeffs):
+        if a != 0:
+            c = c if exact else _to_mpf(c)
+            e = membership(f.group, abs(a))
+            weights.append((a, c, None if e is None else f.chi(e) * c * _group_power(powers, e)))
     for h in steps:
-        terms = []
-        for a, c in zip(stencil.nodes, coeffs):
-            x = a * h
-            if x <= 0:
-                continue
-            e = membership(f.group, x)
-            if e is not None:
-                terms.append(f.chi(e) * c * _group_power(powers, e))
-        yield _to_mpf(sum(terms, Fraction(0))) if exact else mp.fsum(terms)
+        e = membership(f.group, abs(h))
+        if e is None:
+            h_power = None
+            terms = [f.chi(x) * c * _group_power(powers, x) for a, c, w in weights
+                     if w is None and a * h > 0 and (x := membership(f.group, a * h)) is not None]
+        else:
+            h_power = _group_power(powers, e)
+            signed = f.chi(e) * h_power
+            terms = [w * signed for a, _, w in weights if w is not None and (a > 0) == (h > 0)]
+        yield (_to_mpf(sum(terms, Fraction(0))) if exact else mp.fsum(terms)), h_power
 
 
 def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
@@ -468,29 +475,29 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
     """(a): |sum_k A_k f(a_k h)| <= 1e-9 |h|^s at every member step h, and
     the sum is a literal 0 at every nonmember step.
 
-    Every sum comes from _group_differences.  At an integer exponent the
-    sums are exact.  Otherwise each term is a coefficient times integer
-    powers of the g_i^s, correct to a few units in the 60th digit, and fsum
-    rounds the sum once; a double-precision root leaves a residual near
-    1e-16 of the terms, so rounding never decides the comparison.  |h|^s
-    is a product of the same g_i^s.  A nonmember step puts every positive
-    point outside G, where f is exactly 0, so its sum is an empty sum: any
-    point that lands in G shows up as a nonzero term.
+    One pass of _group_differences over both lists gives every sum and each
+    member's |h|^s.  At an integer exponent the sums are exact.  Otherwise
+    each member term is a node weight times chi(h) |h|^s, both products of the
+    g_i^s correct to a few units in the 60th digit, and fsum rounds the sum
+    once; a double-precision root leaves a residual near 1e-16 of the
+    terms, so rounding never decides the comparison.  A nonmember step puts
+    every positive point outside G, where f is exactly 0, so its sum is an
+    empty sum: any point that lands in G shows up as a nonzero term.
     """
     with mp.workdps(MP_DPS):
         powers = _generator_powers(f)
+        sums = _group_differences(stencil, f, members + nonmembers, powers)
         worst = mp.mpf(0)
-        for h, total in zip(members, _group_differences(stencil, f, members, powers)):
-            e = membership(f.group, abs(h))
-            if e is None:
+        for h, (total, h_power) in zip(members, sums):
+            if h_power is None:
                 raise CounterexampleError(f"member step {format_rational(h)} is not in the group")
             lhs = abs(total)
-            rhs = mp.mpf("1e-9") * _group_power(powers, e)
+            rhs = mp.mpf("1e-9") * h_power
             ratio = lhs / rhs
             worst = max(worst, ratio)
             if lhs > rhs:
                 return False, {"failed_at": float(h), "ratio_to_threshold": float(ratio)}
-        for h, total in zip(nonmembers, _group_differences(stencil, f, nonmembers, powers)):
+        for h, (total, _) in zip(nonmembers, sums):  # the same generator, past the members
             if total != 0:
                 return False, {"failed_at": float(h), "nonmember_exact_zero": False}
         return True, {"worst_member_ratio_to_threshold": float(worst),
@@ -566,6 +573,9 @@ def verify_counterexample(
         members = list(h_samples["members"])
         nonmembers = list(h_samples["nonmembers"])
         peano_set = list(h_samples["peano"])
+        for name, hs in (("members", members), ("nonmembers", nonmembers), ("peano", peano_set)):
+            if 0 in hs:
+                raise CounterexampleError(f"h_samples[{name!r}] holds a zero step")
 
     ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)

@@ -7,6 +7,7 @@ by base); endpoint values are plain integer arithmetic, e.g.
 4^7 - 8*3^7 - 28*2^7 - 56 = 16384 - 17496 - 3584 - 56 = -4752.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -15,6 +16,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpmath import mp
 
@@ -39,6 +42,7 @@ from qriemann.counterexample import (
 from qriemann.evaluator import MP_DPS, _mp_apply, _to_mpf, apply_difference
 from qriemann.stencil import (
     Stencil,
+    format_rational,
     riemann_classic,
     riemann_symmetric,
     scale,
@@ -559,6 +563,18 @@ class TestVerifyCounterexample:
             verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
                                   h_samples=samples)
 
+    @pytest.mark.parametrize("name", ["members", "nonmembers", "peano"])
+    def test_zero_step_is_rejected_in_every_list(self, name):
+        # At h = 0 every point a_k h is 0, outside G: a nonmember sum would
+        # vanish as an empty sum and pass without testing anything.
+        f = GroupFunction(group(2, 3), (1, 1), 2)
+        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
+        samples[name] = samples[name] + [F(0)]
+        with pytest.raises(CounterexampleError,
+                           match=re.escape(f"h_samples[{name!r}] holds a zero step")):
+            verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
+                                  h_samples=samples)
+
     def test_nonmember_step_that_reaches_the_group_is_caught(self):
         # Node 5 maps the step 1/5 onto 1, which is in G, so the difference
         # at that "nonmember" step is the nonzero coefficient of node 5.
@@ -612,6 +628,38 @@ class TestVerifyCounterexample:
         detail = report.details["unbounded"]
         assert detail["witness_generator"] is None
         assert detail["oscillation"] is oscillates
+
+
+# SHA-256 of the sampled steps, members then nonmembers, as verify_counterexample
+# draws them from one seeded generator: pins the draw order and every
+# accept/reject decision of the nonmember sampler.
+SAMPLER_STENCILS = {
+    "classic7": riemann_classic(7),
+    "nodes-2..13": vandermonde_solve((-2, 1, 2, 7, 11, 13), 5),  # 7, 11, 13 escape some G
+}
+SAMPLES_SHA256 = {
+    ((2, 3), "classic7", 0): "88208ff80785289202c4dfec6f57a0598c17eadb2abdf3a63f152fc40a47dee2",
+    ((2, 3), "classic7", 1729): "115cf04d6889fdae361ad0c21f638d55342b1f7b0901bb50363ea6fb4b73eeba",
+    ((2, 3), "nodes-2..13", 0): "c055a9f7aa33064ecbfc822668724f3bda552198f619311a5b94aaafcb336979",
+    ((2, 3), "nodes-2..13", 1729): "07e904c5eece89fb84ea3ece0c6cd9df7829b19af0be116e542245abb00a0f21",
+    ((3, 5, 7), "classic7", 0): "6eacc5f5311d00d3303fd5839da2dbd9ae2d79cb725e365558253424fa709e8c",
+    ((3, 5, 7), "classic7", 1729): "be17879e5be3ab4d1af1f68e36fe635fc598ac505077f089bb6ba3b20ec3d4f9",
+    ((3, 5, 7), "nodes-2..13", 0): "e0d944424ab2d7b153d4ef853d228e32d7952060864fed3f5be0830ec1c05e61",
+    ((3, 5, 7), "nodes-2..13", 1729): "e7d40442a77f89b27b735a5fb36bd6a4d35bef2e832bd7424bd5c8aff6e6d10d",
+    ((2, 3, 5, 7), "classic7", 0): "af6dcaeab83f29aa9f4096d00b3c74110bb38f9ae04e2d12bdc84ca97dadc0d9",
+    ((2, 3, 5, 7), "classic7", 1729): "fc0e62a39abe9943e3301b1267abba03c8ce8ae6374c236cc1c5681bf00bf52a",
+    ((2, 3, 5, 7), "nodes-2..13", 0): "c13109b2067cb2878beb357331c2d9d4b9a83fa2f5d81ba2fe71507da2ace569",
+    ((2, 3, 5, 7), "nodes-2..13", 1729): "eb52bc6c7ce14387357673aaba40cfd3f5bc63a0543da8836741108fd76f3ee4",
+}
+
+
+@pytest.mark.parametrize("gens, stencil, seed", list(SAMPLES_SHA256))
+def test_sampled_steps_are_pinned(gens, stencil, seed):
+    rng = random.Random(seed)
+    members = counterexample._sample_members(group(*gens), rng, 100)
+    nonmembers = counterexample._sample_nonmembers(group(*gens), SAMPLER_STENCILS[stencil], rng, 100)
+    text = " ".join(map(format_rational, members)) + "\n" + " ".join(map(format_rational, nonmembers))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLES_SHA256[gens, stencil, seed]
 
 
 def case_function(name):
@@ -699,7 +747,7 @@ class TestGroupDifferences:
             with mp.workdps(MP_DPS):
                 powers = counterexample._generator_powers(g)
                 got = list(counterexample._group_differences(stn, g, hs, powers))
-                for h, v in zip(hs, got):
+                for h, (v, _) in zip(hs, got):
                     ref = abs(_mp_apply(stn, g, F(0), h))
                     # a forward stencil at a negative step sees only x <= 0
                     assert ref > 0 or (v == 0 and min(stn.nodes) >= 0 and h < 0)
@@ -716,7 +764,7 @@ class TestGroupDifferences:
         with mp.workdps(MP_DPS):
             powers = counterexample._generator_powers(f)
             got = list(counterexample._group_differences(stn, f, hs, powers))
-            for h, v in zip(hs, got):
+            for h, (v, _) in zip(hs, got):
                 points = [a * h for a in stn.nodes]
                 size = mp.fsum(abs(c) * mp.power(_to_mpf(x), f.exponent)
                                for c, x in zip(stn.coeffs, points) if x > 0)
@@ -761,6 +809,76 @@ class TestGroupDifferences:
         assert ok
         # the thresholds |h|^s are products of the same g_i^s
         assert len(calls) == len(f.group.generators)
+
+    @pytest.mark.parametrize("name", ["thm32a", "nodes-2..13"])
+    def test_one_membership_test_per_node_and_step(self, monkeypatch, name):
+        # thm32a's 100 + 100 sampled steps; and a stencil whose positive
+        # nodes 7, 11 and 13 lie outside <2, 3>, where only nonmember steps
+        # are drawn, so that the check passes without a root.
+        if name == "thm32a":
+            stn, f, _ = case_function(name)
+        else:
+            stn, f = SAMPLER_STENCILS[name], GroupFunction(group(2, 3), (1, 0), F(5, 2))
+        rng = random.Random(4)
+        members = counterexample._sample_members(f.group, rng, 100) if name == "thm32a" else []
+        nonmembers = counterexample._sample_nonmembers(f.group, stn, rng, 100)
+        tested, powered = [], []
+        group_power = counterexample._group_power
+        monkeypatch.setattr(counterexample, "membership",
+                            lambda g, x: tested.append(x) or membership(g, x))
+        monkeypatch.setattr(counterexample, "_group_power",
+                            lambda p, e: powered.append(e) or group_power(p, e))
+        ok, _ = counterexample._check_difference_vanishes(stn, f, members, nonmembers)
+        assert ok
+        in_group = [a for a in stn.nodes if a != 0 and membership(f.group, abs(a)) is not None]
+        outside = [a for a in stn.nodes if a > 0 and membership(f.group, a) is None]
+        assert len(tested) <= (len(stn.nodes) + len(members) + len(nonmembers)
+                               + len(outside) * len(nonmembers))
+        # |a|^s once per node in G, |h|^s once per member step
+        assert len(powered) == len(in_group) + len(members)
+
+
+G23 = group(2, 3)
+g23_members = st.builds(lambda i, j: F(2) ** i * F(3) ** j, st.integers(-4, 4), st.integers(-4, 4))
+node_mixes = st.tuples(
+    st.lists(st.builds(lambda m, neg: -m if neg else m, g23_members, st.booleans()),
+             min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=7), max_size=4),
+    st.booleans(),
+).map(lambda t: sorted(set(t[0] + t[1] + [F(0)] * t[2]))).filter(lambda nodes: len(nodes) >= 2)
+
+
+def oracle_steps(stn, members):
+    """Members, negative members, m/5 and m/7, and for each node a outside
+    G the step m/a, which a maps back onto the member m."""
+    outside = [a for a in stn.nodes if a != 0 and membership(G23, abs(a)) is None]
+    return (members + [-m for m in members] + [m / 5 for m in members] + [m / 7 for m in members]
+            + [m / a for m in members for a in outside])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(node_mixes, st.tuples(st.integers(0, 1), st.integers(0, 1)),
+       st.one_of(st.integers(1, 8).map(F),
+                 st.fractions(min_value=F(1, 2), max_value=9, max_denominator=16)),
+       st.lists(g23_members, min_size=1, max_size=3))
+def test_group_differences_match_the_per_point_reference(nodes, character, exponent, members):
+    stn = vandermonde_solve(nodes, len(nodes) - 1)
+    f = GroupFunction(G23, character, exponent)
+    steps = oracle_steps(stn, members)
+    with mp.workdps(MP_DPS):
+        powers = counterexample._generator_powers(f)
+        for h, (v, h_power) in zip(steps, counterexample._group_differences(stn, f, steps, powers)):
+            e = membership(G23, abs(h))
+            assert (h_power is None) is (e is None)
+            if exponent.denominator == 1:
+                assert v == _to_mpf(apply_difference(stn, f, F(0), h))
+                assert h_power is None or h_power == abs(h) ** exponent.numerator
+                continue
+            size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h)) for a, c in zip(stn.nodes, stn.coeffs))
+            assert abs(v - _mp_apply(stn, f, F(0), h)) <= mp.mpf("1e-50") * size
+            if h_power is not None:
+                ref = mp.power(_to_mpf(abs(h)), _to_mpf(exponent))
+                assert abs(h_power - ref) <= mp.mpf("1e-55") * ref
 
 
 class TestUnboundedEvaluatesF:

@@ -683,6 +683,14 @@ CUSTOM_STDOUT_SHA256 = {
     # the trivial character has phi(1) = 0: no sign change, nothing printed
     "trivial-character": (PROP25_CUSTOM + ["--character=0,0"], 3,
                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # node 7 lies outside G and node -2 is negative: the nonmember steps
+    # h = m/7 are those node 7 maps back into G
+    "nodes-2,1,2,7": (["--nodes=-2,1,2,7", "-n3", "--generators=2,3", "--character=0,0",
+                       "--interval=0,1", "--lower-order=0"], 0,
+                      "1a8f98953192cd47164912d53c9f0959017c946f4ecb52106afe6376ee345055"),
+    "nodes-2,1,2,7-character-0,1": (["--nodes=-2,1,2,7", "-n3", "--generators=2,3",
+                                     "--character=0,1", "--interval=0,3", "--lower-order=0"], 0,
+                                    "1406345cfdb1244a9af96b05d2f15220937f31d3fa15cc21c7233ab1b38471c5"),
 }
 
 
