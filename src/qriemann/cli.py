@@ -202,7 +202,7 @@ def cmd_derive(args) -> int:
         tol=args.tol,
     )
     if args.output == "json":
-        print(json.dumps(table.to_jsonable(), indent=2))
+        print(json.dumps(table.to_jsonable(), indent=2, allow_nan=False))
     elif args.output == "text":
         for h, qt, d in table.rows:
             delta = "" if d is None else f"  delta={float(d)!r}"

@@ -14,6 +14,7 @@ n-th derivative: exactly the separation the named cases below reproduce.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -555,7 +556,7 @@ def verify_counterexample(
     """
     if phi_on_interval.character != f.character:
         raise CounterexampleError("phi_on_interval is for another character than f's")
-    if not isinstance(lower_order, int) or lower_order < 0:
+    if isinstance(lower_order, bool) or not isinstance(lower_order, int) or lower_order < 0:
         raise CounterexampleError("lower_order must be an integer >= 0")
     s_star = float(f.exponent)
     if s_star <= lower_order:
@@ -605,12 +606,7 @@ def character_search(stencil: Stencil, generators, lo: int, hi: int) -> list:
     the admissible ones are those with a sign_change."""
     group = MultiplicativeGroup(tuple(generators))
     return [PhiOnInterval.of(stencil, group, bits, (lo, hi))
-            for bits in _all_bits(len(group.generators))]
-
-
-def _all_bits(k: int):
-    for mask in range(2**k):
-        yield tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
+            for bits in itertools.product((0, 1), repeat=len(group.generators))]
 
 
 # -- named reproductions ------------------------------------------------------

@@ -11,14 +11,12 @@ Transcendental values go through mpmath at 60 significant digits before being
 rounded to float once, at the very end; plain double precision would drown the
 small-h difference quotients the convergence tables are built from.
 
-A single difference takes each point x + a_k h as a reduced Fraction.  A
-convergence table of FunctionHandle rows prepares the stencil once instead:
-over the common denominator D of the nodes, the points of a row are integers
-N_k over one M, and each row yields the same value as difference_quotient.
+Every difference, a single one or a table row, is a row of _row_quotients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -120,8 +118,9 @@ class FunctionHandle:
 # -- applying a stencil -------------------------------------------------------
 
 
-def _exact_apply(s: Stencil, f: FunctionHandle, x: Fraction, h: Fraction):
-    """Exact Fraction value of the difference, or None if any term is inexact."""
+def _exact_apply(s: Stencil, f, x: Fraction, h: Fraction):
+    """Exact Fraction sum_k A_k f(x + a_k h) for any function object, or None
+    if any term is inexact."""
     total = Fraction(0)
     for a, c in zip(s.nodes, s.coeffs):
         v = f.eval_exact(x + a * h)
@@ -131,57 +130,41 @@ def _exact_apply(s: Stencil, f: FunctionHandle, x: Fraction, h: Fraction):
     return total
 
 
-def _mp_apply(s: Stencil, f: FunctionHandle, x: Fraction, h: Fraction):
+def _mp_apply(s: Stencil, f, x: Fraction, h: Fraction):
+    """The same sum in mpmath for any function object; call inside mp.workdps."""
     return mp.fsum(_to_mpf(c) * f.eval_mp(x + a * h) for a, c in zip(s.nodes, s.coeffs))
 
 
-def _apply(s: Stencil, f: FunctionHandle, x, h, power: int):
-    """sum_k A_k f(x + a_k h) / h^power: exact Fraction when possible, else
-    computed at MP_DPS digits and rounded to float once, after the division."""
-    x, h = Fraction(x), Fraction(h)
-    if h == 0:
-        raise EvaluatorError("step h must be nonzero")
-    exact = _exact_apply(s, f, x, h)
-    if exact is not None:
-        return exact / h**power
-    with mp.workdps(MP_DPS):
-        return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
+def _row_quotients(s: Stencil, f, x, power: int):
+    """h -> sum_k A_k f(x + a_k h) / h^power for any function object: an
+    exact Fraction when every value is exact, else computed at MP_DPS digits
+    and rounded to float once, after the division.
 
-
-def apply_difference(s: Stencil, f: FunctionHandle, x, h):
-    """sum_k A_k f(x + a_k h); exact Fraction when possible, else float."""
-    return _apply(s, f, x, h, 0)
-
-
-def difference_quotient(s: Stencil, f: FunctionHandle, x, h):
-    """The difference divided by h^order; exact Fraction when possible."""
-    return _apply(s, f, x, h, s.order)
-
-
-def _row_quotients(s: Stencil, f, x):
-    """h -> difference_quotient(s, f, x, h) for the rows of one table.
-
-    With x = u/v, h = p/t and a_k = P_k/D over the common denominator D of
-    the nodes, the points are x + a_k h = N_k / M with N_k = u D t + P_k p v
-    and M = v D t > 0, taken without a gcd.  Exact functions sum integer
-    values over one denominator into one Fraction per row.  sin, cos and exp
-    convert the coefficients once per table, and each point as one quotient
-    at MP_DPS: mpf(N_k) / mpf(M), exact operands when both fit the precision,
-    else _to_mpf of the reduced Fraction.  Either is the mpf _to_mpf gives,
-    so every row equals difference_quotient's.  Functions that are not
-    FunctionHandles go through difference_quotient.
+    Other function objects take their rows from _exact_apply and _mp_apply.
+    A FunctionHandle prepares the stencil once per table: with x = u/v,
+    h = p/t and a_k = P_k/D over the nodes' common denominator D, the points
+    are N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.
+    Exact functions sum integer values into one Fraction per row.  sin, cos
+    and exp take each point as mpf(N_k) / mpf(M) when both fit MP_DPS, else
+    as _to_mpf of the reduced Fraction: either is _to_mpf's mpf, so every
+    row equals the per-point _exact_apply, or _mp_apply at MP_DPS.
     """
-    if not isinstance(f, FunctionHandle):
-        return lambda h: difference_quotient(s, f, x, h)
     x = Fraction(x)
-    v, order = x.denominator, s.order
-    d, ps = _over_common_denominator(s.nodes)
+    if not isinstance(f, FunctionHandle):
+        def row(h):
+            exact = _exact_apply(s, f, x, h)
+            if exact is not None:
+                return exact / h**power
+            with mp.workdps(MP_DPS):
+                return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
+
+        return row
+    v, (d, ps) = x.denominator, _over_common_denominator(s.nodes)
     ud, vd = x.numerator * d, v * d
 
     def points(h):
-        t, pv = h.denominator, h.numerator * v
-        base = ud * t
-        return [base + pk * pv for pk in ps], vd * t
+        base, pv = ud * h.denominator, h.numerator * v
+        return [base + pk * pv for pk in ps], vd * h.denominator
 
     fn = _MP_FUNCTIONS.get(f.name)
     if fn is None:
@@ -189,8 +172,8 @@ def _row_quotients(s: Stencil, f, x):
 
         def exact_row(h):
             ws, w = f._exact_over(*points(h))
-            return Fraction(sum(c * wk for c, wk in zip(cs, ws)) * h.denominator**order,
-                            den * w * h.numerator**order)
+            return Fraction(sum(c * wk for c, wk in zip(cs, ws)) * h.denominator**power,
+                            den * w * h.numerator**power)
 
         return exact_row
 
@@ -204,9 +187,27 @@ def _row_quotients(s: Stencil, f, x):
             wide = m.bit_length() > bits
             values = (fn(_to_mpf(Fraction(n, m)) if wide or n.bit_length() > bits
                          else mp.mpf(n) / mm) for n in ns)
-            return float(mp.fsum(c * y for c, y in zip(cs, values)) / _to_mpf(h) ** order)
+            return float(mp.fsum(c * y for c, y in zip(cs, values)) / _to_mpf(h) ** power)
 
     return mp_row
+
+
+def _apply(s: Stencil, f, x, h, power: int):
+    """One row of _row_quotients, at a step h that must be nonzero."""
+    h = Fraction(h)
+    if h == 0:
+        raise EvaluatorError("step h must be nonzero")
+    return _row_quotients(s, f, x, power)(h)
+
+
+def apply_difference(s: Stencil, f: FunctionHandle, x, h):
+    """sum_k A_k f(x + a_k h); exact Fraction when possible, else float."""
+    return _apply(s, f, x, h, 0)
+
+
+def difference_quotient(s: Stencil, f: FunctionHandle, x, h):
+    """The difference divided by h^order; exact Fraction when possible."""
+    return _apply(s, f, x, h, s.order)
 
 
 # -- recursive quotients ------------------------------------------------------
@@ -216,9 +217,8 @@ def recursive_quotient(family: str, n: int, q, f: FunctionHandle, x, h):
     """Order-n quotient of the stencil built by the order-raising recursion.
 
     stencil.recursive_build, the one implementation of the recursion, builds
-    the stencil and difference_quotient applies it: an exact Fraction when
-    every value is exact, else a float from MP_DPS digits.  The stencil
-    equals the family's closed form exactly, and so does the quotient.
+    the stencil and difference_quotient applies it.  The stencil equals the
+    family's closed form exactly, and so does the quotient.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise EvaluatorError("order must be an integer >= 1")
@@ -236,7 +236,8 @@ class ConvergenceTable:
     """Rows of (h, quotient, delta_from_previous) plus a final verdict.
 
     Quotients are kept as produced (exact Fraction or float); CSV output
-    renders them as floats.  delta is None on the first row.
+    renders them as floats, JSON as floats or, when infinite or NaN, null.
+    delta is None on the first row.
     """
 
     order: int
@@ -270,26 +271,26 @@ class ConvergenceTable:
     def to_jsonable(self) -> dict:
         obj = {
             "order": self.order,
-            "rows": [
-                {"h": float(h), "quotient": float(qt), "delta": None if d is None else float(d)}
-                for h, qt, d in self.rows
-            ],
+            "rows": [{"h": float(h), "quotient": _finite(qt), "delta": _finite(d)}
+                     for h, qt, d in self.rows],
             "verdict": self.verdict,
         }
         if self.verdict == "converged":
-            obj["value"] = self.value
-            obj["est_error"] = self.est_error
+            obj["value"] = _finite(self.value)
+            obj["est_error"] = _finite(self.est_error)
         if self.verdict == "oscillating":
-            obj["pos_estimate"] = self.pos_estimate
-            obj["neg_estimate"] = self.neg_estimate
+            obj["pos_estimate"] = _finite(self.pos_estimate)
+            obj["neg_estimate"] = _finite(self.neg_estimate)
         return obj
+
+
+def _finite(v) -> float | None:
+    return None if v is None or not math.isfinite(v) else float(v)
 
 
 def _shrinks(prev: float, cur: float) -> bool:
     # a delta of exactly 0 always counts as a shrink
-    if cur == 0:
-        return True
-    return 1.5 * cur <= prev
+    return cur == 0 or 1.5 * cur <= prev
 
 
 def estimate_derivative(
@@ -317,8 +318,7 @@ def estimate_derivative(
     exact step or quotient past the largest double, or a step that rounds to
     a zero double, raises EvaluatorError.
     """
-    h0 = Fraction(h0)
-    ratio = Fraction(ratio)
+    h0, ratio = Fraction(h0), Fraction(ratio)
     if h0 == 0:
         raise EvaluatorError("h0 must be nonzero")
     if not (0 < ratio < 1):
@@ -329,7 +329,7 @@ def estimate_derivative(
         raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)
-    quotient = _row_quotients(s, f, x)
+    quotient = _row_quotients(s, f, x, s.order)
     prev_q = None
     for i in range(steps):
         h = h0 * ratio**i
@@ -394,7 +394,7 @@ def peano_bound_check(f: FunctionHandle, x, m: int, epsilon_exponent: float, h_s
     Establishes m-th order smallness at x (all lower difference quotients
     vanish in the limit) without computing any quotient.
     """
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise EvaluatorError("m must be an integer >= 0")
     if not h_set:
         raise EvaluatorError("h_set must be nonempty")

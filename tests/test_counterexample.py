@@ -408,6 +408,13 @@ class TestPhiOnInterval:
         with pytest.raises(CounterexampleError, match="another character"):
             verify_counterexample(prop25_stencil(), f, 1, other)
 
+    @pytest.mark.parametrize("lower_order", [True, False])
+    def test_verify_rejects_a_bool_lower_order(self, lower_order):
+        f = GroupFunction(group(2, 3), (1, 1), 2)
+        with pytest.raises(CounterexampleError, match="lower_order must be an integer >= 0"):
+            verify_counterexample(prop25_stencil(), f, lower_order,
+                                  window_for(prop25_stencil(), f))
+
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ term differentiation.  Floating-path oracles use analytic derivatives of the
 builtins (sin''' (0) = -1, etc.).
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -303,6 +304,32 @@ class TestRecursiveQuotient:
             recursive_quotient("forward", 2, F(2), f, 0.0, 0)
 
 
+# SHA-256 of repr((type, value)) of difference_quotient, apply_difference and
+# recursive_quotient, one line each, over the Gaussian families at n 1..6 and
+# q in {2, -3/2}, exact and transcendental functions, and x of small and of
+# large height: the points of x = 3^160 + 2/7 are wider than MP_DPS.
+SINGLE_DIFFERENCES_SHA256 = "795c5e0e45955ccde95e3eb3d9bc426113971a9812e4790ec028ef370411a6c9"
+
+
+def test_single_differences_pin():
+    functions = [FunctionHandle.builtin(name) for name in ("sin", "cos", "exp", "abs", "signpow3")]
+    functions.append(FunctionHandle.rational_polynomial([F(1, 3), -2, 0, F(5, 7), 1]))
+    lines = []
+    for family, builder in GAUSSIAN_BUILDERS.items():
+        for n in range(1, 7):
+            for q in (F(2), F(-3, 2)):
+                s = builder(n, q)
+                for f in functions:
+                    for x in (F(0), F(1, 3), 3**160 + F(2, 7)):
+                        for h in (F(1, 10), F(-1, 1024)):
+                            for v in (difference_quotient(s, f, x, h),
+                                      apply_difference(s, f, x, h),
+                                      recursive_quotient(family, n, q, f, x, h)):
+                                lines.append(repr((type(v), v)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SINGLE_DIFFERENCES_SHA256
+
+
 # ---------------------------------------------------------------------------
 # estimate_derivative and convergence verdicts
 # ---------------------------------------------------------------------------
@@ -470,6 +497,16 @@ def _tables(draw):
     return s, f, x, h0, ratio, draw(st.integers(2, 6)), draw(st.booleans())
 
 
+def _per_point(s, f, x, h, power):
+    """sum_k A_k f(x + a_k h) / h^power from the per-point _exact_apply, or
+    _mp_apply at MP_DPS: the reference every row is held to."""
+    exact = _exact_apply(s, f, x, h)
+    if exact is not None:
+        return exact / h**power
+    with mp.workdps(MP_DPS):
+        return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
+
+
 class TestTableRowsMatchSingleDifferences:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(_tables())
@@ -488,19 +525,24 @@ class TestTableRowsMatchSingleDifferences:
               F(1, 10), F(1, 2), 6, True))
     @example((_custom("tall", [3, -2]), FunctionHandle.builtin("signpow4"), _TALL_X, F(3, 1000),
               F(1, 2), 4, True))
+    # group-supported functions: exact at an integer exponent, and through
+    # mpmath at thm32-n6's root of phi, where each difference cancels about
+    # 13 of the 60 digits
+    @example((gaussian_forward(3, 2), GroupFunction(MultiplicativeGroup((2, 3)), (1, 0), 3), 0,
+              F(1, 3), F(1, 2), 6, True))
+    @example((riemann_symmetric(6),
+              GroupFunction(MultiplicativeGroup((2, 3)), (1, 1), F(5238489919019941, 2**50)), 0,
+              F(1, 2), F(2, 3), 6, True))
     def test_rows_equal_the_reference(self, table_args):
         s, f, x, h0, ratio, steps, two_sided = table_args
         table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=steps,
                                     two_sided=two_sided)
         assert len(table.rows) == steps
         for h, qt, _ in table.rows:
-            exact = _exact_apply(s, f, x, h)
-            if exact is not None:
-                assert type(qt) is Fraction and qt == exact / h**s.order
-            else:
-                with mp.workdps(MP_DPS):
-                    ref = float(_mp_apply(s, f, x, h) / _to_mpf(h) ** s.order)
-                assert type(qt) is float and repr(qt) == repr(ref)
+            for got, power in ((qt, s.order), (difference_quotient(s, f, x, h), s.order),
+                               (apply_difference(s, f, x, h), 0)):
+                want = _per_point(s, f, x, h, power)
+                assert type(got) is type(want) and repr(got) == repr(want)
 
     def test_coefficients_convert_once_per_table(self, monkeypatch):
         s = gaussian_forward(5, F(3, 2))
@@ -515,17 +557,13 @@ class TestTableRowsMatchSingleDifferences:
         assert calls == [*s.coeffs, *hs]
 
     @pytest.mark.parametrize("exponent", [F(5, 2), 3], ids=["mp", "exact"])
-    def test_group_function_rows_are_single_quotients(self, monkeypatch, exponent):
+    def test_group_function_rows_are_single_quotients(self, exponent):
         s = gaussian_forward(3, 2)
         g = GroupFunction(MultiplicativeGroup((2, 3)), (1, 0), exponent)
-        calls = []
-        quotient = evaluator.difference_quotient
-        monkeypatch.setattr(evaluator, "difference_quotient",
-                            lambda *a: calls.append(a) or quotient(*a))
         table = estimate_derivative(s, g, 0, h0=F(1, 3), steps=8)
         hs = [h for h, _, _ in table.rows]
-        assert [a[3] for a in calls] == hs
-        assert [qt for _, qt, _ in table.rows] == [quotient(s, g, 0, h) for h in hs]
+        assert len(hs) == 8
+        assert [qt for _, qt, _ in table.rows] == [difference_quotient(s, g, 0, h) for h in hs]
 
 
 # ---------------------------------------------------------------------------
@@ -590,3 +628,9 @@ class TestPeanoBound:
             peano_bound_check(f, F(0), 1, 0.5, [])
         with pytest.raises(EvaluatorError):
             peano_bound_check(f, F(0), 1, 0.5, [F(0)])
+
+    @pytest.mark.parametrize("m", [True, False])
+    def test_bool_order_rejected(self, m):
+        f = FunctionHandle.builtin("signpow3")
+        with pytest.raises(EvaluatorError, match="m must be an integer >= 0"):
+            peano_bound_check(f, F(0), m, 0.5, self.h_set())

@@ -607,6 +607,21 @@ class TestCmdDerive:
         assert doc["verdict"] == "converged"
         assert abs(doc["value"] - 1.0) < 1e-6
 
+    def test_json_output_is_strict_past_the_double_range(self, capsys):
+        # exp near 1000 overflows a double: every quotient is inf and every
+        # delta nan, which strict JSON writes as null
+        code = cli.main(["derive", "--kind", "riemann", "-n", "1", "--function", "exp",
+                         "--at", "1000", "--output=json"])
+        assert code == 3
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["verdict"] == "diverged"
+        assert len(doc["rows"]) == 20
+        assert all(r["quotient"] is None and r["delta"] is None for r in doc["rows"])
+
     def test_gaussian_kind_rejects_nodes_exit_2(self, capsys):
         code = cli.main(["derive", "--kind", "shifted", "-n", "2", "-q", "2",
                          "--nodes", "5,6,7", "--function", "sin"])
