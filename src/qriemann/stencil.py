@@ -15,11 +15,13 @@ with top = n or n/2; mz is the q = 2 forward family under its own kind.
 
 Each q-power family is a seed difference times prod_j (E - q^j), where E
 dilates by q (E delta_a = delta_{qa}) and j runs over range(first, n, step);
-_FAMILIES holds the seed, first and step of each.  The closed form expands
-that product by the q-binomial theorem, taking each Gaussian binomial from
-the last by [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k); recursive_build
-applies its factors one at a time.  Either map is scaled to n-th moment n! by
-one normalizing constant, which is the built stencil's coefficient at q^N.
+_FAMILIES holds the seed, first and step of each.  Both builders work on the
+integers of q = u/v and key their map by (a, k) for node a u^k / v^k.  The
+closed form expands that product by the q-binomial theorem, taking each term
+from the last by one Fraction of integers; recursive_build applies its
+factors one at a time to integer coefficients over v^(sum j).  Either map is
+scaled to n-th moment n! by one normalizing constant, which is the built
+stencil's coefficient at q^N.
 """
 
 from __future__ import annotations
@@ -70,8 +72,15 @@ def parse_rational(text: str) -> Fraction:
         raise StencilError(f"not a rational 'p' or 'p/r': {text!r}") from exc
 
 
+def _finite_rational(x, what: str) -> Fraction:
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError) as exc:  # an infinite or NaN float
+        raise StencilError(f"{what} must be a finite rational, got {x!r}") from exc
+
+
 def _validate_q(q) -> Fraction:
-    q = Fraction(q)
+    q = _finite_rational(q, "ratio q")
     if q in (Fraction(0), Fraction(1), Fraction(-1)):
         raise StencilError("ratio q must avoid 0, 1 and -1")
     return q
@@ -197,47 +206,53 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
 # -- closed-form families -----------------------------------------------------
 
 
-def _expand(seed: dict, js: range, q: Fraction) -> dict:
-    """Raw node->coefficient map of seed * prod_{j in js} (E - q^j).
+def _expand(seed: dict, js: range, u: int, v: int) -> dict:
+    """Raw map {(a, k): coefficient at node a q^k} of seed * prod_{j in js}
+    (E - q^j), q = u/v.
 
-    With N = len(js) and r = q^step the q-binomial theorem gives
+    With N = len(js) and r = q^step = U/W the q-binomial theorem gives
         prod_j (E - q^j) = sum_k t_k E^(N-k),
         t_k = (-1)^k q^(first k) r^C(k,2) [N k]_r,
     and E^(N-k) dilates the seed's nonzero nodes by q^(N-k).  The ratio
     identity [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k) makes t_k a
-    running product from t_0 = 1.  E fixes node 0, so its coefficient is
-    c_0 * prod_j (1 - q^j).
+    running product from t_0 = 1, by one Fraction of integers per k,
+        -u^first U^(k-1) (W^(N-k+1) - U^(N-k+1)) / (v^first W^(N-k) (W^k - U^k)).
+    E fixes node 0, so its coefficient is c_0 * prod_j (v^j - u^j) / v^(sum j).
     """
-    N, r, lead = len(js), q**js.step, -(q**js.start)
+    N, first, step = len(js), js.start, js.step
+    U = [(u**step) ** i for i in range(N + 1)]
+    W = [(v**step) ** i for i in range(N + 1)]
     mapping = {}
     t = Fraction(1)
     for k in range(N + 1):
         if k:
-            t *= lead * r ** (k - 1) * (1 - r ** (N - k + 1)) / (1 - r**k)
-        d = q ** (N - k)
+            t *= Fraction(-(u**first) * U[k - 1] * (W[N - k + 1] - U[N - k + 1]),
+                          v**first * W[N - k] * (W[k] - U[k]))
         for a, ca in seed.items():
             if a:
-                mapping[d * a] = t * ca
+                mapping[a, N - k] = t * ca
     if 0 in seed:
-        mapping[Fraction(0)] = math.prod(1 - q**j for j in js) * seed[0]
+        mapping[0, 0] = Fraction(seed[0] * math.prod(v**j - u**j for j in js), v ** sum(js))
     return mapping
 
 
 def _gaussian(name: str, n: int, q, raw) -> Stencil:
     """The GAUSSIAN_BUILDERS family `name` at order n, normalized, from
-    raw(seed, js, q), the map of seed * prod_{j in js} (E - q^j), times
-    lam = n! / (that map's n-th moment)."""
+    raw(seed, js, u, v), the map {(a, k): c} of seed * prod_{j in js} (E - q^j)
+    at nodes a u^k / v^k, times lam = n! / (that map's n-th moment), which is
+    n! v^(nN) / (M_n(seed) prod_j (u^n - u^j v^(n-j))) in integers."""
     q = _validate_q(q)
     _check_order(n)
     if name not in GAUSSIAN_BUILDERS:  # only recursive_build passes a caller's name
         raise StencilError(f"unknown recursion family {name!r}; "
                            f"expected one of {tuple(GAUSSIAN_BUILDERS)}")
     seed, first, step = _FAMILIES[f"symmetric_{'odd' if n % 2 else 'even'}" if name == "symmetric" else name]
-    js, qn = range(first, n, step), q**n
-    moment = math.prod(qn - q**j for j in js) * sum(c * a**n for a, c in seed.items())
-    lam = Fraction(math.factorial(n)) / moment
-    mapping = raw(seed, js, q)
-    return Stencil(n, tuple(mapping), tuple(lam * c for c in mapping.values()), "gaussian_" + name, q)
+    js, u, v = range(first, n, step), q.numerator, q.denominator
+    lam = Fraction(math.factorial(n) * v ** (n * len(js)),
+                   sum(c * a**n for a, c in seed.items()) * math.prod(u**n - u**j * v ** (n - j) for j in js))
+    mapping = raw(seed, js, u, v)
+    return Stencil(n, tuple(Fraction(a * u**k, v**k) for a, k in mapping),
+                   tuple(lam * c for c in mapping.values()), "gaussian_" + name, q)
 
 
 def gaussian_forward(n: int, q) -> Stencil:
@@ -307,17 +322,18 @@ CLASSICAL_BUILDERS = {
 # -- recursive construction ---------------------------------------------------
 
 
-def _recurse(seed: dict, js: range, q: Fraction) -> dict:
-    """seed * prod_{j in js} (E - q^j), one factor at a time: each factor
-    takes the map D to D dilated by q minus q^j D, dropping exact zeros."""
-    mapping = dict(seed)
+def _recurse(seed: dict, js: range, u: int, v: int) -> dict:
+    """The map of _expand, one factor at a time: (E - q^j) takes D to D
+    dilated by q minus q^j D, which on integer coefficients C over
+    v^(sum j) is C(a, k) <- v^j C(a, k-1) - u^j C(a, k), and (v^j - u^j) C
+    at node 0, which E fixes.  One division at the end; exact zeros drop."""
+    cols = {a: [c] for a, c in seed.items()}  # a -> [C(a, 0), C(a, 1), ...]
     for j in js:
-        qj = q**j
-        out = {q * a: c for a, c in mapping.items()}
-        for a, c in mapping.items():
-            out[a] = out.get(a, 0) - qj * c
-        mapping = {a: c for a, c in out.items() if c != 0}
-    return mapping
+        uj, vj = u**j, v**j
+        for a, cs in cols.items():
+            cols[a] = [vj * p - uj * c for p, c in zip([0, *cs], [*cs, 0])] if a else [(vj - uj) * cs[0]]
+    den = v ** sum(js)
+    return {(a, k): Fraction(c, den) for a, cs in cols.items() for k, c in enumerate(cs) if c}
 
 
 def recursive_build(family: str, n: int, q) -> Stencil:
@@ -341,7 +357,7 @@ def scale(s: Stencil, r) -> Stencil:
     Preserves every moment condition; kind and q are carried along as
     lineage, so scale(s, 1) == s and scale(scale(s, r), 1/r) == s exactly.
     """
-    r = Fraction(r)
+    r = _finite_rational(r, "scale factor")
     if r == 0:
         raise StencilError("scale factor must be nonzero")
     rn = r ** (-s.order)
@@ -354,13 +370,13 @@ def scale(s: Stencil, r) -> Stencil:
     )
 
 
-def verify_vandermonde(s: Stencil) -> list[tuple[int, Fraction]]:
-    """Exact residuals (j, sum_k A_k a_k^j - target_j) for j = 0..order.
+def moments(s: Stencil, upto: int) -> list[Fraction]:
+    """Exact moments [M_0, ..., M_upto], M_j = sum_k A_k a_k^j (0^0 = 1).
 
     With a_k = P_k / D and A_k = C_k / E over the common denominators D of
     the nodes and E of the coefficients,
 
-        sum_k A_k a_k^j = (sum_k C_k P_k^j) / (E D^j),
+        M_j = (sum_k C_k P_k^j) / (E D^j),
 
     so each C_k P_k^j is a running integer, multiplied by P_k per step, and
     each j costs one integer sum and one Fraction.
@@ -368,13 +384,19 @@ def verify_vandermonde(s: Stencil) -> list[tuple[int, Fraction]]:
     d, ps = _over_common_denominator(s.nodes)
     den, terms = _over_common_denominator(s.coeffs)  # den = E D^j below
     out = []
-    for j in range(s.order + 1):
+    for j in range(upto + 1):
         if j:
             terms = [t * p for t, p in zip(terms, ps)]
             den *= d
-        target = math.factorial(s.order) if j == s.order else 0
-        out.append((j, Fraction(sum(terms) - target * den, den)))
+        out.append(Fraction(sum(terms), den))
     return out
+
+
+def verify_vandermonde(s: Stencil) -> list[tuple[int, Fraction]]:
+    """Exact residuals (j, M_j - target_j) for j = 0..order of moments(s,
+    order) against the targets (0, ..., 0, n!)."""
+    *low, top = moments(s, s.order)
+    return [*enumerate(low), (s.order, top - math.factorial(s.order))]
 
 
 def is_symmetric(s: Stencil) -> bool:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qriemann.stencil as stencil_module
 from qriemann.qcore import q_binomial
 from qriemann.stencil import (
+    GAUSSIAN_BUILDERS,
     KINDS,
     ExcessNodesError,
     Stencil,
@@ -284,6 +285,19 @@ class TestMomentOracles:
         assert all(r != 0 for _, r in got)
         assert [type(r) for _, r in got] == [F] * (s.order + 1)
 
+    @ORACLE_SETTINGS
+    @given(big_node_sets, st.integers(0, 6), st.data())
+    def test_moments_past_the_order(self, nodes, extra, data):
+        # M_j for j > n, of the solved stencil and of one with a bumped A_k
+        s = vandermonde_solve(nodes, len(nodes) - 1)
+        k = data.draw(st.integers(0, s.order))
+        coeffs = list(s.coeffs)
+        coeffs[k] += data.draw(st.fractions(max_denominator=10**12).filter(lambda b: b not in (0, -coeffs[k])))
+        for t in (s, Stencil(order=s.order, nodes=s.nodes, coeffs=tuple(coeffs))):
+            got = stencil_module.moments(t, t.order + extra)
+            assert got == moments(t, t.order + extra)
+            assert [type(m) for m in got] == [F] * (t.order + extra + 1)
+
 
 # ---------------------------------------------------------------------------
 # Closed-form families
@@ -317,6 +331,12 @@ class TestGaussianForward:
         for q in (0, 1, -1):
             with pytest.raises(StencilError):
                 gaussian_forward(2, q)
+
+    @pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_q_is_a_stencil_error(self, q):
+        for build in (lambda: gaussian_forward(3, q), lambda: recursive_build("shifted", 3, q)):
+            with pytest.raises(StencilError, match=r"^ratio q must be a finite rational, got -?(inf|nan)$"):
+                build()
 
     def test_invalid_order(self):
         with pytest.raises(StencilError):
@@ -396,7 +416,8 @@ class TestGaussianSymmetric:
 
         def slipped(*args):
             mapping = closed(*args)
-            top = max(mapping)
+            top = max(mapping)  # (1, N): the coefficient at node q^N
+            assert top[0] == 1 and top[1] == max(k for _, k in mapping)
             mapping[top] *= F(1001, 1000)
             return mapping
 
@@ -425,7 +446,59 @@ class TestExpand:
                             want[q ** (N - k) * a] = t * c
                 if 0 in seed:
                     want[F(0)] = seed[0] * math.prod(1 - q**j for j in js)
-                assert stencil_module._expand(seed, js, q) == want, (n, q)
+                got = stencil_module._expand(seed, js, q.numerator, q.denominator)
+                assert {a * q**k: c for (a, k), c in got.items()} == want, (n, q)
+                assert len(got) == len(want), (n, q)
+
+
+def _expand_reference(seed, js, q):
+    """The closed form in Fraction arithmetic, one small Fraction at a time:
+    t_k = t_(k-1) (-q^first) r^(k-1) (1 - r^(N-k+1)) / (1 - r^k), r = q^step,
+    at node q^(N-k) a; node 0 gets c_0 prod_j (1 - q^j)."""
+    N, r, lead = len(js), q**js.step, -(q**js.start)
+    mapping, t = {}, F(1)
+    for k in range(N + 1):
+        if k:
+            t *= lead * r ** (k - 1) * (1 - r ** (N - k + 1)) / (1 - r**k)
+        for a, ca in seed.items():
+            if a:
+                mapping[q ** (N - k) * a] = t * ca
+    if 0 in seed:
+        mapping[F(0)] = math.prod(1 - q**j for j in js) * seed[0]
+    return mapping
+
+
+def _recurse_reference(seed, js, q):
+    """The recursion in Fraction arithmetic: each factor (E - q^j) takes the
+    map D to D dilated by q minus q^j D."""
+    mapping = dict(seed)
+    for j in js:
+        out = {q * a: c for a, c in mapping.items()}
+        for a, c in mapping.items():
+            out[a] = out.get(a, 0) - q**j * c
+        mapping = {a: c for a, c in out.items() if c != 0}
+    return mapping
+
+
+def reference_build(family, n, q, raw):
+    """The family at order n from a node->coefficient map raw(seed, js, q),
+    times n! over that map's n-th moment, summed term by term."""
+    name = f"symmetric_{'odd' if n % 2 else 'even'}" if family == "symmetric" else family
+    seed, first, step = stencil_module._FAMILIES[name]
+    mapping = raw(seed, range(first, n, step), q)
+    lam = F(math.factorial(n)) / sum(c * a**n for a, c in mapping.items())
+    return Stencil(n, tuple(mapping), tuple(lam * c for c in mapping.values()), "gaussian_" + family, q)
+
+
+class TestLargeOrderReference:
+    @pytest.mark.parametrize("family", sorted(GAUSSIAN_BUILDERS))
+    @pytest.mark.parametrize("n", [31, 45, 60])
+    def test_builders_match_the_fraction_reference(self, family, n):
+        for q in (F(3, 2), F(-7, 4), F(31, 29), F(-2)):
+            want = reference_build(family, n, q, _expand_reference)
+            assert GAUSSIAN_BUILDERS[family](n, q) == want, (n, q)
+            assert reference_build(family, n, q, _recurse_reference) == want, (n, q)
+            assert recursive_build(family, n, q) == want, (n, q)
 
 
 class TestClassicalStencils:
@@ -594,6 +667,11 @@ class TestScale:
     def test_zero_factor_rejected(self):
         with pytest.raises(StencilError):
             scale(riemann_classic(2), 0)
+
+    @pytest.mark.parametrize("r", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_factor_is_a_stencil_error(self, r):
+        with pytest.raises(StencilError, match=r"^scale factor must be a finite rational, got -?(inf|nan)$"):
+            scale(riemann_classic(2), r)
 
     def test_forward_reflection(self):
         # Reversing the base q -> 1/q then rescaling by q^{n-1} restores the

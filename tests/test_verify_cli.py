@@ -353,7 +353,8 @@ def test_stencil_text_bytes_are_pinned(capsys):
 
 
 # (flags, SHA-256 of the default JSON stdout) of `stencil`, one per kind
-# besides forward (see GOLDEN_FORWARD_3_2), symmetric at odd and even n.
+# besides forward (see GOLDEN_FORWARD_3_2), symmetric at odd and even n, and
+# two Gaussian stencils at n = 40 and 41 with ratios of larger height.
 STENCIL_JSON_SHA256 = {
     "shifted": (["--kind=shifted", "-n5", "-q3/2"],
                 "0f6565f796950aae1088f4e8ed1db640fbee0d0aca7a1382094f505b0af9f30b"),
@@ -369,6 +370,10 @@ STENCIL_JSON_SHA256 = {
                           "5d276d750ace955cdee8922e98b556676c5b2339df2100c4bb3bb285cc19abd6"),
     "custom": (["--kind=custom", "-n3", "--nodes=-1,1/3,2,5"],
                "f218a7a5e62cdb424ae2a4c237359a04bfdd827b05cb77b3e6a0c8c6d3c8ef62"),
+    "shifted-n40": (["--kind=shifted", "-n40", "-q31/29"],
+                    "c6b95af5f57c703afb7e8589c16536d45fa73f1f51319d7da7f70df74fb0ad52"),
+    "symmetric-n41": (["--kind=symmetric", "-n41", "-q=-7/4"],
+                      "84cffb8d45e3e14b87b55e200285519576f24674117dc817de0be72cbc664985"),
 }
 
 
