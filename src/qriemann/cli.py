@@ -6,6 +6,10 @@ Subcommands:
   derive          estimate a derivative from a convergence table
   counterexample  reproduce or search the group-supported separations
 
+One argparse parser serves every call of main in a process: build_parser
+makes it on first use, and main dispatches on the parsed command name, so
+the cmd_* functions are looked up when the command runs.
+
 Exit codes: 0 success; 1 verification or check failure; 2 usage error;
 3 nonexistence verdict (a table that does not converge, or a search that
 rules every candidate out).
@@ -17,6 +21,7 @@ is parsed exactly); purely float-domain flags like --tol take decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import suppress
@@ -259,7 +264,12 @@ def _add_stencil_arguments(p):
     p.add_argument("--nodes", help="comma-separated rational nodes (custom kind only)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the CLI parser, built on the first call (not at import) and
+    shared by every later call in the process; callers must not mutate it.
+    It only maps argv to a namespace: main picks the command function by
+    the parsed command name when the command runs."""
     parser = argparse.ArgumentParser(
         prog="qriemann",
         description="Geometric-node difference stencils, derivative estimation, "
@@ -270,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stencil", help="build a stencil and print it")
     _add_stencil_arguments(p)
     p.add_argument("--output", choices=("json", "csv", "text"), default="json")
-    p.set_defaults(func=cmd_stencil)
 
     p = sub.add_parser("verify", help="run the exact-identity suites")
     p.add_argument("--max-n", type=int, default=8, help="stencil-grid order cap, 1..12")
@@ -278,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rational ratios for the stencil grids")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="estimate a derivative from a convergence table")
     _add_stencil_arguments(p)
@@ -293,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="convergence tolerance on the final delta")
     p.add_argument("--output", choices=("csv", "json", "text"), default="csv")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("counterexample", help="reproduce or search the separations")
     p.add_argument("--case", choices=tuple(sorted(NAMED_CASES)) + tuple(sorted(SEARCH_CASES)))
@@ -308,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower-order", type=int, default=None,
                    help="claimed intact differentiability order (custom)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_counterexample)
 
     return parser
 
@@ -323,8 +329,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 on usage errors
         return int(exc.code) if exc.code else 0
+    commands = {"stencil": cmd_stencil, "verify": cmd_verify,
+                "derive": cmd_derive, "counterexample": cmd_counterexample}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except NoSignChangeError as exc:
         # a strict sign-change precondition failure is a verdict, not a usage slip
         print(f"error: {exc}", file=sys.stderr)

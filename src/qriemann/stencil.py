@@ -121,8 +121,8 @@ class Stencil:
         _check_order(self.order)
         if self.kind not in KINDS:
             raise StencilError(f"unknown stencil kind {self.kind!r}")
-        nodes = [Fraction(a) for a in self.nodes]
-        coeffs = [Fraction(c) for c in self.coeffs]
+        nodes = [a if type(a) is Fraction else Fraction(a) for a in self.nodes]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
         if len(nodes) != len(coeffs):
             raise StencilError("nodes and coeffs must have equal length")
         if not nodes:
@@ -134,7 +134,8 @@ class Stencil:
         paired = sorted(zip(nodes, coeffs), key=lambda t: t[0])
         object.__setattr__(self, "nodes", tuple(a for a, _ in paired))
         object.__setattr__(self, "coeffs", tuple(c for _, c in paired))
-        object.__setattr__(self, "q", None if self.q is None else Fraction(self.q))
+        q = self.q
+        object.__setattr__(self, "q", q if q is None or type(q) is Fraction else Fraction(q))
 
     def as_map(self) -> dict:
         return dict(zip(self.nodes, self.coeffs))

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +55,12 @@ DEMO_STDOUT_SHA256 = {
     "demo_counterexamples.py": "22d63f3a8d78d3435f8028c4e2a0fd684b270b7d2e23e12a04092ecfe0de7fef",
     "demo_stencils.py": "f5d911052de37d42188f76a40d10f17c1d7aa2381d30820616cd99dad5c88b1f",
 }
+
+
+def _env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +939,19 @@ class TestErrorExits:
         with pytest.raises(RuntimeError):
             cli.main(["stencil", "--kind=riemann", "-n2"])
 
+    def test_command_is_looked_up_when_it_runs(self, capsys, monkeypatch):
+        # the first call builds the parser that later calls share; a command
+        # patched after it must still be the one that runs
+        assert cli.main(["stencil", "--kind=riemann", "-n2"]) == 0
+        capsys.readouterr()
+
+        def fail(args):
+            raise StencilError("patched after the first call")
+
+        monkeypatch.setattr(cli, "cmd_stencil", fail)
+        assert cli.main(["stencil", "--kind=riemann", "-n2"]) == 2
+        assert capsys.readouterr() == ("", "error: patched after the first call\n")
+
 
 class TestEntryPoints:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -954,13 +974,8 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
     def test_demo_runs(self, demo):
-        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, str(demo)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                              env=_env_with_src())
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.name]
 
@@ -973,3 +988,48 @@ class TestEntryPoints:
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        argvs = [
+            ["derive", "--kind=riemann", "-n2", "--function=sin", "--one-sided", "--tol", "1e-3",
+             "--output=json"],
+            ["stencil", "--kind=bogus", "-n2"],
+            ["counterexample", "--case", "prop25", "--seed", "5"],
+            ["derive", "--kind=riemann", "-n2", "--function=cos"],
+            ["stencil", "--kind", "riemann", "-n", "3"],
+        ]
+        in_process = []
+        for argv in argvs:
+            rc = cli.main(argv)
+            in_process.append((rc, *capsys.readouterr()))
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "qriemann", *argv], capture_output=True,
+                                  text=True, env=_env_with_src())
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0, 0]
+        assert in_process == fresh
+
+    def test_parser_is_built_on_the_first_call_only(self):
+        # 5 parsers: the root and one per subcommand; none at import, so that
+        # importing the CLI and building its parser still builds it once
+        code = textwrap.dedent("""
+            import argparse, contextlib, io
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting_init(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting_init
+            from qriemann import cli
+            counts = [len(built)]
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["stencil", "--kind=riemann", "-n2"]) == 0
+                counts.append(len(built))
+            print(counts)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 5, 5]\n"
