@@ -372,7 +372,8 @@ class CounterexampleReport:
 
 
 def _sample_members(group: MultiplicativeGroup, rng: random.Random, count: int) -> list:
-    """Members of G in (0, 1]: products of generator powers, exponents in -10..0."""
+    """Members of G in (0, 1): products of generator powers, exponents in
+    -10..0, the all-zero vector (the member 1) redrawn."""
     out = []
     while len(out) < count:
         e = [rng.randint(-10, 0) for _ in group.generators]
@@ -445,30 +446,34 @@ def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
     _generator_powers) are the only transcendental values.  Each nonzero
     node a and each step h costs one membership test of |a| or |h|.  For h
     in G, a point a h > 0 lies in G exactly when a does, with exponent
-    vector e(a) + e(h), so it adds w_a chi(h) |h|^s, where the weight
-    w_a = chi(a) A_a |a|^s is formed once per call.  For h outside G, the
-    nodes in G put every point outside G; each other node's point a h > 0
-    costs one membership test.  At an integer exponent the powers are
-    exact, and so is each sum until it is rounded once.
+    vector e(a) + e(h), so the sum is the paper's identity chi(h) |h|^s
+    W, where W is the sum of the weights w_a = chi(a) A_a |a|^s over the
+    nodes in G on h's side of 0: W+ over a > 0 is phi(s) with its raw
+    sign, W- is the same sum over a < 0.  Both are formed once per call.
+    For h outside G, the nodes in G put every point outside G; each other
+    node's point a h > 0 costs one membership test.  At an integer exponent
+    the powers are exact, and so is each sum until it is rounded once.
     """
     exact = isinstance(powers[0], Fraction)
+    add = (lambda terms: sum(terms, Fraction(0))) if exact else mp.fsum
     weights = []  # (a, A_a, w_a), w_a None for a outside G
     for a, c in zip(stencil.nodes, stencil.coeffs):
         if a != 0:
             c = c if exact else _to_mpf(c)
             e = membership(f.group, abs(a))
             weights.append((a, c, None if e is None else f.chi(e) * c * _group_power(powers, e)))
+    w_minus, w_plus = (add([w for a, _, w in weights if w is not None and (a > 0) == side])
+                       for side in (False, True))
     for h in steps:
         e = membership(f.group, abs(h))
         if e is None:
             h_power = None
-            terms = [f.chi(x) * c * _group_power(powers, x) for a, c, w in weights
-                     if w is None and a * h > 0 and (x := membership(f.group, a * h)) is not None]
+            total = add([f.chi(x) * c * _group_power(powers, x) for a, c, w in weights
+                         if w is None and a * h > 0 and (x := membership(f.group, a * h)) is not None])
         else:
             h_power = _group_power(powers, e)
-            signed = f.chi(e) * h_power
-            terms = [w * signed for a, _, w in weights if w is not None and (a > 0) == (h > 0)]
-        yield (_to_mpf(sum(terms, Fraction(0))) if exact else mp.fsum(terms)), h_power
+            total = f.chi(e) * h_power * (w_plus if h > 0 else w_minus)
+        yield (_to_mpf(total) if exact else total), h_power
 
 
 def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
@@ -478,12 +483,13 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
 
     One pass of _group_differences over both lists gives every sum and each
     member's |h|^s.  At an integer exponent the sums are exact.  Otherwise
-    each member term is a node weight times chi(h) |h|^s, both products of the
-    g_i^s correct to a few units in the 60th digit, and fsum rounds the sum
-    once; a double-precision root leaves a residual near 1e-16 of the
-    terms, so rounding never decides the comparison.  A nonmember step puts
-    every positive point outside G, where f is exactly 0, so its sum is an
-    empty sum: any point that lands in G shows up as a nonzero term.
+    each member sum is chi(h) |h|^s times W+ or W-, the fsum of the node
+    weights on h's side of 0, formed once per check; the weights and |h|^s
+    are products of the g_i^s correct to a few units in the 60th digit.  A
+    double-precision root leaves W+ near 1e-16 of its terms, so rounding
+    never decides the comparison.  A nonmember step puts every positive
+    point outside G, where f is exactly 0, so its sum is an empty sum: any
+    point that lands in G shows up as a nonzero term.
     """
     with mp.workdps(MP_DPS):
         powers = _generator_powers(f)

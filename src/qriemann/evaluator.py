@@ -17,6 +17,7 @@ Every difference, a single one or a table row, is a row of _row_quotients.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -200,13 +201,15 @@ def _apply(s: Stencil, f, x, h, power: int):
     return _row_quotients(s, f, x, power)(h)
 
 
-def apply_difference(s: Stencil, f: FunctionHandle, x, h):
-    """sum_k A_k f(x + a_k h); exact Fraction when possible, else float."""
+def apply_difference(s: Stencil, f, x, h):
+    """sum_k A_k f(x + a_k h) for any function object; exact Fraction when
+    possible, else float."""
     return _apply(s, f, x, h, 0)
 
 
-def difference_quotient(s: Stencil, f: FunctionHandle, x, h):
-    """The difference divided by h^order; exact Fraction when possible."""
+def difference_quotient(s: Stencil, f, x, h):
+    """The difference divided by h^order, for any function object; exact
+    Fraction when possible."""
     return _apply(s, f, x, h, s.order)
 
 
@@ -388,14 +391,20 @@ def estimate_derivative(
     return table
 
 
-def peano_bound_check(f: FunctionHandle, x, m: int, epsilon_exponent: float, h_set) -> bool:
+def peano_bound_check(f, x, m: int, epsilon_exponent: float, h_set) -> bool:
     """True iff |f(x+h)| <= |h|^(m + epsilon_exponent) for every sampled h.
 
+    f is any function object; verify_counterexample passes a GroupFunction.
     Establishes m-th order smallness at x (all lower difference quotients
-    vanish in the limit) without computing any quotient.
+    vanish in the limit) without computing any quotient.  epsilon_exponent
+    must be a finite number > 0.  The bound is computed only where f(x+h)
+    is nonzero: 0 <= |h|^(m + epsilon_exponent) always holds.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise EvaluatorError("m must be an integer >= 0")
+    if (isinstance(epsilon_exponent, bool) or not isinstance(epsilon_exponent, numbers.Real)
+            or not 0 < epsilon_exponent < math.inf):
+        raise EvaluatorError("epsilon_exponent must be a finite number > 0")
     if not h_set:
         raise EvaluatorError("h_set must be nonempty")
     x = Fraction(x)
@@ -406,7 +415,6 @@ def peano_bound_check(f: FunctionHandle, x, m: int, epsilon_exponent: float, h_s
             if h == 0:
                 raise EvaluatorError("h samples must be nonzero")
             lhs = abs(f.eval_mp(x + h))
-            rhs = mp.power(abs(_to_mpf(h)), expo)
-            if lhs > rhs:
+            if lhs and lhs > mp.power(abs(_to_mpf(h)), expo):
                 return False
     return True

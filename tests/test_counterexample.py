@@ -739,6 +739,38 @@ class TestPeanoBoundMutations:
         }
 
 
+def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
+    # thm32a's seeded Peano set: 60 members, 40 nonmembers and 10 negated
+    # members.  f(h) takes one mp.power at each positive member and none
+    # elsewhere, and the bound |h|^(6 + eps) one more where f(h) != 0 only.
+    stn, f, case = case_function("thm32a")
+    h_sets, calls, active = [], [], []
+    check, power = counterexample.peano_bound_check, mp.power
+
+    def counted(*args):
+        h_sets.append(list(args[-1]))
+        active.append(True)
+        try:
+            return check(*args)
+        finally:
+            active.clear()
+
+    def counted_power(*a):
+        if active:
+            calls.append(a)
+        return power(*a)
+
+    monkeypatch.setattr(mp, "power", counted_power)
+    monkeypatch.setattr(counterexample, "peano_bound_check", counted)
+    report = verify_counterexample(stn, f, case.lower_order,
+                                   window_for(stn, f, case.interval, case.flip_sign))
+    assert report.checks["lower_peano_bound"] is True
+    (h_set,) = h_sets
+    members = [h for h in h_set if h > 0 and membership(f.group, h) is not None]
+    assert (len(h_set), len(members)) == (110, 60)
+    assert len(calls) == 2 * len(members)
+
+
 class TestGroupDifferences:
     """The generator-power member sums against the per-point mp.power
     reference, _mp_apply."""
@@ -777,6 +809,33 @@ class TestGroupDifferences:
                                for c, x in zip(stn.coeffs, points) if x > 0)
                 ref = abs(_mp_apply(stn, f, F(0), h))
                 assert abs(abs(v) - ref) <= mp.mpf("1e-50") * size
+
+    @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
+    def test_member_sums_follow_the_phi_identity(self, name):
+        # sum_k A_k f(a_k h) = chi(|h|) |h|^s phi_+(s) for h in G, and with
+        # phi_- at -h: phi_+ is phi_from_stencil's sum, phi_- the same sum
+        # over the negated negative nodes in G (0 without one), each term
+        # from its own mp.power.
+        rng = random.Random(3141)
+        stn, root, _ = case_function(name)
+        hs = random_members(root.group, rng, 20)
+        hs += [-h for h in hs]
+        for expo in (root.exponent, root.exponent + F(1, 4), 3):
+            f = GroupFunction(root.group, root.character, expo)
+            minus = [(c * f.chi(e), -a) for a, c in zip(stn.nodes, stn.coeffs)
+                     if a < 0 and (e := membership(f.group, -a)) is not None]
+            with mp.workdps(MP_DPS):
+                s = _to_mpf(f.exponent)
+                phi = {True: phi_from_stencil(stn, f).eval_mp(f.exponent),
+                       False: ExponentialSum(tuple(minus)).eval_mp(f.exponent) if minus else 0}
+                powers = counterexample._generator_powers(f)
+                got = counterexample._group_differences(stn, f, hs, powers)
+                for h, (v, _) in zip(hs, got):
+                    want = (f.chi(membership(f.group, abs(h))) * mp.power(_to_mpf(abs(h)), s)
+                            * phi[h > 0])
+                    size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h))
+                                   for a, c in zip(stn.nodes, stn.coeffs))
+                    assert abs(v - want) <= mp.mpf("1e-50") * size
 
     def test_negative_steps_through_h_samples(self):
         rng = random.Random(99)

@@ -634,3 +634,11 @@ class TestPeanoBound:
         f = FunctionHandle.builtin("signpow3")
         with pytest.raises(EvaluatorError, match="m must be an integer >= 0"):
             peano_bound_check(f, F(0), m, 0.5, self.h_set())
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0, -3.0, True])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        # a NaN, zero or negative eps let abs pass, since no comparison
+        # |h| > |h|^(1 + eps) came out true
+        f = FunctionHandle.builtin("abs")
+        with pytest.raises(EvaluatorError, match="epsilon_exponent must be a finite number > 0"):
+            peano_bound_check(f, F(0), 1, eps, self.h_set())
