@@ -12,6 +12,9 @@ rounded to float once, at the very end; plain double precision would drown the
 small-h difference quotients the convergence tables are built from.
 
 Every difference, a single one or a table row, is a row of _row_quotients.
+Its sin, cos and exp rows run on mpmath.libmp's raw mpf tuples, each call
+given the bits of MP_DPS and round-to-nearest, so they read no mpmath
+context; every such row still equals _mp_apply's.
 """
 
 from __future__ import annotations
@@ -21,13 +24,18 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import libmp, mp
+from mpmath.libmp import (dps_to_prec, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_sum,
+                          round_nearest, to_float)
 
-from .stencil import GAUSSIAN_BUILDERS, Stencil, _over_common_denominator, recursive_build
+from .stencil import (GAUSSIAN_BUILDERS, Stencil, _finite_rational, _over_common_denominator,
+                      recursive_build)
 
 MP_DPS = 60
 
 _MP_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp}
+# the same functions on raw mpf tuples, mpf_sin(x, prec, rnd) and so on
+_MPF_FUNCTIONS = {name: getattr(libmp, f"mpf_{name}") for name in _MP_FUNCTIONS}
 
 BUILTIN_NAMES = (*_MP_FUNCTIONS, "abs", "signpowN")
 
@@ -36,8 +44,15 @@ class EvaluatorError(ValueError):
     """Invalid argument while evaluating a difference."""
 
 
+def _rational_mpf(x: Fraction, prec: int):
+    """The raw mpf tuple of x at prec bits: numerator and denominator each
+    rounded to nearest, then divided, as mp.mpf(p) / mp.mpf(q) does."""
+    return mpf_div(from_int(x.numerator, prec, round_nearest),
+                   from_int(x.denominator, prec, round_nearest), prec, round_nearest)
+
+
 def _to_mpf(x: Fraction):
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return mp.make_mpf(_rational_mpf(x, mp.prec))
 
 
 class FunctionHandle:
@@ -146,11 +161,14 @@ def _row_quotients(s: Stencil, f, x, power: int):
     h = p/t and a_k = P_k/D over the nodes' common denominator D, the points
     are N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.
     Exact functions sum integer values into one Fraction per row.  sin, cos
-    and exp take each point as mpf(N_k) / mpf(M) when both fit MP_DPS, else
-    as _to_mpf of the reduced Fraction: either is _to_mpf's mpf, so every
-    row equals the per-point _exact_apply, or _mp_apply at MP_DPS.
+    and exp run on raw mpf tuples at prec = dps_to_prec(MP_DPS) bits with
+    round-to-nearest, the operations _mp_apply's mpf objects do inside
+    mp.workdps(MP_DPS), without entering it: each point is
+    mpf_div(N_k, M) when both fit prec, else _rational_mpf of the reduced
+    Fraction; either is _to_mpf's mpf, so every row equals the per-point
+    _exact_apply, or _mp_apply at MP_DPS, whatever the caller's mp.prec.
     """
-    x = Fraction(x)
+    x = _finite_rational(x, "x", EvaluatorError)
     if not isinstance(f, FunctionHandle):
         def row(h):
             exact = _exact_apply(s, f, x, h)
@@ -167,7 +185,7 @@ def _row_quotients(s: Stencil, f, x, power: int):
         base, pv = ud * h.denominator, h.numerator * v
         return [base + pk * pv for pk in ps], vd * h.denominator
 
-    fn = _MP_FUNCTIONS.get(f.name)
+    fn = _MPF_FUNCTIONS.get(f.name)
     if fn is None:
         den, cs = _over_common_denominator(s.coeffs)
 
@@ -178,24 +196,24 @@ def _row_quotients(s: Stencil, f, x, power: int):
 
         return exact_row
 
-    with mp.workdps(MP_DPS):
-        cs = [_to_mpf(c) for c in s.coeffs]
+    prec, rnd = dps_to_prec(MP_DPS), round_nearest
+    cs = [_rational_mpf(c, prec) for c in s.coeffs]
 
     def mp_row(h):
         ns, m = points(h)
-        with mp.workdps(MP_DPS):
-            bits, mm = mp.prec, mp.mpf(m)
-            wide = m.bit_length() > bits
-            values = (fn(_to_mpf(Fraction(n, m)) if wide or n.bit_length() > bits
-                         else mp.mpf(n) / mm) for n in ns)
-            return float(mp.fsum(c * y for c, y in zip(cs, values)) / _to_mpf(h) ** power)
+        mm, wide = from_int(m), m.bit_length() > prec
+        values = (fn(_rational_mpf(Fraction(n, m), prec) if wide or n.bit_length() > prec
+                     else mpf_div(from_int(n), mm, prec, rnd), prec, rnd) for n in ns)
+        total = mpf_sum([mpf_mul(c, y, prec, rnd) for c, y in zip(cs, values)], prec, rnd)
+        step = mpf_pow_int(_rational_mpf(h, prec), power, prec, rnd)
+        return to_float(mpf_div(total, step, prec, rnd), rnd=rnd)
 
     return mp_row
 
 
 def _apply(s: Stencil, f, x, h, power: int):
     """One row of _row_quotients, at a step h that must be nonzero."""
-    h = Fraction(h)
+    h = _finite_rational(h, "step h", EvaluatorError)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
     return _row_quotients(s, f, x, power)(h)
@@ -321,14 +339,15 @@ def estimate_derivative(
     exact step or quotient past the largest double, or a step that rounds to
     a zero double, raises EvaluatorError.
     """
-    h0, ratio = Fraction(h0), Fraction(ratio)
+    h0 = _finite_rational(h0, "h0", EvaluatorError)
+    ratio = _finite_rational(ratio, "ratio", EvaluatorError)
     if h0 == 0:
         raise EvaluatorError("h0 must be nonzero")
     if not (0 < ratio < 1):
         raise EvaluatorError("ratio must lie strictly between 0 and 1")
     if not isinstance(steps, int) or not 2 <= steps <= 60:
         raise EvaluatorError("steps must be an integer in 2..60")
-    if tol is not None and not 0 < tol < float("inf"):
+    if tol is not None and (isinstance(tol, bool) or not 0 < tol < math.inf):
         raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)
@@ -407,11 +426,11 @@ def peano_bound_check(f, x, m: int, epsilon_exponent: float, h_set) -> bool:
         raise EvaluatorError("epsilon_exponent must be a finite number > 0")
     if not h_set:
         raise EvaluatorError("h_set must be nonempty")
-    x = Fraction(x)
+    x = _finite_rational(x, "x", EvaluatorError)
     expo = m + epsilon_exponent
     with mp.workdps(MP_DPS):
         for h in h_set:
-            h = Fraction(h)
+            h = _finite_rational(h, "h sample", EvaluatorError)
             if h == 0:
                 raise EvaluatorError("h samples must be nonzero")
             lhs = abs(f.eval_mp(x + h))

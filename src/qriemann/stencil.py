@@ -72,11 +72,11 @@ def parse_rational(text: str) -> Fraction:
         raise StencilError(f"not a rational 'p' or 'p/r': {text!r}") from exc
 
 
-def _finite_rational(x, what: str) -> Fraction:
+def _finite_rational(x, what: str, error=StencilError) -> Fraction:
     try:
         return Fraction(x)
     except (OverflowError, ValueError) as exc:  # an infinite or NaN float
-        raise StencilError(f"{what} must be a finite rational, got {x!r}") from exc
+        raise error(f"{what} must be a finite rational, got {x!r}") from exc
 
 
 def _validate_q(q) -> Fraction:

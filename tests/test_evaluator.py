@@ -435,13 +435,39 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError, match="row 1: the step h or its quotient lies outside"):
             estimate_derivative(riemann_classic(1), f, 0, h0=h0)
 
-    @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf"), True])
     def test_tol_must_be_finite_and_positive(self, tol):
         # tol = 0 would turn f(x) = x, every quotient exactly 1, into a
-        # nonexistence verdict; an infinite tol accepts any shrinking table
+        # nonexistence verdict; an infinite tol accepts any shrinking table;
+        # a bool is rejected as peano_bound_check rejects a bool epsilon
         with pytest.raises(EvaluatorError, match="tol must be a finite number > 0"):
             estimate_derivative(gaussian_forward(1, 2), FunctionHandle.rational_polynomial([0, 1]),
                                 0, tol=tol)
+
+
+_SIN = FunctionHandle.builtin("sin")
+# each rational argument of the evaluator, given as a non-finite float
+_NON_FINITE_ARGUMENTS = {
+    "estimate-x": lambda v: estimate_derivative(riemann_classic(2), _SIN, v),
+    "estimate-h0": lambda v: estimate_derivative(riemann_classic(2), _SIN, 0, h0=v),
+    "estimate-ratio": lambda v: estimate_derivative(riemann_classic(2), _SIN, 0, ratio=v),
+    "quotient-x": lambda v: difference_quotient(riemann_classic(2), _SIN, v, F(1, 10)),
+    "quotient-h": lambda v: difference_quotient(riemann_classic(2), _SIN, 0, v),
+    "apply-x": lambda v: apply_difference(riemann_classic(2), _SIN, v, 1),
+    "apply-h": lambda v: apply_difference(riemann_classic(2), _SIN, 0, v),
+    "recursive-x": lambda v: recursive_quotient("forward", 2, 2, _SIN, v, F(1, 10)),
+    "recursive-h": lambda v: recursive_quotient("forward", 2, 2, _SIN, 0, v),
+    "peano-x": lambda v: peano_bound_check(_SIN, v, 1, 0.5, [1]),
+    "peano-step": lambda v: peano_bound_check(_SIN, 0, 0, 0.5, [F(1, 4), v]),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", _NON_FINITE_ARGUMENTS.values(), ids=_NON_FINITE_ARGUMENTS.keys())
+def test_non_finite_floats_raise_evaluator_error(call, value):
+    # Fraction(inf) raises OverflowError, which is no ValueError
+    with pytest.raises(EvaluatorError, match=r"must be a finite rational, got (-?inf|nan)$"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +551,16 @@ class TestTableRowsMatchSingleDifferences:
               F(1, 10), F(1, 2), 6, True))
     @example((_custom("tall", [3, -2]), FunctionHandle.builtin("signpow4"), _TALL_X, F(3, 1000),
               F(1, 2), 4, True))
+    # a step whose numerator and denominator both pass the 203 bits, so
+    # that its conversion rounds each part; quotients past the largest
+    # double, inf in the first three rows; a one-sided table, whose
+    # apply_difference rows divide by h^0
+    @example((gaussian_forward(2, F(3, 2)), FunctionHandle.builtin("sin"), F(1, 3),
+              F(2**210 + 17, 3 * 2**210 + 15), F(1, 2), 5, True))
+    @example((gaussian_forward(9, F(-4)), FunctionHandle.builtin("exp"), F(2), F(1, 10),
+              F(1, 2), 6, True))
+    @example((gaussian_shifted(3, F(-5, 3)), FunctionHandle.builtin("cos"), F(-1, 4), F(1, 10),
+              F(1, 2), 6, False))
     # group-supported functions: exact at an integer exponent, and through
     # mpmath at thm32-n6's root of phi, where each difference cancels about
     # 13 of the 60 digits
@@ -547,14 +583,32 @@ class TestTableRowsMatchSingleDifferences:
     def test_coefficients_convert_once_per_table(self, monkeypatch):
         s = gaussian_forward(5, F(3, 2))
         calls = []
-        to_mpf = evaluator._to_mpf
-        monkeypatch.setattr(evaluator, "_to_mpf", lambda v: calls.append(v) or to_mpf(v))
+        rational_mpf = evaluator._rational_mpf
+        monkeypatch.setattr(evaluator, "_rational_mpf",
+                            lambda v, prec: calls.append(v) or rational_mpf(v, prec))
         table = estimate_derivative(s, FunctionHandle.builtin("sin"), F(1, 3), steps=20)
         hs = [h for h, _, _ in table.rows]
         assert len(hs) == 20
         # the n + 1 coefficients once, then each row's step h; every point
-        # fits the precision, so none goes through _to_mpf
+        # fits the precision, so none goes through _rational_mpf
         assert calls == [*s.coeffs, *hs]
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+    def test_rows_ignore_the_callers_precision(self, name):
+        s, f = gaussian_symmetric(4, F(3, 2)), FunctionHandle.builtin(name)
+        rows = {}
+        for dps in (15, 60, 100):
+            with mp.workdps(dps):
+                rows[dps] = repr(estimate_derivative(s, f, F(1, 3), steps=12).rows)
+                assert mp.dps == dps
+        assert rows[15] == rows[60] == rows[100]
+
+    @pytest.mark.parametrize("x", [F(-2, 7), F(10**70 + 1, 3), F(2**210 + 17, 3 * 2**210 + 15)])
+    @pytest.mark.parametrize("dps", [15, MP_DPS])
+    def test_to_mpf_is_the_mpf_quotient(self, x, dps):
+        # the one rounding rule for rationals: each part rounded, then divided
+        with mp.workdps(dps):
+            assert _to_mpf(x) == mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
     @pytest.mark.parametrize("exponent", [F(5, 2), 3], ids=["mp", "exact"])
     def test_group_function_rows_are_single_quotients(self, exponent):
