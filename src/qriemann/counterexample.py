@@ -438,8 +438,9 @@ def _group_power(powers: list, e):
 
 
 def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
-    """Yield (sum_k A_k f(a_k h), |h|^s) for each step h, the sum as an mpf
-    and |h|^s None for h outside G; call inside an mp.workdps block.
+    """Yield (value, in_g) for each step h, value an mpf: for h in G the sum
+    sum_k A_k f(a_k h) divided by |h|^s, else the sum itself; call inside an
+    mp.workdps block.
 
     Works in exponent coordinates: a member x of G has x^s = prod_i
     (g_i^s)^e_i over its exponent vector e, and the g_i^s (powers, from
@@ -449,10 +450,11 @@ def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
     vector e(a) + e(h), so the sum is the paper's identity chi(h) |h|^s
     W, where W is the sum of the weights w_a = chi(a) A_a |a|^s over the
     nodes in G on h's side of 0: W+ over a > 0 is phi(s) with its raw
-    sign, W- is the same sum over a < 0.  Both are formed once per call.
-    For h outside G, the nodes in G put every point outside G; each other
-    node's point a h > 0 costs one membership test.  At an integer exponent
-    the powers are exact, and so is each sum until it is rounded once.
+    sign, W- is the same sum over a < 0.  Both are formed once per call,
+    and h's value is chi(h) W, so |h|^s is never formed.  For h outside G,
+    the nodes in G put every point outside G; each other node's point
+    a h > 0 costs one membership test.  At an integer exponent the powers
+    are exact, and so is each value until it is rounded once.
     """
     exact = isinstance(powers[0], Fraction)
     add = (lambda terms: sum(terms, Fraction(0))) if exact else mp.fsum
@@ -467,13 +469,11 @@ def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
     for h in steps:
         e = membership(f.group, abs(h))
         if e is None:
-            h_power = None
             total = add([f.chi(x) * c * _group_power(powers, x) for a, c, w in weights
                          if w is None and a * h > 0 and (x := membership(f.group, a * h)) is not None])
         else:
-            h_power = _group_power(powers, e)
-            total = f.chi(e) * h_power * (w_plus if h > 0 else w_minus)
-        yield (_to_mpf(total) if exact else total), h_power
+            total = f.chi(e) * (w_plus if h > 0 else w_minus)
+        yield (_to_mpf(total) if exact else total), e is not None
 
 
 def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
@@ -481,31 +481,32 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
     """(a): |sum_k A_k f(a_k h)| <= 1e-9 |h|^s at every member step h, and
     the sum is a literal 0 at every nonmember step.
 
-    One pass of _group_differences over both lists gives every sum and each
-    member's |h|^s.  At an integer exponent the sums are exact.  Otherwise
-    each member sum is chi(h) |h|^s times W+ or W-, the fsum of the node
-    weights on h's side of 0, formed once per check; the weights and |h|^s
-    are products of the g_i^s correct to a few units in the 60th digit.  A
-    double-precision root leaves W+ near 1e-16 of its terms, so rounding
-    never decides the comparison.  A nonmember step puts every positive
-    point outside G, where f is exactly 0, so its sum is an empty sum: any
-    point that lands in G shows up as a nonzero term.
+    One pass of _group_differences over both lists gives every value.  A
+    member's value is its sum divided by |h|^s, chi(h) W+ or chi(h) W-, the
+    node weights on h's side of 0 summed once per check, so its verdict is
+    the paper's identity divided by |h|^s: |chi(h) W| <= 1e-9.  At an
+    integer exponent W is exact until it is rounded once.  Otherwise the
+    weights are products of the g_i^s correct to a few units in the 60th
+    digit; a double-precision root leaves W+ near 1e-16 of its terms, so
+    rounding never decides the comparison.  A nonmember step puts every
+    positive point outside G, where f is exactly 0, so its sum is an empty
+    sum: any point that lands in G shows up as a nonzero term.
     """
     with mp.workdps(MP_DPS):
         powers = _generator_powers(f)
-        sums = _group_differences(stencil, f, members + nonmembers, powers)
+        values = _group_differences(stencil, f, members + nonmembers, powers)
+        threshold = mp.mpf("1e-9")
         worst = mp.mpf(0)
-        for h, (total, h_power) in zip(members, sums):
-            if h_power is None:
+        for h, (value, in_g) in zip(members, values):
+            if not in_g:
                 raise CounterexampleError(f"member step {format_rational(h)} is not in the group")
-            lhs = abs(total)
-            rhs = mp.mpf("1e-9") * h_power
-            ratio = lhs / rhs
+            lhs = abs(value)
+            ratio = lhs / threshold
             worst = max(worst, ratio)
-            if lhs > rhs:
+            if lhs > threshold:
                 return False, {"failed_at": float(h), "ratio_to_threshold": float(ratio)}
-        for h, (total, _) in zip(nonmembers, sums):  # the same generator, past the members
-            if total != 0:
+        for h, (value, _) in zip(nonmembers, values):  # the same generator, past the members
+            if value != 0:
                 return False, {"failed_at": float(h), "nonmember_exact_zero": False}
         return True, {"worst_member_ratio_to_threshold": float(worst),
                       "members": len(members), "nonmembers": len(nonmembers)}

@@ -83,7 +83,7 @@ class FunctionHandle:
 
     @classmethod
     def rational_polynomial(cls, coeffs) -> "FunctionHandle":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(_finite_rational(c, "polynomial coefficient", EvaluatorError) for c in coeffs)
         if not cs:
             raise EvaluatorError("polynomial needs at least one coefficient")
         return cls(coeffs=cs)
@@ -347,7 +347,8 @@ def estimate_derivative(
         raise EvaluatorError("ratio must lie strictly between 0 and 1")
     if not isinstance(steps, int) or not 2 <= steps <= 60:
         raise EvaluatorError("steps must be an integer in 2..60")
-    if tol is not None and (isinstance(tol, bool) or not 0 < tol < math.inf):
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                            or not 0 < tol < math.inf):
         raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)

@@ -49,6 +49,7 @@ from qriemann.stencil import (
     stencil_to_jsonable,
     vandermonde_solve,
 )
+from qriemann.verify import DEFAULT_SEED
 
 F = Fraction
 
@@ -669,6 +670,23 @@ def test_sampled_steps_are_pinned(gens, stencil, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == SAMPLES_SHA256[gens, stencil, seed]
 
 
+# SHA-256 of json.dumps({"case/seed": [checks, details]}, sort_keys=True) over
+# the six named cases at seeds 0-4: pins every verdict and every float of the
+# difference and unboundedness details.
+NAMED_CHECKS_SHA256 = "4e7928f9bdd9500f22dc352f2904361b2a6ed09142e70adb9e89a194fb64e755"
+
+
+def test_named_case_checks_and_details_are_pinned():
+    doc = {}
+    for name in NAMED_CASES:
+        for seed in range(5):
+            report = run_case(name, seed=seed)
+            doc[f"{name}/{seed}"] = [report.checks, report.details]
+    assert len(doc) == 30
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == NAMED_CHECKS_SHA256
+
+
 def case_function(name):
     """(stencil, f, case) for a packaged case, with f at the case's root."""
     case = NAMED_CASES[name]
@@ -712,6 +730,35 @@ class TestDifferenceCheckMutations:
             "lower_peano_bound": True,
             "nth_unbounded": True,
         }
+
+
+@pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
+@pytest.mark.parametrize("mutation", ["root", "exponent", "character", "coefficient"])
+def test_member_verdicts_match_the_per_point_sums(name, mutation):
+    # The check reads chi(h) W against 1e-9; the reference forms each
+    # member's sum point by point and compares it with 1e-9 |h|^s.
+    stn, f, _ = case_function(name)
+    if mutation == "exponent":
+        f = GroupFunction(f.group, f.character, f.exponent + 1e-6)
+    elif mutation == "character":
+        f = GroupFunction(f.group, tuple(1 - b for b in f.character), f.exponent)
+    elif mutation == "coefficient":
+        stn = perturb_coefficient(stn, -1)
+    members = counterexample._sample_members(f.group, random.Random(DEFAULT_SEED), 100)
+    ok, detail = counterexample._check_difference_vanishes(stn, f, members, [])
+    with mp.workdps(MP_DPS):
+        s = _to_mpf(f.exponent)
+        ratios = [float(abs(_mp_apply(stn, f, F(0), h)) / (mp.mpf("1e-9") * mp.power(_to_mpf(h), s)))
+                  for h in members]
+    assert ok is all(r <= 1 for r in ratios)
+    assert ok is (mutation == "root")
+    if ok:
+        want = max(ratios)
+        assert abs(detail["worst_member_ratio_to_threshold"] - want) <= 1e-6 * want
+    else:
+        k = next(k for k, r in enumerate(ratios) if r > 1)
+        assert detail["failed_at"] == float(members[k])
+        assert abs(detail["ratio_to_threshold"] - ratios[k]) <= 1e-6 * ratios[k]
 
 
 class TestPeanoBoundMutations:
@@ -773,7 +820,8 @@ def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
 
 class TestGroupDifferences:
     """The generator-power member sums against the per-point mp.power
-    reference, _mp_apply."""
+    reference, _mp_apply.  A member step's value is its sum divided by
+    |h|^s, so each test multiplies it back by its own mp.power of |h|."""
 
     @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
     def test_matches_mp_apply_off_the_root(self, name):
@@ -786,7 +834,9 @@ class TestGroupDifferences:
             with mp.workdps(MP_DPS):
                 powers = counterexample._generator_powers(g)
                 got = list(counterexample._group_differences(stn, g, hs, powers))
-                for h, (v, _) in zip(hs, got):
+                for h, (v, in_g) in zip(hs, got):
+                    assert in_g
+                    v *= mp.power(_to_mpf(abs(h)), _to_mpf(g.exponent))
                     ref = abs(_mp_apply(stn, g, F(0), h))
                     # a forward stencil at a negative step sees only x <= 0
                     assert ref > 0 or (v == 0 and min(stn.nodes) >= 0 and h < 0)
@@ -803,7 +853,9 @@ class TestGroupDifferences:
         with mp.workdps(MP_DPS):
             powers = counterexample._generator_powers(f)
             got = list(counterexample._group_differences(stn, f, hs, powers))
-            for h, (v, _) in zip(hs, got):
+            for h, (v, in_g) in zip(hs, got):
+                assert in_g
+                v *= mp.power(_to_mpf(abs(h)), _to_mpf(f.exponent))
                 points = [a * h for a in stn.nodes]
                 size = mp.fsum(abs(c) * mp.power(_to_mpf(x), f.exponent)
                                for c, x in zip(stn.coeffs, points) if x > 0)
@@ -830,12 +882,13 @@ class TestGroupDifferences:
                        False: ExponentialSum(tuple(minus)).eval_mp(f.exponent) if minus else 0}
                 powers = counterexample._generator_powers(f)
                 got = counterexample._group_differences(stn, f, hs, powers)
-                for h, (v, _) in zip(hs, got):
-                    want = (f.chi(membership(f.group, abs(h))) * mp.power(_to_mpf(abs(h)), s)
-                            * phi[h > 0])
+                for h, (v, in_g) in zip(hs, got):
+                    assert in_g
+                    h_power = mp.power(_to_mpf(abs(h)), s)
+                    want = f.chi(membership(f.group, abs(h))) * h_power * phi[h > 0]
                     size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h))
                                    for a, c in zip(stn.nodes, stn.coeffs))
-                    assert abs(v - want) <= mp.mpf("1e-50") * size
+                    assert abs(v * h_power - want) <= mp.mpf("1e-50") * size
 
     def test_negative_steps_through_h_samples(self):
         rng = random.Random(99)
@@ -900,8 +953,8 @@ class TestGroupDifferences:
         outside = [a for a in stn.nodes if a > 0 and membership(f.group, a) is None]
         assert len(tested) <= (len(stn.nodes) + len(members) + len(nonmembers)
                                + len(outside) * len(nonmembers))
-        # |a|^s once per node in G, |h|^s once per member step
-        assert len(powered) == len(in_group) + len(members)
+        # |a|^s once per node in G, and never |h|^s
+        assert len(powered) == len(in_group)
 
 
 G23 = group(2, 3)
@@ -933,18 +986,16 @@ def test_group_differences_match_the_per_point_reference(nodes, character, expon
     steps = oracle_steps(stn, members)
     with mp.workdps(MP_DPS):
         powers = counterexample._generator_powers(f)
-        for h, (v, h_power) in zip(steps, counterexample._group_differences(stn, f, steps, powers)):
-            e = membership(G23, abs(h))
-            assert (h_power is None) is (e is None)
+        for h, (v, in_g) in zip(steps, counterexample._group_differences(stn, f, steps, powers)):
+            assert in_g == (membership(G23, abs(h)) is not None)
             if exponent.denominator == 1:
-                assert v == _to_mpf(apply_difference(stn, f, F(0), h))
-                assert h_power is None or h_power == abs(h) ** exponent.numerator
+                # a member's value is its exact sum over |h|^n, rounded once
+                h_power = abs(h) ** exponent.numerator if in_g else 1
+                assert v == _to_mpf(apply_difference(stn, f, F(0), h) / h_power)
                 continue
+            h_power = mp.power(_to_mpf(abs(h)), _to_mpf(exponent)) if in_g else 1
             size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h)) for a, c in zip(stn.nodes, stn.coeffs))
-            assert abs(v - _mp_apply(stn, f, F(0), h)) <= mp.mpf("1e-50") * size
-            if h_power is not None:
-                ref = mp.power(_to_mpf(abs(h)), _to_mpf(exponent))
-                assert abs(h_power - ref) <= mp.mpf("1e-55") * ref
+            assert abs(v * h_power - _mp_apply(stn, f, F(0), h)) <= mp.mpf("1e-50") * size
 
 
 class TestUnboundedEvaluatesF:

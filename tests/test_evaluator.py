@@ -435,11 +435,12 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError, match="row 1: the step h or its quotient lies outside"):
             estimate_derivative(riemann_classic(1), f, 0, h0=h0)
 
-    @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf"), True, "1e-3", 1j])
     def test_tol_must_be_finite_and_positive(self, tol):
         # tol = 0 would turn f(x) = x, every quotient exactly 1, into a
         # nonexistence verdict; an infinite tol accepts any shrinking table;
-        # a bool is rejected as peano_bound_check rejects a bool epsilon
+        # a bool is rejected as peano_bound_check rejects a bool epsilon, and
+        # so is a string or a complex number, which 0 < tol cannot order
         with pytest.raises(EvaluatorError, match="tol must be a finite number > 0"):
             estimate_derivative(gaussian_forward(1, 2), FunctionHandle.rational_polynomial([0, 1]),
                                 0, tol=tol)
@@ -459,6 +460,7 @@ _NON_FINITE_ARGUMENTS = {
     "recursive-h": lambda v: recursive_quotient("forward", 2, 2, _SIN, 0, v),
     "peano-x": lambda v: peano_bound_check(_SIN, v, 1, 0.5, [1]),
     "peano-step": lambda v: peano_bound_check(_SIN, 0, 0, 0.5, [F(1, 4), v]),
+    "poly-coefficient": lambda v: FunctionHandle.rational_polynomial([1, v]),
 }
 
 
