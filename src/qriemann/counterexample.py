@@ -505,7 +505,9 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
             worst = max(worst, ratio)
             if lhs > threshold:
                 return False, {"failed_at": float(h), "ratio_to_threshold": float(ratio)}
-        for h, (value, _) in zip(nonmembers, values):  # the same generator, past the members
+        for h, (value, in_g) in zip(nonmembers, values):  # the same generator, past the members
+            if in_g:
+                raise CounterexampleError(f"nonmember step {format_rational(h)} is in the group")
             if value != 0:
                 return False, {"failed_at": float(h), "nonmember_exact_zero": False}
         return True, {"worst_member_ratio_to_threshold": float(worst),

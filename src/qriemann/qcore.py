@@ -15,6 +15,8 @@ from math import comb
 
 def _normalize_scalar(c):
     """Collapse Fraction-with-denominator-1 to int; pass ints through."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
@@ -111,7 +113,9 @@ class QPolynomial:
         quot = [0] * max(len(rem) - len(div) + 1, 0)
         for i in range(len(quot) - 1, -1, -1):
             # an int when integral, so a monic divisor keeps the updates in integers
-            c = _normalize_scalar(Fraction(rem[i + len(div) - 1], lead))
+            c, r = divmod(rem[i + len(div) - 1], lead)
+            if r:
+                c = Fraction(rem[i + len(div) - 1], lead)
             quot[i] = c
             if c != 0:
                 for j, d in enumerate(div):

@@ -21,7 +21,8 @@ closed form expands that product by the q-binomial theorem, taking each term
 from the last by one Fraction of integers; recursive_build applies its
 factors one at a time to integer coefficients over v^(sum j).  Either map is
 scaled to n-th moment n! by one normalizing constant, which is the built
-stencil's coefficient at q^N.
+stencil's coefficient at q^N: the closed form's running product starts at
+it, and recursive_build multiplies each coefficient by it.
 """
 
 from __future__ import annotations
@@ -127,13 +128,15 @@ class Stencil:
             raise StencilError("nodes and coeffs must have equal length")
         if not nodes:
             raise StencilError("a stencil needs at least one node")
-        if len(set(nodes)) != len(nodes):
+        # a_k = P_k / D: sort and compare the integers P_k, not the Fractions
+        _, ps = _over_common_denominator(nodes)
+        order = sorted(range(len(ps)), key=ps.__getitem__)
+        if any(ps[i] == ps[j] for i, j in zip(order, order[1:])):
             raise StencilError("duplicate nodes")
-        if any(c == 0 for c in coeffs):
+        if not all(c.numerator for c in coeffs):
             raise StencilError("zero coefficients are not stored; drop the node instead")
-        paired = sorted(zip(nodes, coeffs), key=lambda t: t[0])
-        object.__setattr__(self, "nodes", tuple(a for a, _ in paired))
-        object.__setattr__(self, "coeffs", tuple(c for _, c in paired))
+        object.__setattr__(self, "nodes", tuple(nodes[i] for i in order))
+        object.__setattr__(self, "coeffs", tuple(coeffs[i] for i in order))
         q = self.q
         object.__setattr__(self, "q", q if q is None or type(q) is Fraction else Fraction(q))
 
@@ -207,40 +210,43 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
 # -- closed-form families -----------------------------------------------------
 
 
-def _expand(seed: dict, js: range, u: int, v: int) -> dict:
-    """Raw map {(a, k): coefficient at node a q^k} of seed * prod_{j in js}
+def _expand(seed: dict, js: range, u: int, v: int, lam: Fraction) -> dict:
+    """Map {(a, k): coefficient at node a q^k} of lam * seed * prod_{j in js}
     (E - q^j), q = u/v.
 
     With N = len(js) and r = q^step = U/W the q-binomial theorem gives
         prod_j (E - q^j) = sum_k t_k E^(N-k),
         t_k = (-1)^k q^(first k) r^C(k,2) [N k]_r,
     and E^(N-k) dilates the seed's nonzero nodes by q^(N-k).  The ratio
-    identity [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k) makes t_k a
-    running product from t_0 = 1, by one Fraction of integers per k,
+    identity [N k]_r = [N k-1]_r (1 - r^(N-k+1)) / (1 - r^k) makes lam t_k a
+    running product from lam t_0 = lam, by one Fraction of integers per k,
         -u^first U^(k-1) (W^(N-k+1) - U^(N-k+1)) / (v^first W^(N-k) (W^k - U^k)).
-    E fixes node 0, so its coefficient is c_0 * prod_j (v^j - u^j) / v^(sum j).
+    E fixes node 0, so its coefficient is lam c_0 prod_j (v^j - u^j) / v^(sum j),
+    one quotient of integers.
     """
     N, first, step = len(js), js.start, js.step
     U = [(u**step) ** i for i in range(N + 1)]
     W = [(v**step) ** i for i in range(N + 1)]
     mapping = {}
-    t = Fraction(1)
+    t = lam
     for k in range(N + 1):
         if k:
             t *= Fraction(-(u**first) * U[k - 1] * (W[N - k + 1] - U[N - k + 1]),
                           v**first * W[N - k] * (W[k] - U[k]))
         for a, ca in seed.items():
             if a:
-                mapping[a, N - k] = t * ca
+                mapping[a, N - k] = t if ca == 1 else t * ca  # no copy of t at c_a = 1
     if 0 in seed:
-        mapping[0, 0] = Fraction(seed[0] * math.prod(v**j - u**j for j in js), v ** sum(js))
+        mapping[0, 0] = Fraction(lam.numerator * seed[0] * math.prod(v**j - u**j for j in js),
+                                 lam.denominator * v ** sum(js))
     return mapping
 
 
 def _gaussian(name: str, n: int, q, raw) -> Stencil:
-    """The GAUSSIAN_BUILDERS family `name` at order n, normalized, from
-    raw(seed, js, u, v), the map {(a, k): c} of seed * prod_{j in js} (E - q^j)
-    at nodes a u^k / v^k, times lam = n! / (that map's n-th moment), which is
+    """The GAUSSIAN_BUILDERS family `name` at order n from
+    raw(seed, js, u, v, lam), the map {(a, k): c} of lam * seed *
+    prod_{j in js} (E - q^j) at nodes a u^k / v^k, where the normalizer
+    lam = n! / (the product's n-th moment) is
     n! v^(nN) / (M_n(seed) prod_j (u^n - u^j v^(n-j))) in integers."""
     q = _validate_q(q)
     _check_order(n)
@@ -251,9 +257,9 @@ def _gaussian(name: str, n: int, q, raw) -> Stencil:
     js, u, v = range(first, n, step), q.numerator, q.denominator
     lam = Fraction(math.factorial(n) * v ** (n * len(js)),
                    sum(c * a**n for a, c in seed.items()) * math.prod(u**n - u**j * v ** (n - j) for j in js))
-    mapping = raw(seed, js, u, v)
+    mapping = raw(seed, js, u, v, lam)
     return Stencil(n, tuple(Fraction(a * u**k, v**k) for a, k in mapping),
-                   tuple(lam * c for c in mapping.values()), "gaussian_" + name, q)
+                   tuple(mapping.values()), "gaussian_" + name, q)
 
 
 def gaussian_forward(n: int, q) -> Stencil:
@@ -323,18 +329,19 @@ CLASSICAL_BUILDERS = {
 # -- recursive construction ---------------------------------------------------
 
 
-def _recurse(seed: dict, js: range, u: int, v: int) -> dict:
+def _recurse(seed: dict, js: range, u: int, v: int, lam: Fraction) -> dict:
     """The map of _expand, one factor at a time: (E - q^j) takes D to D
     dilated by q minus q^j D, which on integer coefficients C over
     v^(sum j) is C(a, k) <- v^j C(a, k-1) - u^j C(a, k), and (v^j - u^j) C
-    at node 0, which E fixes.  One division at the end; exact zeros drop."""
+    at node 0, which E fixes.  One division at the end, then lam times each
+    coefficient; exact zeros drop."""
     cols = {a: [c] for a, c in seed.items()}  # a -> [C(a, 0), C(a, 1), ...]
     for j in js:
         uj, vj = u**j, v**j
         for a, cs in cols.items():
             cols[a] = [vj * p - uj * c for p, c in zip([0, *cs], [*cs, 0])] if a else [(vj - uj) * cs[0]]
     den = v ** sum(js)
-    return {(a, k): Fraction(c, den) for a, cs in cols.items() for k, c in enumerate(cs) if c}
+    return {(a, k): lam * Fraction(c, den) for a, cs in cols.items() for k, c in enumerate(cs) if c}
 
 
 def recursive_build(family: str, n: int, q) -> Stencil:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .qcore import (
     pascal_check,
@@ -149,30 +149,45 @@ def qbinomial_product_suite(count: int = 100, seed: int = DEFAULT_SEED,
     return res
 
 
-def _qbinomial_terms(N: int, first: int, step: int, q: Fraction) -> list:
+def _qbinomial_terms(N: int, first: int, step: int, q: Fraction) -> tuple[int, list[int]]:
     """t_0..t_N of the q-binomial theorem
 
         prod_{i<N} (a - q^(first + step*i)) = sum_k t_k a^(N-k),
         t_k = (-1)^k q^(first*k) r^C(k,2) [N k]_r,  r = q^step
 
-    (Kac & Cheung, *Quantum Calculus*, 2002, ch. 5).  [N k]_r is qcore's
-    polynomial evaluated at r, independent of the stencil builders."""
-    r = q**step
-    return [(-1) ** k * q ** (first * k + step * comb(k, 2)) * q_binomial(N, k)(r)
-            for k in range(N + 1)]
+    (Kac & Cheung, *Quantum Calculus*, 2002, ch. 5), as (D, [T_k]) with
+    t_k = T_k / D over one common denominator.  [N k]_r is qcore's
+    polynomial evaluated at r, independent of the stencil builders; with
+    q = u/v and e_k = first*k + step*C(k,2), t_k = (-1)^k u^e_k B_k / v^e_k
+    for the Fraction B_k = [N k]_r."""
+    u, v, r = q.numerator, q.denominator, q**step
+    es = [first * k + step * comb(k, 2) for k in range(N + 1)]
+    bs = [q_binomial(N, k)(r) for k in range(N + 1)]
+    dens = [v**e * b.denominator for e, b in zip(es, bs)]
+    d = lcm(*dens)
+    return d, [(-1) ** k * u**e * b.numerator * (d // den)
+               for k, (e, b, den) in enumerate(zip(es, bs, dens))]
 
 
-def _qbinomial_sum(terms: list, a: Fraction) -> Fraction:
-    """The expanded side, sum_k t_k a^(N-k), by Horner."""
-    acc = Fraction(0)
-    for t in terms:
-        acc = acc * a + t
-    return acc
+def _qbinomial_sum(terms: tuple[int, list[int]], a: Fraction) -> Fraction:
+    """The expanded side, sum_k t_k a^(N-k), by Horner on integers: at
+    a = p/s the sum is (sum_k T_k p^(N-k) s^k) / (D s^N)."""
+    d, ts = terms
+    p, s = a.numerator, a.denominator
+    acc, sk = 0, 1
+    for t in ts:
+        acc = acc * p + t * sk
+        sk *= s
+    return Fraction(acc * s, d * sk)
 
 
 def _qbinomial_product(N: int, first: int, step: int, q: Fraction, a: Fraction) -> Fraction:
-    """The product side, prod_{i<N} (a - q^(first + step*i))."""
-    return prod((a - q ** (first + step * i) for i in range(N)), start=Fraction(1))
+    """The product side, prod_{i<N} (a - q^(first + step*i)): at a = p/s and
+    q = u/v each factor is (p v^e - u^e s) / (s v^e), so the product is one
+    integer product over s^N v^(sum e)."""
+    es = [first + step * i for i in range(N)]
+    p, s, u, v = a.numerator, a.denominator, q.numerator, q.denominator
+    return Fraction(prod(p * v**e - u**e * s for e in es), s**N * v ** sum(es))
 
 
 def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,

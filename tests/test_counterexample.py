@@ -571,6 +571,17 @@ class TestVerifyCounterexample:
             verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
                                   h_samples=samples)
 
+    def test_nonmember_step_in_the_group_is_rejected(self):
+        # At prop25's exact root s = 2 a member's sum is exactly 0, so the
+        # steps 1/2 and 1/3 of G would pass the nonmembers' literal-zero test.
+        stn, f = prop25_stencil(), GroupFunction(group(2, 3), (1, 1), 2)
+        assert stn.nodes == (1, 2, 3)
+        with pytest.raises(CounterexampleError, match="nonmember step 1/2 is in the group"):
+            counterexample._check_difference_vanishes(stn, f, [F(1, 2)], [F(1, 2), F(1, 3)])
+        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5), F(1, 3)], "peano": [F(1, 2)]}
+        with pytest.raises(CounterexampleError, match="nonmember step 1/3 is in the group"):
+            verify_counterexample(stn, f, 1, window_for(stn, f), h_samples=samples)
+
     @pytest.mark.parametrize("name", ["members", "nonmembers", "peano"])
     def test_zero_step_is_rejected_in_every_list(self, name):
         # At h = 0 every point a_k h is 0, outside G: a nonmember sum would
@@ -926,7 +937,7 @@ class TestGroupDifferences:
         monkeypatch.setattr(mp, "power", lambda *a: calls.append(a) or power(*a))
         ok, _ = counterexample._check_difference_vanishes(stn, f, members, nonmembers)
         assert ok
-        # the thresholds |h|^s are products of the same g_i^s
+        # the node weights W+ and W- are built from the same g_i^s
         assert len(calls) == len(f.group.generators)
 
     @pytest.mark.parametrize("name", ["thm32a", "nodes-2..13"])

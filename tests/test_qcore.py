@@ -138,6 +138,18 @@ class TestQPolynomial:
         with pytest.raises(ValueError):
             a.exact_div(QPolynomial((F(1, 2), 3)))
 
+    def test_exact_division_integer_non_monic_divisor(self):
+        # (4 + 2q)(1/2 + 3q + q^2/2) = 2 + 13q + 8q^2 + q^3: integer dividend
+        # and divisor, a quotient with Fraction and int coefficients
+        quot = QPolynomial((2, 13, 8, 1)).exact_div(QPolynomial((4, 2)))
+        assert quot.coeffs == (F(1, 2), 3, F(1, 2))
+        assert [type(c) for c in quot.coeffs] == [F, int, F]
+        assert QPolynomial((3, 0, -3)).exact_div(QPolynomial((3, 3))).coeffs == (1, -1)
+        with pytest.raises(ValueError, match="not exact"):
+            QPolynomial((2, 13, 8, 2)).exact_div(QPolynomial((4, 2)))
+        with pytest.raises(ValueError, match="not exact"):
+            QPolynomial((1, 2, 2)).exact_div(QPolynomial((2, 2)))
+
     def test_immutability(self):
         p = QPolynomial((1, 2))
         with pytest.raises(AttributeError):

@@ -133,7 +133,82 @@ ORDER_TAKERS = {
 }
 
 
+def _fraction_construction(nodes, coeffs):
+    """Stencil's validation and ordering done on the Fractions themselves:
+    set() for duplicates, == 0 for zero coefficients, sorted() by node.
+    Returns (nodes, coeffs), or the message of the StencilError expected."""
+    nodes = [F(a) for a in nodes]
+    coeffs = [F(c) for c in coeffs]
+    if len(nodes) != len(coeffs):
+        return "nodes and coeffs must have equal length"
+    if not nodes:
+        return "a stencil needs at least one node"
+    if len(set(nodes)) != len(nodes):
+        return "duplicate nodes"
+    if any(c == 0 for c in coeffs):
+        return "zero coefficients are not stored"
+    paired = sorted(zip(nodes, coeffs), key=lambda t: t[0])
+    return tuple(a for a, _ in paired), tuple(c for _, c in paired)
+
+
+# node values from a small pool, so that duplicates are common: integers,
+# dyadic rationals (which a float holds exactly), small Fractions, and
+# k/(10^50 + k), whose common denominator is far past a machine word
+node_values = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.builds(lambda k, m: F(k, 2**m), st.integers(-12, 12), st.integers(1, 4)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(-6, 6).map(lambda k: F(k, 10**50 + k)),
+)
+coeff_values = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=11),
+    st.sampled_from([0.0, -0.75, 2.5]),
+)
+
+
+def spellings(x):
+    """The ways a caller may pass the rational x: as a Fraction, an int
+    when integral, and a float when the float is exact."""
+    out = [x]
+    if x.denominator == 1:
+        out.append(int(x))
+    if F(float(x)) == x:
+        out.append(float(x))
+    return st.sampled_from(out)
+
+
 class TestStencilType:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_construction_matches_the_fraction_sort(self, data):
+        values = data.draw(st.lists(node_values, min_size=1, max_size=12))
+        nodes = data.draw(st.permutations([data.draw(spellings(x)) for x in values]))
+        coeffs = data.draw(st.lists(coeff_values, min_size=len(nodes), max_size=len(nodes)))
+        want = _fraction_construction(nodes, coeffs)
+        if isinstance(want, str):
+            with pytest.raises(StencilError, match=want):
+                Stencil(order=1, nodes=tuple(nodes), coeffs=tuple(coeffs))
+        else:
+            s = Stencil(order=1, nodes=tuple(nodes), coeffs=tuple(coeffs))
+            assert (s.nodes, s.coeffs) == want
+            assert all(type(x) is F for x in s.nodes + s.coeffs)
+
+    @pytest.mark.parametrize("nodes", [(1, F(2, 2)), (0.5, F(1, 2)), (F(1, 10**50 + 1), 2, F(3, 3 * 10**50 + 3))],
+                             ids=["int-fraction", "float-fraction", "large-denominator"])
+    def test_duplicates_across_types_rejected(self, nodes):
+        with pytest.raises(StencilError, match="duplicate nodes"):
+            Stencil(order=1, nodes=nodes, coeffs=(1,) * len(nodes))
+
+    @pytest.mark.parametrize("zero", [0, F(0), 0.0], ids=repr)
+    def test_zero_coefficients_of_every_type_rejected(self, zero):
+        with pytest.raises(StencilError, match="zero coefficients are not stored"):
+            Stencil(order=1, nodes=(0, 1, 0.5), coeffs=(1, zero, -1))
+
+    def test_duplicate_nodes_reported_before_zero_coefficients(self):
+        with pytest.raises(StencilError, match="duplicate nodes"):
+            Stencil(order=1, nodes=(0, 1, 0.5, F(1, 2)), coeffs=(0, 1, 0.0, F(0)))
+
     def test_nodes_sorted_with_coeffs_aligned(self):
         s = Stencil(order=1, nodes=(F(1), F(0)), coeffs=(F(1), F(-1)))
         assert s.nodes == (F(0), F(1))
@@ -446,9 +521,22 @@ class TestExpand:
                             want[q ** (N - k) * a] = t * c
                 if 0 in seed:
                     want[F(0)] = seed[0] * math.prod(1 - q**j for j in js)
-                got = stencil_module._expand(seed, js, q.numerator, q.denominator)
+                # lam = 1: the product itself, with no normalizer
+                got = stencil_module._expand(seed, js, q.numerator, q.denominator, F(1))
                 assert {a * q**k: c for (a, k), c in got.items()} == want, (n, q)
                 assert len(got) == len(want), (n, q)
+
+    @pytest.mark.parametrize("lam", [F(-7, 3), F(10**40 + 1, 6)])
+    def test_the_normalizer_scales_every_coefficient(self, lam):
+        # lam starts the running product and enters node 0's one quotient
+        for family, (seed, first, step) in stencil_module._FAMILIES.items():
+            for n in range(first or 1, 13, step):
+                js = range(first, n, step)
+                for q in DEFAULT_Q_GRID:
+                    u, v = q.numerator, q.denominator
+                    unit = stencil_module._expand(seed, js, u, v, F(1))
+                    got = stencil_module._expand(seed, js, u, v, lam)
+                    assert got == {key: lam * c for key, c in unit.items()}, (family, n, q)
 
 
 def _expand_reference(seed, js, q):

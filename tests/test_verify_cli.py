@@ -8,6 +8,7 @@ codes and output bytes are asserted directly; subprocess tests cover the
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,27 @@ class TestSuites:
         assert r.total == q_count * (max_n * (max_n + 1) // 2 + 2 * max_n)
         r = qbinomial_squared_suite(q_count=q_count, seed=5, max_m=max_n)
         assert r.total == q_count * 2 * max_n
+
+    @pytest.mark.parametrize("first, step", [(1, 1), (2, 2), (1, 2)])
+    def test_qbinomial_sides_match_their_fraction_forms(self, first, step):
+        # Each side against its term-by-term Fraction form: Horner over the
+        # terms (-1)^k q^(first k) r^C(k,2) [N k]_r, and the plain product.
+        for q in (F(-2), F(1, 3), F(-3, 7), F(5, 2), F(-9, 4)):
+            for N in range(13):
+                r = q**step
+                terms = [(-1) ** k * q ** (first * k + step * math.comb(k, 2)) * qcore.q_binomial(N, k)(r)
+                         for k in range(N + 1)]
+                integer_terms = verify._qbinomial_terms(N, first, step, q)
+                for a in (0, 1, -3, F(-5, 4), F(7, 3), q, q**N):
+                    horner = F(0)
+                    for t in terms:
+                        horner = horner * a + t
+                    product = math.prod((a - q ** (first + step * i) for i in range(N)), start=F(1))
+                    got_sum = verify._qbinomial_sum(integer_terms, a)
+                    got_product = verify._qbinomial_product(N, first, step, q, a)
+                    assert type(got_sum) is F and type(got_product) is F
+                    assert (got_sum, got_product) == (horner, product), (q, N, a)
+                    assert got_sum == got_product, (q, N, a)
 
     def test_collapse_suites_catch_a_wrong_q_binomial(self, monkeypatch):
         # [3 1]_r off by r breaks every collapse at n = 4 and m = 4.
