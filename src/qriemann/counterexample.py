@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .evaluator import MP_DPS, _to_mpf, peano_bound_check
+from .evaluator import _HUGE, _TINY, MP_DPS, _to_mpf, peano_bound_check
 from .stencil import (
     Stencil,
     format_rational,
@@ -291,7 +291,10 @@ def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
     """(value, sign) of phi at s as an mpf: at an integer the exact value,
     rounded once, which keeps its exact sign (an mpf's exponent is
     unbounded); else the sum of c_i exp(s ln b_i) over the (c_i, ln b_i)
-    pairs in logs.  Call inside an mp.workdps block."""
+    pairs in logs.  Call inside an mp.workdps block.
+
+    find_exponent asks this at integer probes, where _double_sign leaves
+    the sign open, and for the two final endpoints."""
     if s.is_integer():
         v = _to_mpf(phi.eval_exact(int(s)))
     else:
@@ -300,18 +303,48 @@ def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
     return v, (v > 0) - (v < 0)
 
 
+def _double_sign(doubles: list, s: float) -> int:
+    """The sign of phi at s from doubles, or 0 where their error bound
+    does not decide it.
+
+    doubles holds the (float(c_i), float(ln b_i)).  Where c_i, exp(s ln b_i)
+    and t_i = c_i exp(s ln b_i) are normal doubles, the t_i in doubles is
+    within (6 + 3 |s ln b_i|) units of 2^-53 of itself (math.exp allowed
+    two units in the last place), and fsum adds one unit of the sum.  So
+    the sign of fsum(t) is phi's where |fsum(t)| exceeds
+    2^-49 sum_i |t_i| (2 + |s ln b_i|), four times that error.  A term
+    outside 1e-280 < |t_i| < 1e280, a subnormal c_i or exp, or an overflow
+    in exp leaves the sign open."""
+    ts, bound = [], 0.0
+    for c, lb in doubles:
+        try:
+            e = math.exp(s * lb)
+        except OverflowError:
+            return 0
+        t = c * e
+        if not (min(abs(c), e) > _TINY and _TINY < abs(t) < _HUGE):
+            return 0
+        ts.append(t)
+        bound += abs(t) * (2 + abs(s * lb))
+    total = math.fsum(ts)
+    return (total > 0) - (total < 0) if abs(total) > bound * 2.0**-49 else 0
+
+
 def find_exponent(window: PhiOnInterval) -> Fraction:
     """Bisect the sign change of phi on the window's interval down to float
     resolution; returns the double it lands on, as an exact Fraction.
 
     Requires phi(lo) * phi(hi) < 0 strictly.  Integer probes are evaluated
-    exactly, so an exact integer root is returned exactly.  Other probes sum
-    c_i exp(s ln b_i) at MP_DPS digits, with the c_i and ln b_i converted
-    once per call: each term is then correct to about |s ln b_i| units in
-    the last of 60 digits, far below the |phi| of any probe a double can
-    reach, so every sign is decided correctly.  Among the final bracketing
-    endpoints the one with the smaller |phi| wins, so the residual is as
-    small as doubles allow.
+    exactly, so an exact integer root is returned exactly.  Other probes
+    take the sign of the double sum of c_i exp(s ln b_i) where its error
+    bound decides it (_double_sign), and else sum the same terms at MP_DPS
+    digits, with the c_i and ln b_i converted once per call: each term is
+    then correct to about |s ln b_i| units in the last of 60 digits, far
+    below the |phi| of any probe a double can reach.  Either way every sign
+    is phi's, so the probes are those of a bisection at 60 digits alone.
+    Among the final bracketing endpoints, recomputed at 60 digits, the one
+    with the smaller |phi| wins, so the residual is as small as doubles
+    allow.
     """
     if not window.sign_change:
         raise NoSignChangeError(
@@ -323,18 +356,21 @@ def find_exponent(window: PhiOnInterval) -> Fraction:
     slo = 1 if window.lo_value > 0 else -1
     with mp.workdps(MP_DPS):
         logs = [(_to_mpf(c), mp.log(_to_mpf(b))) for c, b in phi.terms]
-        vlo, vhi = _to_mpf(window.lo_value), _to_mpf(window.hi_value)
+        doubles = [(float(c), float(lb)) for c, lb in logs]
         for _ in range(200):
             mid = (lo + hi) / 2
             if not (lo < mid < hi):
                 break  # float resolution reached
-            vmid, smid = _phi_signed_value(phi, logs, mid)
-            if smid == 0:
-                return Fraction(mid)
+            smid = 0 if mid.is_integer() else _double_sign(doubles, mid)
+            if not smid:
+                smid = _phi_signed_value(phi, logs, mid)[1]
+                if smid == 0:
+                    return Fraction(mid)
             if smid == slo:
-                lo, vlo = mid, vmid
+                lo = mid
             else:
-                hi, vhi = mid, vmid
+                hi = mid
+        vlo, vhi = (_phi_signed_value(phi, logs, v)[0] for v in (lo, hi))
         return Fraction(lo if abs(vlo) <= abs(vhi) else hi)
 
 
@@ -398,7 +434,9 @@ def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
     """Positive rationals outside G such that no positive stencil node maps
     them back into G; differences over them must cancel to literal zero.
     A node in G keeps a step outside G outside it, so only the positive
-    nodes outside G are tested against each step."""
+    nodes outside G are tested against each step.  A step base/p, with
+    base a member of numerator 1 and p an escape prime, has p in its
+    denominator, so it is outside G without a membership test."""
     primes = _escape_primes(group)
     outside = [a for a in stencil.nodes if a > 0 and membership(group, a) is None]
     out = []
@@ -409,13 +447,11 @@ def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
             raise CounterexampleError("nonmember sampling failed to converge")
         if attempts % 3 == 0:
             h = Fraction(rng.random())  # exact dyadic; almost surely escapes G
-            if h <= 0:
+            if h <= 0 or membership(group, h) is not None:
                 continue
         else:
             base = _sample_members(group, rng, 1)[0]
             h = base / primes[attempts % len(primes)]
-        if membership(group, h) is not None:
-            continue
         if any(membership(group, a * h) is not None for a in outside):
             continue
         out.append(h)

@@ -32,6 +32,10 @@ from .stencil import (GAUSSIAN_BUILDERS, Stencil, _finite_rational, _over_common
                       recursive_build)
 
 MP_DPS = 60
+# Double-precision filters in front of 60-digit decisions (peano_bound_check,
+# counterexample.find_exponent) act only on values in this range, where
+# every double is normal with room to spare.
+_TINY, _HUGE = 1e-280, 1e280
 
 _MP_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp}
 # the same functions on raw mpf tuples, mpf_sin(x, prec, rnd) and so on
@@ -419,6 +423,15 @@ def peano_bound_check(f, x, m: int, epsilon_exponent: float, h_set) -> bool:
     vanish in the limit) without computing any quotient.  epsilon_exponent
     must be a finite number > 0.  The bound is computed only where f(x+h)
     is nonzero: 0 <= |h|^(m + epsilon_exponent) always holds.
+
+    Where it is needed, the bound is first taken in doubles: for an
+    exponent e = m + epsilon_exponent that is an int or a float (so both
+    paths use the same e), b = float(|h|) ** e is within (e + 2) units of
+    2^-53 of |h|^e, so with delta = (e + 4) 2^-50 the bound holds where
+    |f(x+h)| < b - b delta and fails where |f(x+h)| > b + b delta.  This
+    applies only where delta <= 2^-30, 1e-280 < float(|h|) and
+    1e-280 < b < 1e280.  Any other step, and a tie such as h = 1, is
+    compared with mp.power(|h|, e) at MP_DPS digits.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise EvaluatorError("m must be an integer >= 0")
@@ -429,12 +442,27 @@ def peano_bound_check(f, x, m: int, epsilon_exponent: float, h_set) -> bool:
         raise EvaluatorError("h_set must be nonempty")
     x = _finite_rational(x, "x", EvaluatorError)
     expo = m + epsilon_exponent
+    # the double filter needs e itself as a double, and delta <= 2^-30
+    delta = ((expo + 4) * 2.0**-50
+             if isinstance(expo, (int, float)) and expo <= 2**20 - 4 else None)
     with mp.workdps(MP_DPS):
         for h in h_set:
             h = _finite_rational(h, "h sample", EvaluatorError)
             if h == 0:
                 raise EvaluatorError("h samples must be nonzero")
             lhs = abs(f.eval_mp(x + h))
-            if lhs and lhs > mp.power(abs(_to_mpf(h)), expo):
+            if not lhs:
+                continue
+            try:
+                hf = float(abs(h))
+                b = hf ** expo if delta and hf > _TINY else 0.0
+            except OverflowError:  # |h| or b past the double range
+                b = 0.0
+            if _TINY < b < _HUGE:
+                if lhs < b - b * delta:
+                    continue
+                if lhs > b + b * delta:
+                    return False
+            if lhs > mp.power(abs(_to_mpf(h)), expo):
                 return False
     return True

@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpmath import mp
@@ -367,6 +367,116 @@ class TestFindExponent:
         assert s == report.exponent
 
 
+def bisection_at_60_digits(window):
+    """find_exponent as it was before its double filter: every non-integer
+    probe summed at MP_DPS digits, the endpoint values carried from the
+    probes.  The reference the filtered bisection must match."""
+    phi = window.phi
+    lo, hi = (float(v) for v in window.interval)
+    slo = 1 if window.lo_value > 0 else -1
+    with mp.workdps(MP_DPS):
+        logs = [(_to_mpf(c), mp.log(_to_mpf(b))) for c, b in phi.terms]
+        vlo, vhi = _to_mpf(window.lo_value), _to_mpf(window.hi_value)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if not (lo < mid < hi):
+                break
+            vmid, smid = counterexample._phi_signed_value(phi, logs, mid)
+            if smid == 0:
+                return F(mid)
+            if smid == slo:
+                lo, vlo = mid, vmid
+            else:
+                hi, vhi = mid, vmid
+        return F(lo if abs(vlo) <= abs(vhi) else hi)
+
+
+@st.composite
+def sign_change_windows(draw):
+    """phi of 2-7 terms, coefficients k/d with |k| <= 99 and d <= 9 and
+    bases k/d up to 60, on an integer interval in [0, 40] whose exact
+    endpoint values have opposite signs.  Where phi keeps one sign on
+    0..40, its largest base's coefficient changes sign."""
+    terms = draw(st.lists(
+        st.tuples(st.builds(F, st.integers(-99, 99).filter(bool), st.integers(1, 9)),
+                  st.builds(F, st.integers(1, 60), st.integers(1, 60))),
+        min_size=2, max_size=7, unique_by=lambda t: t[1]))
+    for flip in (1, -1):
+        phi = ExponentialSum(tuple((c * flip if b == max(b for _, b in terms) else c, b)
+                                   for c, b in terms))
+        signs = [(v > 0) - (v < 0) for v in map(phi.eval_exact, range(41))]
+        pairs = [(lo, hi) for lo in range(41) for hi in range(lo + 1, 41)
+                 if signs[lo] * signs[hi] < 0]
+        if pairs:
+            return on_interval(phi, *draw(st.sampled_from(pairs)))
+    assume(False)
+
+
+class TestBisectionFilter:
+    """find_exponent decides a probe's sign in doubles where their error
+    bound allows, and lands on the very double of the 60-digit bisection."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(sign_change_windows())
+    def test_lands_on_the_60_digit_root(self, window):
+        assert find_exponent(window) == bisection_at_60_digits(window)
+
+    def test_thm32a_sums_at_60_digits_on_few_probes(self, monkeypatch):
+        # the 60-digit bisection sums phi at all 50 probes; the filter leaves
+        # only those within a few thousand doubles of the root, plus the two
+        # final endpoints
+        case = NAMED_CASES["thm32a"]
+        window = PhiOnInterval.of(case.build(), group(*case.generators), case.character,
+                                  case.interval, case.flip_sign)
+        sums, value = [], counterexample._phi_signed_value
+        monkeypatch.setattr(counterexample, "_phi_signed_value",
+                            lambda *a: sums.append(a[2]) or value(*a))
+        bisection_at_60_digits(window)
+        assert len(sums) == 50
+        sums.clear()
+        find_exponent(window)
+        assert len(sums) <= 12
+
+    @pytest.mark.parametrize("terms, root", [
+        # 10^(400 s) - 20 * 10^(399 s): exp(s ln 10^400) overflows a double
+        (((F(1), F(10) ** 400), (F(-20), F(10) ** 399)), math.log10(20)),
+        # 10^400 (3^s - 5 * 2^s) and 10^-400 (3^s - 5 * 2^s): coefficients
+        # past the double range and below it
+        (((F(10) ** 400, F(3)), (-5 * F(10) ** 400, F(2))), math.log(5, 1.5)),
+        (((F(1, 10**400), F(3)), (F(-5, 10**400), F(2))), math.log(5, 1.5)),
+    ], ids=["base-10^400", "coefficient-10^400", "coefficient-10^-400"])
+    def test_out_of_range_terms_leave_every_probe_at_60_digits(self, monkeypatch, terms, root):
+        window = on_interval(ExponentialSum(terms), 1, 6)
+        sums, value = [], counterexample._phi_signed_value
+        monkeypatch.setattr(counterexample, "_phi_signed_value",
+                            lambda *a: sums.append(a[2]) or value(*a))
+        want = bisection_at_60_digits(window)
+        probes = len(sums)
+        sums.clear()
+        assert find_exponent(window) == want
+        assert abs(want - root) < 1e-14
+        assert len(sums) == probes + 2  # every probe, then the two endpoints
+
+    @pytest.mark.parametrize("doubles", [
+        [(math.inf, 0.5), (-1.0, 0.0)],       # a coefficient past the double range
+        [(1e-310, 0.5), (-1e-300, 0.0)],      # a subnormal coefficient
+        [(1e300, -480.0), (-1e-14, 0.0)],     # exp(1.5 * -480) is subnormal, t is not
+        [(1.0, -500.0), (-1.0, 0.0)],         # t = exp(-750) underflows to 0
+        [(1.0, 1000.0), (-1.0, 0.0)],         # exp(1500) overflows
+    ], ids=["inf-coefficient", "subnormal-coefficient", "subnormal-exp", "underflow", "overflow"])
+    def test_out_of_range_terms_leave_the_sign_open(self, doubles):
+        assert counterexample._double_sign(doubles, 1.5) == 0
+
+    def test_an_undecided_sum_leaves_the_sign_open(self):
+        # 3^s - 2^s - 1 = 0 at s = 1: one double either side the sum is
+        # far inside the bound, a millionth away far outside it
+        doubles = [(1.0, math.log(3)), (-1.0, math.log(2)), (-1.0, 0.0)]
+        assert counterexample._double_sign(doubles, math.nextafter(1.0, 2)) == 0
+        assert counterexample._double_sign(doubles, math.nextafter(1.0, 0)) == 0
+        assert counterexample._double_sign(doubles, 1 + 1e-6) == 1
+        assert counterexample._double_sign(doubles, 1 - 1e-6) == -1
+
+
 class TestPhiOnInterval:
     @pytest.mark.parametrize("interval", [(3, 1), (2, 2), (1, 2, 3), (F(1), 3), (1.0, 3)],
                              ids=["reversed", "empty", "three", "fraction", "float"])
@@ -681,6 +791,25 @@ def test_sampled_steps_are_pinned(gens, stencil, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == SAMPLES_SHA256[gens, stencil, seed]
 
 
+@pytest.mark.parametrize("gens, stencil, seed", [((2, 3), "nodes-2..13", 0),
+                                                  ((3, 5, 7), "classic7", 1729)])
+def test_escape_prime_steps_skip_the_membership_test(monkeypatch, gens, stencil, seed):
+    # a step base/p, base a member of numerator 1 and p an escape prime, is
+    # outside G by construction; only the dyadic steps are tested
+    g = group(*gens)
+    primes = counterexample._escape_primes(g)
+    tested = []
+    monkeypatch.setattr(counterexample, "membership",
+                        lambda grp, x: tested.append(x) or membership(grp, x))
+    steps = counterexample._sample_nonmembers(g, SAMPLER_STENCILS[stencil], random.Random(seed), 100)
+    escaped = [h for h in steps if h.numerator == 1 and any(h.denominator % p == 0 for p in primes)
+               and h.denominator & (h.denominator - 1)]
+    dyadic = [h for h in steps if h not in escaped]
+    assert escaped and dyadic
+    assert not set(escaped) & set(tested)
+    assert set(dyadic) <= set(tested)
+
+
 # SHA-256 of json.dumps({"case/seed": [checks, details]}, sort_keys=True) over
 # the six named cases at seeds 0-4: pins every verdict and every float of the
 # difference and unboundedness details.
@@ -800,7 +929,8 @@ class TestPeanoBoundMutations:
 def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
     # thm32a's seeded Peano set: 60 members, 40 nonmembers and 10 negated
     # members.  f(h) takes one mp.power at each positive member and none
-    # elsewhere, and the bound |h|^(6 + eps) one more where f(h) != 0 only.
+    # elsewhere.  The bound |h|^(6 + eps) is needed only where f(h) != 0,
+    # and there doubles decide it, so no mp.power forms it.
     stn, f, case = case_function("thm32a")
     h_sets, calls, active = [], [], []
     check, power = counterexample.peano_bound_check, mp.power
@@ -826,7 +956,8 @@ def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
     (h_set,) = h_sets
     members = [h for h in h_set if h > 0 and membership(f.group, h) is not None]
     assert (len(h_set), len(members)) == (110, 60)
-    assert len(calls) == 2 * len(members)
+    assert len(calls) == len(members)
+    assert all(y == _to_mpf(f.exponent) for _, y in calls)  # f's own x^s
 
 
 class TestGroupDifferences:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -698,3 +698,92 @@ class TestPeanoBound:
         f = FunctionHandle.builtin("abs")
         with pytest.raises(EvaluatorError, match="epsilon_exponent must be a finite number > 0"):
             peano_bound_check(f, F(0), 1, eps, self.h_set())
+
+
+def peano_at_60_digits(f, x, m, eps, h_set):
+    """peano_bound_check as it was before its double filter: every bound
+    |h|^(m + eps) formed by mp.power at MP_DPS digits.  The reference the
+    filtered check must match."""
+    expo = m + eps
+    with mp.workdps(MP_DPS):
+        for h in h_set:
+            lhs = abs(f.eval_mp(F(x) + h))
+            if lhs and lhs > mp.power(abs(_to_mpf(h)), expo):
+                return False
+    return True
+
+
+G235 = MultiplicativeGroup((2, 3, 5))
+group_steps = st.builds(lambda i, j, k, sign, div: sign * F(2) ** i * F(3) ** j * F(5) ** k / div,
+                        st.integers(-15, 15), st.integers(-15, 15), st.integers(-6, 6),
+                        st.sampled_from((1, -1)), st.sampled_from((1, 1, 1, 7)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), st.floats(0.25, 12),
+       st.one_of(st.tuples(st.integers(0, 12), st.floats(1e-3, 2)),
+                 st.sampled_from((0.0, -1e-9, -1e-13, 1e-13, 1e-9, "up", "down"))),
+       st.lists(group_steps, min_size=1, max_size=8))
+def test_group_function_peano_verdicts_match_the_60_digit_bound(bits, s, bound, steps):
+    # bound: a free (m, eps), or m + eps at f's own exponent s (a tie at
+    # every member), s moved by a relative 1e-9 or 1e-13, or s one double
+    # up or down, where the double filter must leave the verdict to 60 digits
+    f = GroupFunction(G235, bits, s)
+    if isinstance(bound, tuple):
+        m, eps = bound
+    else:
+        m = math.floor(s)
+        eps = s - m
+        if bound in ("up", "down"):
+            eps = math.nextafter(s, math.inf if bound == "up" else 0) - m
+        else:
+            eps *= 1 + bound
+    assume(eps > 0)
+    for h in steps:
+        assert peano_bound_check(f, 0, m, eps, [h]) is peano_at_60_digits(f, 0, m, eps, [h])
+    assert peano_bound_check(f, 0, m, eps, steps) is peano_at_60_digits(f, 0, m, eps, steps)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from(("exp", "sin")),
+       st.one_of(st.just(F(0)), st.fractions(-60, 3, max_denominator=8)),
+       st.integers(0, 6), st.one_of(st.just(1.0), st.floats(1e-3, 2)),
+       st.lists(st.builds(lambda p, k: F(p, 2**k), st.integers(-99, 99).filter(bool),
+                          st.integers(0, 40)), min_size=1, max_size=8))
+def test_builtin_peano_verdicts_match_the_60_digit_bound(name, x, m, eps, steps):
+    # sin at 0 with m + eps = 1 compares |sin h| with |h|, which differ by
+    # a relative h^2 / 6, below the filter's margin for the small steps
+    f = FunctionHandle.builtin(name)
+    for h in steps:
+        assert peano_bound_check(f, x, m, eps, [h]) is peano_at_60_digits(f, x, m, eps, [h])
+    assert peano_bound_check(f, x, m, eps, steps) is peano_at_60_digits(f, x, m, eps, steps)
+
+
+_G23_65 = GroupFunction(MultiplicativeGroup((2, 3)), (1, 0), 6.5)
+_G25_25 = GroupFunction(MultiplicativeGroup((2, 5)), (0, 0), 2.5)
+_EXP = FunctionHandle.builtin("exp")
+
+
+@pytest.mark.parametrize("f, x, m, eps, h, holds, powers", [
+    # decided in doubles: only f's own mp.power
+    (_G23_65, 0, 6, 0.25, F(1, 2), True, 1),
+    (_G23_65, 0, 6, 0.25, F(2), False, 1),
+    # left to mp.power(|h|, m + eps): f's own power and the bound's
+    (_G23_65, 0, 6, 0.5, F(1), True, 2),
+    (_G25_25, 0, 2, 0.25, F(1, 10**400), True, 2),
+    (_G25_25, 0, 2, 0.25, F(10**400), False, 2),
+    (_G25_25, 0, 2, 0.25, F(1, 10**200), True, 2),
+    (_G25_25, 0, 2, 0.25, F(10**200), False, 2),
+    (_G23_65, 0, 6, F(1, 4), F(1, 2), True, 2),
+    (_EXP, -1, 2**20, 0.5, 1 + F(1, 2**30), True, 1),
+    (_EXP, 0, 2**20, 0.5, 1 + F(1, 2**30), False, 1),
+], ids=["below-in-doubles", "above-in-doubles", "tie-at-h=1", "step-underflows",
+        "step-past-the-double-range", "bound-underflows", "bound-overflows",
+        "fraction-epsilon", "delta-above-2^-30", "delta-above-2^-30-fails"])
+def test_peano_double_filter_decides_only_inside_its_bound(monkeypatch, f, x, m, eps, h, holds,
+                                                            powers):
+    want = peano_at_60_digits(f, x, m, eps, [h])
+    calls, power = [], mp.power
+    monkeypatch.setattr(mp, "power", lambda *a: calls.append(a) or power(*a))
+    assert peano_bound_check(f, x, m, eps, [h]) is want is holds
+    assert len(calls) == powers

@@ -127,6 +127,60 @@ class TestSuites:
                     assert (got_sum, got_product) == (horner, product), (q, N, a)
                     assert got_sum == got_product, (q, N, a)
 
+    def test_product_suite_sides_match_their_fraction_forms(self):
+        # the product factor by factor and the expansion term by term in
+        # Fraction, against the integer forms the suite compares
+        values = (F(0), F(1), F(-3), F(5, 4), F(-7, 3), F(50, 49))
+        for q in (F(-2), F(1, 3), F(-3, 7), F(5, 2), F(-50, 47)):
+            for n in range(1, 13):
+                for a in values:
+                    for b in values:
+                        product = math.prod((a - b * q**j for j in range(n)), start=F(1))
+                        expansion = sum((coeff(q) * a**pa * b**pb
+                                         for coeff, pa, pb in qcore.qbinomial_expand(n)), F(0))
+                        got = (verify._product_side(n, a, b, q), verify._expansion_side(n, a, b, q))
+                        assert all(type(v) is F for v in got)
+                        assert got == (product, expansion), (n, a, b, q)
+
+    def test_product_suite_catches_a_wrong_expansion(self, monkeypatch):
+        # the k = 1 term of the n = 3 expansion off by a factor 2
+        real = verify.qbinomial_expand
+
+        def faulty(n):
+            terms = real(n)
+            if n == 3:
+                coeff, pa, pb = terms[1]
+                terms[1] = (coeff * 2, pa, pb)
+            return terms
+
+        monkeypatch.setattr(verify, "qbinomial_expand", faulty)
+        res = qbinomial_product_suite(count=48, seed=3)
+        assert res.total == 48 and res.failed >= 1
+        assert all(m.startswith("product expansion fails at n=3,") for m in res.failures)
+
+    def test_scaling_suite_builds_once_per_random_draw(self, monkeypatch):
+        # each random draw builds its stencil once and scales it twice:
+        # by r for the moment check, and back by 1/r for the round trip
+        counts = {"build": 0, "scale": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("gaussian_forward", "gaussian_shifted", "gaussian_symmetric"):
+            monkeypatch.setattr(verify, name, counted("build", getattr(verify, name)))
+        monkeypatch.setattr(verify, "scale", counted("scale", verify.scale))
+        seen = []
+        for random_count in (0, 10):
+            counts.update(build=0, scale=0)
+            res = scaling_suite(max_n=2, seed=11, random_count=random_count)
+            assert res.ok
+            seen.append((res.total, counts["build"], counts["scale"]))
+        (checks0, builds0, scales0), (checks, builds, scales) = seen
+        assert (checks - checks0, builds - builds0, scales - scales0) == (20, 10, 20)
+
     def test_collapse_suites_catch_a_wrong_q_binomial(self, monkeypatch):
         # [3 1]_r off by r breaks every collapse at n = 4 and m = 4.
         real = verify.q_binomial
