@@ -308,10 +308,10 @@ def _double_sign(doubles: list, s: float) -> int:
     does not decide it.
 
     doubles holds the (float(c_i), float(ln b_i)).  Where c_i, exp(s ln b_i)
-    and t_i = c_i exp(s ln b_i) are normal doubles, the t_i in doubles is
-    within (6 + 3 |s ln b_i|) units of 2^-53 of itself (math.exp allowed
-    two units in the last place), and fsum adds one unit of the sum.  So
-    the sign of fsum(t) is phi's where |fsum(t)| exceeds
+    and t_i = c_i exp(s ln b_i) are normal doubles, each t_i is within a
+    relative (6 + 3 |s ln b_i|) units of 2^-53 of the exact c_i b_i^s
+    (math.exp allowed two units in the last place), and fsum adds one unit
+    of the sum.  So the sign of fsum(t) is phi's where |fsum(t)| exceeds
     2^-49 sum_i |t_i| (2 + |s ln b_i|), four times that error.  A term
     outside 1e-280 < |t_i| < 1e280, a subnormal c_i or exp, or an overflow
     in exp leaves the sign open."""
