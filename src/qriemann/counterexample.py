@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +32,6 @@ from .stencil import (
     stencil_to_jsonable,
     vandermonde_solve,
 )
-from .verify import DEFAULT_SEED
 
 UNBOUNDED_THRESHOLD = 1e6
 UNBOUNDED_MAX_J = 1000
@@ -407,57 +405,6 @@ class CounterexampleReport:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def _sample_members(group: MultiplicativeGroup, rng: random.Random, count: int) -> list:
-    """Members of G in (0, 1): products of generator powers, exponents in
-    -10..0, the all-zero vector (the member 1) redrawn."""
-    out = []
-    while len(out) < count:
-        e = [rng.randint(-10, 0) for _ in group.generators]
-        if any(e):
-            out.append(Fraction(1, math.prod(g**-ei for g, ei in zip(group.generators, e))))
-    return out
-
-
-def _escape_primes(group: MultiplicativeGroup) -> list:
-    """The two smallest primes outside G's generators."""
-    out = []
-    p = 2
-    while len(out) < 2:
-        if _is_prime(p) and p not in group.generators:
-            out.append(p)
-        p += 1
-    return out
-
-
-def _sample_nonmembers(group: MultiplicativeGroup, stencil: Stencil,
-                       rng: random.Random, count: int) -> list:
-    """Positive rationals outside G such that no positive stencil node maps
-    them back into G; differences over them must cancel to literal zero.
-    A node in G keeps a step outside G outside it, so only the positive
-    nodes outside G are tested against each step.  A step base/p, with
-    base a member of numerator 1 and p an escape prime, has p in its
-    denominator, so it is outside G without a membership test."""
-    primes = _escape_primes(group)
-    outside = [a for a in stencil.nodes if a > 0 and membership(group, a) is None]
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 50 * count:
-            raise CounterexampleError("nonmember sampling failed to converge")
-        if attempts % 3 == 0:
-            h = Fraction(rng.random())  # exact dyadic; almost surely escapes G
-            if h <= 0 or membership(group, h) is not None:
-                continue
-        else:
-            base = _sample_members(group, rng, 1)[0]
-            h = base / primes[attempts % len(primes)]
-        if any(membership(group, a * h) is not None for a in outside):
-            continue
-        out.append(h)
-    return out
-
-
 def _generator_powers(f: GroupFunction) -> list:
     """The g_i^s of f's exponent s: exact Fractions at an integer s, else
     MP_DPS values from one mp.power each; call inside an mp.workdps block."""
@@ -584,17 +531,25 @@ def verify_counterexample(
     lower_order: int,
     phi_on_interval: PhiOnInterval,
     h_samples: dict | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> CounterexampleReport:
     """Check the three facts that make (stencil, f) a genuine separation:
 
-    (a) the order-n difference at 0 vanishes to the phi-root tolerance for
-        steps in G and exactly off G,
-    (b) |f(h)| <= |h|^(lower_order + eps), so everything below lower_order
-        is exactly as smooth as claimed,
+    (a) the order-n difference at 0 vanishes to the phi-root tolerance at
+        the member steps in G and exactly at the nonmember steps,
+    (b) |f(h)| <= |h|^(lower_order + eps) at the Peano steps, so everything
+        below lower_order is exactly as smooth as claimed,
     (c) the ordinary n-th quotient f(h)/h^n is unbounded (or oscillates
         between fixed opposite values) along generator rays, so the ordinary
         derivative cannot exist.
+
+    Without h_samples the member steps and the Peano steps are the
+    generator reciprocals 1/g, and there are no nonmember steps.  Any
+    member h in (0, 1) would give the same verdicts: its difference is
+    chi(h) phi(s) h^s, so (a) compares the same |phi(s)| with 1e-9 at
+    each; and f is 0 off G and at h < 0, while |f(h)| = h^s <= h^(m + eps)
+    at each member h < 1 exactly when s >= m + eps.  A nonmember step that
+    no positive node maps into G has an empty sum.  h_samples, a dict of
+    "members", "nonmembers" and "peano" step lists, replaces these steps.
 
     phi_on_interval is phi of f's character on the claimed interval, as the
     caller built it; the report prints it.
@@ -606,15 +561,9 @@ def verify_counterexample(
     s_star = float(f.exponent)
     if s_star <= lower_order:
         raise CounterexampleError("exponent must exceed lower_order")
-    rng = random.Random(seed)
     if h_samples is None:
-        members = _sample_members(f.group, rng, 100)
-        nonmembers = _sample_nonmembers(f.group, stencil, rng, 100)
-        peano_set = (
-            _sample_members(f.group, rng, 60)
-            + _sample_nonmembers(f.group, stencil, rng, 40)
-            + [-h for h in _sample_members(f.group, rng, 10)]
-        )
+        members = peano_set = [Fraction(1, g) for g in f.group.generators]
+        nonmembers = []
     else:
         members = list(h_samples["members"])
         nonmembers = list(h_samples["nonmembers"])
@@ -727,7 +676,7 @@ SEARCH_CASES = {
 }
 
 
-def run_case(name: str, seed: int = DEFAULT_SEED) -> CounterexampleReport:
+def run_case(name: str) -> CounterexampleReport:
     """Reproduce a named separation end to end: extract phi, locate the
     exponent in its pinned interval, then run all three checks."""
     if name not in NAMED_CASES:
@@ -737,7 +686,7 @@ def run_case(name: str, seed: int = DEFAULT_SEED) -> CounterexampleReport:
     group = MultiplicativeGroup(case.generators)
     window = PhiOnInterval.of(stencil, group, case.character, case.interval, case.flip_sign)
     f = GroupFunction(group, case.character, find_exponent(window))
-    return verify_counterexample(stencil, f, case.lower_order, window, seed=seed)
+    return verify_counterexample(stencil, f, case.lower_order, window)
 
 
 def run_search(name: str) -> dict:

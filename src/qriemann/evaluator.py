@@ -441,7 +441,10 @@ def peano_bound_check(f, x, m: int, epsilon_exponent: float, h_set) -> bool:
     if not h_set:
         raise EvaluatorError("h_set must be nonempty")
     x = _finite_rational(x, "x", EvaluatorError)
-    expo = m + epsilon_exponent
+    try:
+        expo = m + epsilon_exponent
+    except OverflowError:  # an int m past the double range plus a float epsilon
+        raise EvaluatorError("m + epsilon_exponent must be a finite number") from None
     # the double filter needs e itself as a double, and delta <= 2^-30
     delta = ((expo + 4) * 2.0**-50
              if isinstance(expo, (int, float)) and expo <= 2**20 - 4 else None)

@@ -628,8 +628,9 @@ class TestNamedCases:
         assert json.loads(text) == doc
 
     def test_seed_determinism(self):
-        a = run_case("thm32-n5", seed=7).to_json()
-        b = run_case("thm32-n5", seed=7).to_json()
+        # no step is drawn at random, so a report repeats byte for byte
+        a = run_case("thm32-n5").to_json()
+        b = run_case("thm32-n5").to_json()
         assert a == b
 
 
@@ -667,10 +668,11 @@ class TestVerifyCounterexample:
         assert detail["log10_ratio"] > 6
 
     def test_difference_detail_reports_sample_counts(self):
+        # the default member steps are the reciprocals of G's four generators
         report = run_case("thm32a")
         detail = report.details["difference"]
-        assert detail["members"] == 100
-        assert detail["nonmembers"] == 100
+        assert detail["members"] == 4
+        assert detail["nonmembers"] == 0
         assert detail["worst_member_ratio_to_threshold"] < 1.0
 
     def test_member_step_outside_the_group_is_rejected(self):
@@ -759,70 +761,22 @@ class TestVerifyCounterexample:
         assert detail["oscillation"] is oscillates
 
 
-# SHA-256 of the sampled steps, members then nonmembers, as verify_counterexample
-# draws them from one seeded generator: pins the draw order and every
-# accept/reject decision of the nonmember sampler.
-SAMPLER_STENCILS = {
-    "classic7": riemann_classic(7),
-    "nodes-2..13": vandermonde_solve((-2, 1, 2, 7, 11, 13), 5),  # 7, 11, 13 escape some G
-}
-SAMPLES_SHA256 = {
-    ((2, 3), "classic7", 0): "88208ff80785289202c4dfec6f57a0598c17eadb2abdf3a63f152fc40a47dee2",
-    ((2, 3), "classic7", 1729): "115cf04d6889fdae361ad0c21f638d55342b1f7b0901bb50363ea6fb4b73eeba",
-    ((2, 3), "nodes-2..13", 0): "c055a9f7aa33064ecbfc822668724f3bda552198f619311a5b94aaafcb336979",
-    ((2, 3), "nodes-2..13", 1729): "07e904c5eece89fb84ea3ece0c6cd9df7829b19af0be116e542245abb00a0f21",
-    ((3, 5, 7), "classic7", 0): "6eacc5f5311d00d3303fd5839da2dbd9ae2d79cb725e365558253424fa709e8c",
-    ((3, 5, 7), "classic7", 1729): "be17879e5be3ab4d1af1f68e36fe635fc598ac505077f089bb6ba3b20ec3d4f9",
-    ((3, 5, 7), "nodes-2..13", 0): "e0d944424ab2d7b153d4ef853d228e32d7952060864fed3f5be0830ec1c05e61",
-    ((3, 5, 7), "nodes-2..13", 1729): "e7d40442a77f89b27b735a5fb36bd6a4d35bef2e832bd7424bd5c8aff6e6d10d",
-    ((2, 3, 5, 7), "classic7", 0): "af6dcaeab83f29aa9f4096d00b3c74110bb38f9ae04e2d12bdc84ca97dadc0d9",
-    ((2, 3, 5, 7), "classic7", 1729): "fc0e62a39abe9943e3301b1267abba03c8ce8ae6374c236cc1c5681bf00bf52a",
-    ((2, 3, 5, 7), "nodes-2..13", 0): "c13109b2067cb2878beb357331c2d9d4b9a83fa2f5d81ba2fe71507da2ace569",
-    ((2, 3, 5, 7), "nodes-2..13", 1729): "eb52bc6c7ce14387357673aaba40cfd3f5bc63a0543da8836741108fd76f3ee4",
-}
+# a stencil whose positive nodes 7, 11 and 13 lie outside some G
+NODES_2_TO_13 = vandermonde_solve((-2, 1, 2, 7, 11, 13), 5)
 
 
-@pytest.mark.parametrize("gens, stencil, seed", list(SAMPLES_SHA256))
-def test_sampled_steps_are_pinned(gens, stencil, seed):
-    rng = random.Random(seed)
-    members = counterexample._sample_members(group(*gens), rng, 100)
-    nonmembers = counterexample._sample_nonmembers(group(*gens), SAMPLER_STENCILS[stencil], rng, 100)
-    text = " ".join(map(format_rational, members)) + "\n" + " ".join(map(format_rational, nonmembers))
-    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLES_SHA256[gens, stencil, seed]
-
-
-@pytest.mark.parametrize("gens, stencil, seed", [((2, 3), "nodes-2..13", 0),
-                                                  ((3, 5, 7), "classic7", 1729)])
-def test_escape_prime_steps_skip_the_membership_test(monkeypatch, gens, stencil, seed):
-    # a step base/p, base a member of numerator 1 and p an escape prime, is
-    # outside G by construction; only the dyadic steps are tested
-    g = group(*gens)
-    primes = counterexample._escape_primes(g)
-    tested = []
-    monkeypatch.setattr(counterexample, "membership",
-                        lambda grp, x: tested.append(x) or membership(grp, x))
-    steps = counterexample._sample_nonmembers(g, SAMPLER_STENCILS[stencil], random.Random(seed), 100)
-    escaped = [h for h in steps if h.numerator == 1 and any(h.denominator % p == 0 for p in primes)
-               and h.denominator & (h.denominator - 1)]
-    dyadic = [h for h in steps if h not in escaped]
-    assert escaped and dyadic
-    assert not set(escaped) & set(tested)
-    assert set(dyadic) <= set(tested)
-
-
-# SHA-256 of json.dumps({"case/seed": [checks, details]}, sort_keys=True) over
-# the six named cases at seeds 0-4: pins every verdict and every float of the
-# difference and unboundedness details.
-NAMED_CHECKS_SHA256 = "4e7928f9bdd9500f22dc352f2904361b2a6ed09142e70adb9e89a194fb64e755"
+# SHA-256 of json.dumps({case: [checks, details]}, sort_keys=True) over the
+# six named cases: pins every verdict and every float of the difference and
+# unboundedness details.
+NAMED_CHECKS_SHA256 = "afe4265d509ec84a14f6a4374cbd6d192d96798c907ddc2c0c7dbb734709c326"
 
 
 def test_named_case_checks_and_details_are_pinned():
     doc = {}
     for name in NAMED_CASES:
-        for seed in range(5):
-            report = run_case(name, seed=seed)
-            doc[f"{name}/{seed}"] = [report.checks, report.details]
-    assert len(doc) == 30
+        report = run_case(name)
+        doc[name] = [report.checks, report.details]
+    assert len(doc) == 6
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == NAMED_CHECKS_SHA256
 
@@ -847,6 +801,30 @@ def random_members(g, rng, count):
         for base in g.generators:
             h *= F(base) ** rng.randint(-8, 8)
         out.append(h)
+    return out
+
+
+def unit_members(g, rng, count):
+    """Members of G in (0, 1): 1 over a product of generator powers with
+    exponents in 0..10, the product 1 redrawn."""
+    out = []
+    while len(out) < count:
+        d = math.prod(base ** rng.randint(0, 10) for base in g.generators)
+        if d > 1:
+            out.append(F(1, d))
+    return out
+
+
+def empty_sum_nonmembers(stn, g, rng, count):
+    """Steps outside G at which the difference is an empty sum, because no
+    positive node maps them into G: members in (0, 1) over one of the two
+    smallest primes outside G, and dyadic rationals in (0, 1)."""
+    primes = [p for p in range(2, 30) if all(p % d for d in range(2, p)) and p not in g.generators]
+    out = []
+    while len(out) < count:
+        h = F(rng.random()) if rng.random() < 1 / 3 else unit_members(g, rng, 1)[0] / rng.choice(primes[:2])
+        if h > 0 and all(membership(g, x) is None for x in [h] + [a * h for a in stn.nodes if a > 0]):
+            out.append(h)
     return out
 
 
@@ -884,7 +862,7 @@ def test_member_verdicts_match_the_per_point_sums(name, mutation):
         f = GroupFunction(f.group, tuple(1 - b for b in f.character), f.exponent)
     elif mutation == "coefficient":
         stn = perturb_coefficient(stn, -1)
-    members = counterexample._sample_members(f.group, random.Random(DEFAULT_SEED), 100)
+    members = unit_members(f.group, random.Random(DEFAULT_SEED), 100)
     ok, detail = counterexample._check_difference_vanishes(stn, f, members, [])
     with mp.workdps(MP_DPS):
         s = _to_mpf(f.exponent)
@@ -913,8 +891,8 @@ class TestPeanoBoundMutations:
     def test_one_step_flips_only_the_peano_check(self, h, holds):
         stn, f, case = case_function("thm32a")
         rng = random.Random(8)
-        samples = {"members": counterexample._sample_members(f.group, rng, 20),
-                   "nonmembers": counterexample._sample_nonmembers(f.group, stn, rng, 20),
+        samples = {"members": unit_members(f.group, rng, 20),
+                   "nonmembers": empty_sum_nonmembers(stn, f.group, rng, 20),
                    "peano": [h]}
         report = verify_counterexample(stn, f, case.lower_order,
                                        window_for(stn, f, case.interval, case.flip_sign),
@@ -926,10 +904,39 @@ class TestPeanoBoundMutations:
         }
 
 
+@pytest.mark.parametrize("name", list(NAMED_CASES))
+@pytest.mark.parametrize("mutation", ["root", "exponent", "character", "coefficient"])
+def test_default_steps_give_the_checks_of_drawn_steps(name, mutation):
+    # The generator reciprocals against 100 members in (0, 1), 100
+    # nonmembers with empty sums and a Peano set of 60 members, 40
+    # nonmembers and 10 negated members, all drawn here.  The coefficient
+    # mutation perturbs the largest positive node in G.
+    stn, f, case = case_function(name)
+    if mutation == "exponent":
+        f = GroupFunction(f.group, f.character, f.exponent + 1e-6)
+    elif mutation == "character":
+        f = GroupFunction(f.group, tuple(1 - b for b in f.character), f.exponent)
+    elif mutation == "coefficient":
+        stn = perturb_coefficient(stn, max(k for k, a in enumerate(stn.nodes)
+                                           if a > 0 and membership(f.group, a) is not None))
+    rng = random.Random(DEFAULT_SEED)
+    samples = {"members": unit_members(f.group, rng, 100),
+               "nonmembers": empty_sum_nonmembers(stn, f.group, rng, 100),
+               "peano": (unit_members(f.group, rng, 60) + empty_sum_nonmembers(stn, f.group, rng, 40)
+                         + [-h for h in unit_members(f.group, rng, 10)])}
+    window = window_for(stn, f, case.interval, case.flip_sign)
+    default = verify_counterexample(stn, f, case.lower_order, window)
+    drawn = verify_counterexample(stn, f, case.lower_order, window, h_samples=samples)
+    assert default.checks == drawn.checks
+    assert default.checks["difference_vanishes"] is (mutation == "root")
+    # every member in (0, 1) compares the same |phi(s)| with 1e-9
+    key = "worst_member_ratio_to_threshold" if mutation == "root" else "ratio_to_threshold"
+    assert default.details["difference"][key] == drawn.details["difference"][key]
+
+
 def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
-    # thm32a's seeded Peano set: 60 members, 40 nonmembers and 10 negated
-    # members.  f(h) takes one mp.power at each positive member and none
-    # elsewhere.  The bound |h|^(6 + eps) is needed only where f(h) != 0,
+    # thm32a's default Peano steps: the reciprocals of its four generators.
+    # f(h) takes one mp.power at each positive member and none elsewhere.  The bound |h|^(6 + eps) is needed only where f(h) != 0,
     # and there doubles decide it, so no mp.power forms it.
     stn, f, case = case_function("thm32a")
     h_sets, calls, active = [], [], []
@@ -955,7 +962,7 @@ def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
     assert report.checks["lower_peano_bound"] is True
     (h_set,) = h_sets
     members = [h for h in h_set if h > 0 and membership(f.group, h) is not None]
-    assert (len(h_set), len(members)) == (110, 60)
+    assert (len(h_set), len(members)) == (4, 4)
     assert len(calls) == len(members)
     assert all(y == _to_mpf(f.exponent) for _, y in calls)  # f's own x^s
 
@@ -1061,8 +1068,8 @@ class TestGroupDifferences:
     def test_one_power_per_generator_and_member(self, monkeypatch):
         stn, f, _ = case_function("thm32a")
         rng = random.Random(4)
-        members = counterexample._sample_members(f.group, rng, 100)
-        nonmembers = counterexample._sample_nonmembers(f.group, stn, rng, 100)
+        members = unit_members(f.group, rng, 100)
+        nonmembers = empty_sum_nonmembers(stn, f.group, rng, 100)
         calls = []
         power = mp.power
         monkeypatch.setattr(mp, "power", lambda *a: calls.append(a) or power(*a))
@@ -1073,16 +1080,16 @@ class TestGroupDifferences:
 
     @pytest.mark.parametrize("name", ["thm32a", "nodes-2..13"])
     def test_one_membership_test_per_node_and_step(self, monkeypatch, name):
-        # thm32a's 100 + 100 sampled steps; and a stencil whose positive
+        # thm32a's 100 + 100 drawn steps; and a stencil whose positive
         # nodes 7, 11 and 13 lie outside <2, 3>, where only nonmember steps
         # are drawn, so that the check passes without a root.
         if name == "thm32a":
             stn, f, _ = case_function(name)
         else:
-            stn, f = SAMPLER_STENCILS[name], GroupFunction(group(2, 3), (1, 0), F(5, 2))
+            stn, f = NODES_2_TO_13, GroupFunction(group(2, 3), (1, 0), F(5, 2))
         rng = random.Random(4)
-        members = counterexample._sample_members(f.group, rng, 100) if name == "thm32a" else []
-        nonmembers = counterexample._sample_nonmembers(f.group, stn, rng, 100)
+        members = unit_members(f.group, rng, 100) if name == "thm32a" else []
+        nonmembers = empty_sum_nonmembers(stn, f.group, rng, 100)
         tested, powered = [], []
         group_power = counterexample._group_power
         monkeypatch.setattr(counterexample, "membership",

@@ -699,6 +699,14 @@ class TestPeanoBound:
         with pytest.raises(EvaluatorError, match="epsilon_exponent must be a finite number > 0"):
             peano_bound_check(f, F(0), 1, eps, self.h_set())
 
+    def test_order_past_the_double_range_with_a_float_epsilon(self):
+        # m + eps is an int plus a float, which overflows; an int eps keeps
+        # it an int, and the check runs
+        f = FunctionHandle.builtin("exp")
+        with pytest.raises(EvaluatorError, match="m \\+ epsilon_exponent must be a finite number"):
+            peano_bound_check(f, 0, 10**400, 0.5, [F(1, 2)])
+        assert peano_bound_check(f, 0, 10**400, 1, [F(1, 2)]) is False
+
 
 def peano_at_60_digits(f, x, m, eps, h_set):
     """peano_bound_check as it was before its double filter: every bound

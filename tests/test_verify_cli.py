@@ -756,9 +756,8 @@ class TestCmdDerive:
 # ---------------------------------------------------------------------------
 
 
-# SHA-256 of the stdout of `counterexample --case NAME`.  The seed picks the
-# sampled steps, and the report prints only the checks' verdicts, so one
-# digest holds at every seed.
+# SHA-256 of the stdout of `counterexample --case NAME`.  --seed is accepted
+# and changes nothing in a report, so one digest holds at every seed.
 CASE_STDOUT_SHA256 = {
     "prop25": "c7b542970e992f5301f4d4284ca6ec5ed22090e700ada5134de02a278c90469a",
     "thm32a": "6e242b41f9c2840242b64aeab5cd2733ceb3266252280973717dab06d3bb63d2",
@@ -805,6 +804,17 @@ class TestCmdCounterexample:
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         assert hashlib.sha256(captured.out.encode()).hexdigest() == CASE_STDOUT_SHA256[case]
+
+    @pytest.mark.parametrize("flags", [[f"--case={case}"] for case in CASE_STDOUT_SHA256]
+                             + [["--custom", *CUSTOM_STDOUT_SHA256["nodes-2,1,2,7"][0]]],
+                             ids=[*CASE_STDOUT_SHA256, "custom-nodes-2,1,2,7"])
+    def test_seed_changes_no_byte_and_no_exit_code(self, capsys, flags):
+        runs = []
+        for seed in (0, 1729):
+            code = cli.main(["counterexample", *flags, f"--seed={seed}"])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][1]
 
     @pytest.mark.parametrize("name", list(CUSTOM_STDOUT_SHA256))
     def test_custom_stdout_bytes_are_pinned(self, capsys, name):
