@@ -42,7 +42,6 @@ from qriemann.counterexample import (
 from qriemann.evaluator import MP_DPS, _mp_apply, _to_mpf, apply_difference
 from qriemann.stencil import (
     Stencil,
-    format_rational,
     riemann_classic,
     riemann_symmetric,
     scale,
@@ -936,8 +935,9 @@ def test_default_steps_give_the_checks_of_drawn_steps(name, mutation):
 
 def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
     # thm32a's default Peano steps: the reciprocals of its four generators.
-    # f(h) takes one mp.power at each positive member and none elsewhere.  The bound |h|^(6 + eps) is needed only where f(h) != 0,
-    # and there doubles decide it, so no mp.power forms it.
+    # f(h) takes one mp.power at each positive member and none elsewhere.
+    # The bound |h|^(6 + eps) is needed only where f(h) != 0, and there
+    # doubles decide it, so no mp.power forms it.
     stn, f, case = case_function("thm32a")
     h_sets, calls, active = [], [], []
     check, power = counterexample.peano_bound_check, mp.power
