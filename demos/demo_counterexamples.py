@@ -8,10 +8,12 @@ stencil.  Choosing s at a root of phi makes every difference vanish while
 the function still fails to be n-times differentiable at 0 -- each packaged
 case verifies exactly that, with three machine checks:
 
-  difference_vanishes   sampled members: |difference| <= 1e-9 * h^s
-                        (exactly 0 at integer s); off-group h: exactly 0
+  difference_vanishes   at the steps h = 1/g: |difference| <= 1e-9 * h^s
+                        (exactly 0 at integer s)
   lower_peano_bound     |f(h)| <= |h|^(m+eps) for the lower order m
-  nth_unbounded         |f(g^-j)/g^-jn| = g^(j(n-s)) blows past 1e6
+  nth_unbounded         s* <= n: f(h)/h^n = +-h^(s-n) on G is unbounded
+                        below n, and at s* = n it is chi(h) on G and 0 at
+                        h < 0, so the quotient has no limit either way
 
 The final section enumerates all 8 characters over <3,5,7> for the 9th-order
 symmetric stencil and shows none of them produces an endpoint sign change --

@@ -33,8 +33,6 @@ from .stencil import (
     vandermonde_solve,
 )
 
-UNBOUNDED_THRESHOLD = 1e6
-UNBOUNDED_MAX_J = 1000
 # Largest generator accepted, so that _is_prime's trial division takes at
 # most about 3 * 10^4 steps.
 MAX_GENERATOR = 10**9
@@ -497,34 +495,6 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
                       "members": len(members), "nonmembers": len(nonmembers)}
 
 
-def _check_unbounded(stencil: Stencil, f: GroupFunction) -> tuple[bool, dict]:
-    """Along h = g^-j the n-th quotient has magnitude g^(j(n-s)).  For s < n,
-    take each generator in turn and the smallest j with j(n-s) log10 g past
-    log10 of the threshold; the first such j <= UNBOUNDED_MAX_J is the
-    witness, where f(h)/h^n, evaluated, must agree with that prediction to
-    1e-9 relative.  Without a witness, s <= n keeps the magnitude at least 1,
-    so a nontrivial character makes the quotient oscillate in sign, which
-    denies the limit just as thoroughly; for s > n the quotient tends to 0."""
-    n, s_star = stencil.order, float(f.exponent)
-    limit = math.log10(UNBOUNDED_THRESHOLD)
-    witness_generators = f.group.generators if s_star < n else ()
-    for g in witness_generators:
-        rate = (n - s_star) * math.log10(g)
-        j = math.floor(limit / rate) + 1
-        if j > UNBOUNDED_MAX_J:
-            continue
-        h = Fraction(1, g**j)
-        with mp.workdps(MP_DPS):
-            quotient = abs(f.eval_mp(h)) / _to_mpf(h) ** n
-            predicted = mp.power(g, j * (n - _to_mpf(f.exponent)))
-            rel_error = float(abs(quotient - predicted) / predicted)
-        return rel_error <= 1e-9, {"witness_generator": g, "witness_j": j,
-                                   "log10_ratio": j * rate, "oscillation": False,
-                                   "relative_error": rel_error}
-    oscillates = s_star <= n and any(f.character)
-    return oscillates, {"witness_generator": None, "witness_j": None, "oscillation": oscillates}
-
-
 def verify_counterexample(
     stencil: Stencil,
     f: GroupFunction,
@@ -538,9 +508,11 @@ def verify_counterexample(
         the member steps in G and exactly at the nonmember steps,
     (b) |f(h)| <= |h|^(lower_order + eps) at the Peano steps, so everything
         below lower_order is exactly as smooth as claimed,
-    (c) the ordinary n-th quotient f(h)/h^n is unbounded (or oscillates
-        between fixed opposite values) along generator rays, so the ordinary
-        derivative cannot exist.
+    (c) f has no n-th Peano derivative at 0 (so no ordinary one either)
+        exactly when s <= n: along G the quotient f(h)/h^n is +-h^(s-n),
+        unbounded for s < n; at s = n it is chi(h) at every h > 0 in G and
+        0 at every h < 0, so it has no limit; for s > n it tends to 0.
+        The verdict is the exact comparison s <= n; f is not evaluated.
 
     Without h_samples the member steps and the Peano steps are the
     generator reciprocals 1/g, and there are no nonmember steps.  Any
@@ -549,7 +521,8 @@ def verify_counterexample(
     each; and f is 0 off G and at h < 0, while |f(h)| = h^s <= h^(m + eps)
     at each member h < 1 exactly when s >= m + eps.  A nonmember step that
     no positive node maps into G has an empty sum.  h_samples, a dict of
-    "members", "nonmembers" and "peano" step lists, replaces these steps.
+    "members", "nonmembers" and "peano" step lists, replaces these steps;
+    it must give (a) a member or nonmember step and (b) a Peano step.
 
     phi_on_interval is phi of f's character on the claimed interval, as the
     caller built it; the report prints it.
@@ -565,17 +538,19 @@ def verify_counterexample(
         members = peano_set = [Fraction(1, g) for g in f.group.generators]
         nonmembers = []
     else:
-        members = list(h_samples["members"])
-        nonmembers = list(h_samples["nonmembers"])
-        peano_set = list(h_samples["peano"])
-        for name, hs in (("members", members), ("nonmembers", nonmembers), ("peano", peano_set)):
+        names = ("members", "nonmembers", "peano")
+        if missing := [name for name in names if name not in h_samples]:
+            raise CounterexampleError(f"h_samples lacks the step lists {missing}")
+        members, nonmembers, peano_set = (list(h_samples[name]) for name in names)
+        if not (members or nonmembers) or not peano_set:
+            raise CounterexampleError("h_samples leaves a check without a step")
+        for name, hs in zip(names, (members, nonmembers, peano_set)):
             if 0 in hs:
                 raise CounterexampleError(f"h_samples[{name!r}] holds a zero step")
 
     ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)
     ok_b = peano_bound_check(f, 0, lower_order, eps, peano_set)
-    ok_c, detail_c = _check_unbounded(stencil, f)
 
     return CounterexampleReport(
         stencil=stencil,
@@ -585,10 +560,10 @@ def verify_counterexample(
         checks={
             "difference_vanishes": ok_a,
             "lower_peano_bound": ok_b,
-            "nth_unbounded": ok_c,
+            "nth_unbounded": f.exponent <= stencil.order,
         },
-        details={"difference": detail_a, "unbounded": detail_c,
-                 "peano_epsilon": eps, "peano_samples": len(peano_set)},
+        details={"difference": detail_a, "peano_epsilon": eps,
+                 "peano_samples": len(peano_set)},
     )
 
 

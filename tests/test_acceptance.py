@@ -304,8 +304,8 @@ def test_criterion_09_root_packages():
             bound = 1e-9 * max(abs(float(lo_val)), abs(float(hi_val)))
             assert residual < bound, (name, residual, bound)
 
-            # sampled differences vanish to relative 1e-9 (members), exactly
-            # (non-members); lower-order bound; n-th-order witness
+            # differences at the steps 1/g vanish to relative 1e-9;
+            # lower-order bound; s* <= n, so no n-th Peano derivative
             assert report.checks["difference_vanishes"] is True, name
             assert report.checks["lower_peano_bound"] is True, name
             assert report.checks["nth_unbounded"] is True, name

@@ -658,14 +658,6 @@ class TestVerifyCounterexample:
         assert report.checks["difference_vanishes"] is False
         assert not report.passed()
 
-    def test_unbounded_witness_is_recorded(self):
-        report = run_case("thm32a")
-        assert report.checks["nth_unbounded"] is True
-        detail = report.details["unbounded"]
-        assert detail["witness_generator"] in (2, 3, 5, 7)
-        assert 0 <= detail["witness_j"] <= 60
-        assert detail["log10_ratio"] > 6
-
     def test_difference_detail_reports_sample_counts(self):
         # the default member steps are the reciprocals of G's four generators
         report = run_case("thm32a")
@@ -715,49 +707,32 @@ class TestVerifyCounterexample:
         assert report.checks["difference_vanishes"] is False
         assert report.details["difference"] == {"failed_at": 0.2, "nonmember_exact_zero": False}
 
-    def test_slow_growth_just_below_the_order_has_a_witness(self):
-        # s = 19/10, n = 2, trivial character: |f(h)/h^2| = |h|^(-1/10)
-        # first passes 1e6 on the ray h = 2^-j at j = 200.
-        f = GroupFunction(group(2, 3), (0, 0), F(19, 10))
-        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
-                                       h_samples=samples)
-        assert report.checks["nth_unbounded"] is True
-        detail = report.details["unbounded"]
-        assert (detail["witness_generator"], detail["witness_j"]) == (2, 200)
-        assert detail["relative_error"] <= 1e-9
-
-    def test_exponent_above_the_order_has_no_witness_and_no_oscillation(self):
-        # s = 5/2 > n = 2: |f(h)/h^2| = |h|^(1/2) shrinks along every ray,
-        # and the trivial character never changes its sign.
-        f = GroupFunction(group(2, 3), (0, 0), F(5, 2))
-        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
-                                       h_samples=samples)
-        assert report.checks["nth_unbounded"] is False
-        detail = report.details["unbounded"]
-        assert detail["witness_generator"] is None
-        assert detail["oscillation"] is False
-
-    @pytest.mark.parametrize("character, s, oscillates", [
-        ((1, 1), F(2), True), ((1, 1), F(5, 2), False), ((1, 1), F(3), False), ((0, 0), F(2), False),
-        ((0, 0), 2 - F(1, 10**6), False),
-    ], ids=["chi=11,s=2", "chi=11,s=5/2", "chi=11,s=3", "chi=00,s=2", "chi=00,s=2-1e-6"])
-    def test_oscillation_needs_a_sign_change_and_s_at_most_the_order(self, character, s,
-                                                                     oscillates):
-        # No ray reaches the threshold here.  chi = (1, 1) flips the sign of
-        # f(h)/h^2 along each ray, but only for s <= n = 2 does its magnitude
-        # stay at least 1; above the order it tends to 0.  At s = n with the
-        # trivial character the quotient is the constant 1; at n - s = 1e-6
-        # it would pass the threshold only at j in the millions.
+    @pytest.mark.parametrize("s", [
+        F(19, 10), 2 - F(1, 10**6), F(2), 2 + F(1, 10**30), F(5, 2), F(3),
+    ], ids=["s=19/10", "s=2-1e-6", "s=2", "s=2+1e-30", "s=5/2", "s=3"])
+    @pytest.mark.parametrize("character", [(0, 0), (1, 1)], ids=["chi=00", "chi=11"])
+    def test_nth_unbounded_is_s_at_most_the_order(self, character, s):
+        # Along G, f(h)/h^2 = +-h^(s-2): unbounded below the order, however
+        # slowly it grows (h^(-1e-6) passes 1e6 only at h = 2^-(2e7)).  At
+        # s = n it is chi(h) at every h > 0 in G and 0 at every h < 0, so it
+        # has no limit for either character.  Above the order it tends to 0,
+        # even at s = 2 + 1e-30, which rounds to the double 2.0.
         f = GroupFunction(group(2, 3), character, s)
-        samples = {"members": [F(1, 2)], "nonmembers": [F(1, 5)], "peano": [F(1, 2)]}
-        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
-                                       h_samples=samples)
-        assert report.checks["nth_unbounded"] is oscillates
-        detail = report.details["unbounded"]
-        assert detail["witness_generator"] is None
-        assert detail["oscillation"] is oscillates
+        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f))
+        assert report.checks["nth_unbounded"] is (s <= 2)
+
+    @pytest.mark.parametrize("samples, message", [
+        ({"members": [], "nonmembers": [], "peano": [F(1, 2)]}, "leaves a check without a step"),
+        ({"members": [F(1, 2)], "nonmembers": [], "peano": []}, "leaves a check without a step"),
+        ({"members": [F(1, 2)], "peano": [F(1, 2)]}, "lacks the step lists ['nonmembers']"),
+    ], ids=["no-difference-step", "no-peano-step", "no-nonmember-list"])
+    def test_h_samples_give_every_check_a_step_list_and_a_step(self, samples, message):
+        # At s = 3 prop25's difference is nonzero on G, yet a difference
+        # check without a step would pass it; so would a Peano check.
+        f = GroupFunction(group(2, 3), (1, 1), 3)
+        with pytest.raises(CounterexampleError, match=re.escape(message)):
+            verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f),
+                                  h_samples=samples)
 
 
 # a stencil whose positive nodes 7, 11 and 13 lie outside some G
@@ -765,9 +740,8 @@ NODES_2_TO_13 = vandermonde_solve((-2, 1, 2, 7, 11, 13), 5)
 
 
 # SHA-256 of json.dumps({case: [checks, details]}, sort_keys=True) over the
-# six named cases: pins every verdict and every float of the difference and
-# unboundedness details.
-NAMED_CHECKS_SHA256 = "afe4265d509ec84a14f6a4374cbd6d192d96798c907ddc2c0c7dbb734709c326"
+# six named cases: pins every verdict and every float of the details.
+NAMED_CHECKS_SHA256 = "dc051cf53b1880feb4aff3bec47c621ae778094c62a1cbe7f9d24116716e5155"
 
 
 def test_named_case_checks_and_details_are_pinned():
@@ -1145,21 +1119,6 @@ def test_group_differences_match_the_per_point_reference(nodes, character, expon
             h_power = mp.power(_to_mpf(abs(h)), _to_mpf(exponent)) if in_g else 1
             size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h)) for a, c in zip(stn.nodes, stn.coeffs))
             assert abs(v * h_power - _mp_apply(stn, f, F(0), h)) <= mp.mpf("1e-50") * size
-
-
-class TestUnboundedEvaluatesF:
-    def test_witness_value_agrees_with_prediction(self):
-        detail = run_case("thm32-n8").details["unbounded"]
-        assert detail["relative_error"] <= 1e-9
-
-    def test_wrong_values_fail_only_nth_unbounded(self, monkeypatch):
-        monkeypatch.setattr(GroupFunction, "eval_mp", lambda self, x: mp.mpf(0))
-        report = run_case("thm32a")
-        assert report.checks == {
-            "difference_vanishes": True,
-            "lower_peano_bound": True,
-            "nth_unbounded": False,
-        }
 
 
 # ---------------------------------------------------------------------------

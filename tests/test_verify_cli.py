@@ -922,6 +922,20 @@ class TestCmdCounterexample:
         assert doc["exponent"] == float(exponent)
         assert doc["checks"]["difference_vanishes"] is vanishes
 
+    @pytest.mark.parametrize("flags, unbounded", [
+        (["--interval=1,2", "--exponent=1.999"], True),
+        (["--interval=1,2", "--exponent=2"], True),
+        (["--interval=1,5", "--exponent=3"], False),
+    ], ids=["s=1.999", "s=2", "s=3"])
+    def test_custom_nth_unbounded_is_s_at_most_the_order(self, capsys, flags, unbounded):
+        # trivial character, n = 2: f(2^-j)/2^-2j = 2^(j(2-s)) grows without
+        # bound at s = 1.999, however slowly; at s = 2 it is 1 on G and 0 at
+        # h < 0, so it has no limit; at s = 3 it tends to 0
+        assert cli.main(["counterexample", "--custom", "--nodes=0,1,2", "-n2", "--generators=2",
+                         "--character=0", "--lower-order=1", *flags]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checks"]["nth_unbounded"] is unbounded
+
     def test_custom_without_sign_change_exit_3(self, capsys):
         # Trivial character: phi(1) = 0 exactly, so no sign change exists
         # and the nonexistence exit code fires.
