@@ -531,9 +531,9 @@ def verify_counterexample(
         raise CounterexampleError("phi_on_interval is for another character than f's")
     if isinstance(lower_order, bool) or not isinstance(lower_order, int) or lower_order < 0:
         raise CounterexampleError("lower_order must be an integer >= 0")
-    s_star = float(f.exponent)
-    if s_star <= lower_order:
+    if f.exponent <= lower_order:
         raise CounterexampleError("exponent must exceed lower_order")
+    s_star = float(f.exponent)
     if h_samples is None:
         members = peano_set = [Fraction(1, g) for g in f.group.generators]
         nonmembers = []
@@ -550,6 +550,8 @@ def verify_counterexample(
 
     ok_a, detail_a = _check_difference_vanishes(stencil, f, members, nonmembers)
     eps = min(0.5, (s_star - lower_order) / 2)
+    if not eps > 0:  # s* - m is below what the doubles resolve
+        eps = (f.exponent - lower_order) / 2
     ok_b = peano_bound_check(f, 0, lower_order, eps, peano_set)
 
     return CounterexampleReport(

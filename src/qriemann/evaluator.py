@@ -7,14 +7,18 @@ counterexample.GroupFunction for the group-supported functions.  Functions
 with an exact path (polynomials, abs, signed powers, group-supported
 functions at integer exponents, and any function off its support) are
 combined exactly, so cancellation identities come out exactly zero.
-Transcendental values go through mpmath at 60 significant digits before being
-rounded to float once, at the very end; plain double precision would drown the
-small-h difference quotients the convergence tables are built from.
 
 Every difference, a single one or a table row, is a row of _row_quotients.
-Its sin, cos and exp rows run on mpmath.libmp's raw mpf tuples, each call
-given the bits of MP_DPS and round-to-nearest, so they read no mpmath
-context; every such row still equals _mp_apply's.
+A sin, cos or exp quotient of order n whose stencil has M_0 .. M_(n-1) = 0
+is taken, at every step h with R|h| <= 1/2 (R the largest |node|), from
+the exact moment series Q(h) = sum_(j>=n) M_j f^(j)(x) h^(j-n) / j!
+(_moment_series): one transcendental call per table and precision, and a
+row correctly rounded to a double.  Every other transcendental row is the
+direct sum at MP_DPS = 60 significant digits, on mpmath.libmp's raw mpf
+tuples, each call given the bits of MP_DPS and round-to-nearest, so that
+it reads no mpmath context and equals _mp_apply's; it is rounded to float
+once, at the very end, since plain double precision would drown the
+small-h difference quotients the convergence tables are built from.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import libmp, mp
-from mpmath.libmp import (dps_to_prec, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_sum,
-                          round_nearest, to_float)
+from mpmath.libmp import (dps_to_prec, from_int, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul,
+                          mpf_pow_int, mpf_sum, round_nearest, to_fixed, to_float)
 
 from .stencil import (GAUSSIAN_BUILDERS, Stencil, _finite_rational, _over_common_denominator,
                       recursive_build)
@@ -155,22 +159,151 @@ def _mp_apply(s: Stencil, f, x: Fraction, h: Fraction):
     return mp.fsum(_to_mpf(c) * f.eval_mp(x + a * h) for a, c in zip(s.nodes, s.coeffs))
 
 
+# A series row is computed to this many bits beyond its largest term: 53
+# for the double and 40 to spare, so that Ziv's test seldom asks for more.
+_SERIES_BITS = 93
+# times a series row may double its precision before the direct sum takes it
+_SERIES_REDOS = 4
+
+
+def _fixed_to_double(v: int, shift: int) -> float:
+    """v * 2^shift correctly rounded to a double, +-inf past the largest:
+    int true division and int-to-float conversion both round correctly."""
+    top = v.bit_length() + shift  # 2^(top-1) <= |v| 2^shift < 2^top
+    if v and top > 1025:
+        return math.copysign(math.inf, v)
+    if top < -1075:  # below half the smallest subnormal
+        return math.copysign(0.0, v)
+    try:
+        return float(v << shift) if shift >= 0 else v / (1 << -shift)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
+    """Rows h -> Q(h) = sum_k A_k f(x + a_k h) / h^n of f = sin, cos or exp,
+    correctly rounded to a double, from the Taylor series of Q about h = 0;
+    None when a moment M_j, j < n, is not 0.  A row is None where
+    R|h| > 1/2, R = max |a_k|, and where the last precision leaves its
+    rounding open.
+
+    With a_k = P_k / D (d and ps), A_k = C_k / E and y = h / D,
+
+        Q(h) = sum_{j >= n} alpha_j y^(j-n),
+        alpha_j = S_j f^(j)(x) / (E D^n j!),  S_j = sum_k C_k P_k^j,
+
+    where f^(j)(x) cycles through +-sin x and +-cos x, or is e^x.  S_j and
+    U_j = sum_k |C_k| |P_k|^j are running integer sums, built only as far
+    as a row needs them.  At G = 93 + lb bits, lb >= log2(B) read off the
+    integer bit lengths of B = sum_k |A_k| R^n / n!, alpha_j is the
+    integer floor(S_j Phi_j / (E D^n j!)) in units of 2^-G, Phi_j the
+    fixed-point f^(j)(x), e^x scaled by 2^-t into [1/2, 1).  One mpf_cos_sin
+    or mpf_exp per table and G, at G + 4 bits of x rounded to
+    G + 4 + log2|x| bits from its numerator and denominator, gives every
+    Phi_j within 2 units.  A row is a Horner pass in y over j = J .. n with
+    one floor division per step.  J is the first index whose Lagrange
+    remainder U_(J+1) |y|^(J+1-n) max|f^(J+1)| / (E D^n (J+1)!) is at most
+    2^(lb-3) max|f^(J+1)| units, with max|f^(J+1)| <= 1 for sin and cos and
+    e^(x + R|h|) <= e^(1/2) 2^t for exp; its logarithm is taken from the
+    exact integers with the bit that rounding may need to spare.
+
+    Since |y| <= 1/2 and sum_j U_j |y|^(j-n) / (E D^n j!) <= B e^(1/2), the
+    sum is within 2^(lb+3) units of Q 2^(G-t).  The row is accepted when
+    both ends of that interval round to the same double, else redone at 2G
+    (A. Ziv, ACM TOMS 17, 1991).  At x = 0 a sin (cos) quotient whose
+    stencil is even (odd) under a -> -a is exactly 0.
+    """
+    e, cs = _over_common_denominator(coeffs)
+    terms, sums = cs, []  # C_k P_k^j, S_j
+    dens, log_ratios = [], []  # from j = n on: E D^n j!, log2(U_j / (E D^n j!))
+
+    def extend(upto):
+        nonlocal terms
+        for j in range(len(sums), upto + 1):
+            if j:
+                terms = [t * p for t, p in zip(terms, ps)]
+            sums.append(sum(terms))
+            if j >= n:
+                dens.append(dens[-1] * j if dens else e * d**n * math.factorial(n))
+                log_ratios.append(math.log2(sum(map(abs, terms))) - math.log2(dens[-1]))
+
+    extend(n)
+    if any(sums[:n]):
+        return None
+    pmax = max(map(abs, ps))
+    lb = max(1, (sum(map(abs, cs)) * pmax**n).bit_length() - dens[0].bit_length() + 1)
+    g0, err = _SERIES_BITS + lb, 1 << (lb + 3)
+    x_bits = max(0, abs(x.numerator).bit_length() - x.denominator.bit_length() + 1)
+    # at x = 0 a sin sum vanishes on an even stencil, a cos sum on an odd one
+    at, parity = dict(zip(ps, cs)), 1 if name == "sin" else -1
+    zero = x == 0 and name != "exp" and all(at.get(-p) == parity * c for p, c in at.items())
+    fixed = {}  # G -> (t, the alpha_j at G from j = n on)
+
+    def alphas(g, upto):
+        if g not in fixed:
+            wp = g + 4
+            xm = _rational_mpf(x, wp + x_bits)
+            if name == "exp":
+                ex = mpf_exp(xm, wp, round_nearest)
+                t = ex[2] + ex[3]  # e^x = 2^t phi with 1/2 <= phi < 1
+                cycle = (to_fixed(ex, g - t),) * 4
+            else:
+                cos, sin = (to_fixed(v, g) for v in mpf_cos_sin(xm, wp, round_nearest))
+                t, cycle = 0, (sin, cos, -sin, -cos) if name == "sin" else (cos, -sin, -cos, sin)
+            fixed[g] = t, cycle, []
+        t, cycle, al = fixed[g]
+        extend(upto)
+        for j in range(n + len(al), upto + 1):
+            al.append(sums[j] * cycle[j % 4] // dens[j - n])
+        return t, al
+
+    def row(h):
+        yn, yd = h.numerator, h.denominator * d
+        if 2 * pmax * abs(yn) > yd:
+            return None
+        if zero:
+            return 0.0
+        log_y = math.log2(abs(yn)) - math.log2(yd)
+        g = g0
+        for _ in range(_SERIES_REDOS + 1):
+            top = 0  # J - n
+            while True:
+                if len(log_ratios) < top + 2:
+                    extend(n + top + 1)
+                if log_ratios[top + 1] + (top + 1) * log_y + g <= lb - 4:
+                    break
+                top += 1
+            t, al = alphas(g, n + top)
+            acc = al[top]
+            for i in range(top - 1, -1, -1):
+                acc = al[i] + acc * yn // yd
+            lo, hi = _fixed_to_double(acc - err, t - g), _fixed_to_double(acc + err, t - g)
+            if lo == hi and math.copysign(1, lo) == math.copysign(1, hi):
+                return lo
+            g *= 2
+        return None
+
+    return row
+
+
 def _row_quotients(s: Stencil, f, x, power: int):
     """h -> sum_k A_k f(x + a_k h) / h^power for any function object: an
-    exact Fraction when every value is exact, else computed at MP_DPS digits
-    and rounded to float once, after the division.
+    exact Fraction when every value is exact, else a float.
 
     Other function objects take their rows from _exact_apply and _mp_apply.
     A FunctionHandle prepares the stencil once per table: with x = u/v,
     h = p/t and a_k = P_k/D over the nodes' common denominator D, the points
     are N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.
-    Exact functions sum integer values into one Fraction per row.  sin, cos
-    and exp run on raw mpf tuples at prec = dps_to_prec(MP_DPS) bits with
-    round-to-nearest, the operations _mp_apply's mpf objects do inside
+    Exact functions sum integer values into one Fraction per row.  A sin,
+    cos or exp row at power = order takes _moment_series's correctly
+    rounded value wherever it gives one.  Any other sin, cos or exp row is
+    the direct sum, on raw mpf tuples at prec = dps_to_prec(MP_DPS) bits
+    with round-to-nearest, the operations _mp_apply's mpf objects do inside
     mp.workdps(MP_DPS), without entering it: each point is
     mpf_div(N_k, M) when both fit prec, else _rational_mpf of the reduced
-    Fraction; either is _to_mpf's mpf, so every row equals the per-point
-    _exact_apply, or _mp_apply at MP_DPS, whatever the caller's mp.prec.
+    Fraction; either is _to_mpf's mpf, so the row equals the per-point
+    _mp_apply at MP_DPS, rounded to float once after the division, whatever
+    the caller's mp.prec.
     """
     x = _finite_rational(x, "x", EvaluatorError)
     if not isinstance(f, FunctionHandle):
@@ -201,9 +334,11 @@ def _row_quotients(s: Stencil, f, x, power: int):
         return exact_row
 
     prec, rnd = dps_to_prec(MP_DPS), round_nearest
-    cs = [_rational_mpf(c, prec) for c in s.coeffs]
+    cs = []  # the coefficients' mpf tuples, made by the table's first direct sum
 
     def mp_row(h):
+        if not cs:
+            cs.extend(_rational_mpf(c, prec) for c in s.coeffs)
         ns, m = points(h)
         mm, wide = from_int(m), m.bit_length() > prec
         values = (fn(_rational_mpf(Fraction(n, m), prec) if wide or n.bit_length() > prec
@@ -212,7 +347,15 @@ def _row_quotients(s: Stencil, f, x, power: int):
         step = mpf_pow_int(_rational_mpf(h, prec), power, prec, rnd)
         return to_float(mpf_div(total, step, prec, rnd), rnd=rnd)
 
-    return mp_row
+    series = _moment_series(f.name, x, power, d, ps, s.coeffs) if power == s.order else None
+    if series is None:
+        return mp_row
+
+    def row(h):
+        value = series(h)
+        return mp_row(h) if value is None else value
+
+    return row
 
 
 def _apply(s: Stencil, f, x, h, power: int):

@@ -721,6 +721,26 @@ class TestVerifyCounterexample:
         report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f))
         assert report.checks["nth_unbounded"] is (s <= 2)
 
+    def test_exponent_just_above_the_lower_order_is_accepted(self):
+        # s = 1 + 1e-30 rounds to the double 1.0, yet exceeds m = 1 exactly;
+        # eps = (s - m) / 2 is then the exact Fraction, and |f(h)| = h^s
+        # stays below h^(m + eps) at the member steps h < 1
+        f = GroupFunction(group(2, 3), (1, 1), 1 + F(1, 10**30))
+        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f))
+        assert report.details["peano_epsilon"] == F(1, 2 * 10**30)
+        assert report.checks["lower_peano_bound"] is True
+
+    def test_exponent_at_the_lower_order_is_rejected(self):
+        f = GroupFunction(group(2, 3), (1, 1), 1)
+        with pytest.raises(CounterexampleError, match="exponent must exceed lower_order"):
+            verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f))
+
+    def test_epsilon_stays_a_double_where_the_doubles_resolve_it(self):
+        f = GroupFunction(group(2, 3), (1, 1), F(5, 4))
+        report = verify_counterexample(prop25_stencil(), f, 1, window_for(prop25_stencil(), f))
+        assert type(report.details["peano_epsilon"]) is float
+        assert report.details["peano_epsilon"] == 0.125
+
     @pytest.mark.parametrize("samples, message", [
         ({"members": [], "nonmembers": [], "peano": [F(1, 2)]}, "leaves a check without a step"),
         ({"members": [F(1, 2)], "nonmembers": [], "peano": []}, "leaves a check without a step"),

@@ -39,6 +39,7 @@ from qriemann.stencil import (
     gaussian_shifted,
     gaussian_symmetric,
     is_symmetric,
+    moments,
     riemann_classic,
     riemann_symmetric,
     scale,
@@ -308,7 +309,7 @@ class TestRecursiveQuotient:
 # recursive_quotient, one line each, over the Gaussian families at n 1..6 and
 # q in {2, -3/2}, exact and transcendental functions, and x of small and of
 # large height: the points of x = 3^160 + 2/7 are wider than MP_DPS.
-SINGLE_DIFFERENCES_SHA256 = "795c5e0e45955ccde95e3eb3d9bc426113971a9812e4790ec028ef370411a6c9"
+SINGLE_DIFFERENCES_SHA256 = "883dca4ec52ab7ee7678a33d50c5bf95b8e873e573facf14d57652af735bfbfc"
 
 
 def test_single_differences_pin():
@@ -527,12 +528,54 @@ def _tables(draw):
 
 def _per_point(s, f, x, h, power):
     """sum_k A_k f(x + a_k h) / h^power from the per-point _exact_apply, or
-    _mp_apply at MP_DPS: the reference every row is held to."""
+    _mp_apply at MP_DPS: the reference of every row outside the series."""
     exact = _exact_apply(s, f, x, h)
     if exact is not None:
         return exact / h**power
     with mp.workdps(MP_DPS):
         return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
+
+
+_MP_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp}
+
+
+def _in_disc(s, f, h, power):
+    """True where a row comes from the moment series: a sin, cos or exp
+    quotient of the stencil's order, M_0 .. M_(n-1) all 0, and R|h| <= 1/2."""
+    return (isinstance(f, FunctionHandle) and f.name in _MP_FUNCTIONS and power == s.order
+            and not any(moments(s, s.order - 1))
+            and 2 * max(abs(a) for a in s.nodes) * abs(h) <= 1)
+
+
+def _correctly_rounded(s, name, x, h):
+    """sum_k A_k f(x + a_k h) / h^order rounded once to a double, from the
+    per-point mpmath sum at digits grown until 56 of them (a double's 16
+    and 40 to spare) are left beyond the digits the sum cancels and the
+    digits of the largest point.  A sum that comes out 0 is taken at four
+    times the digits, up to past 2000."""
+    points = [x + a * h for a in s.nodes]
+    height = max(len(str(abs(p.numerator) // p.denominator)) for p in points)
+    dps = 60 + height
+    while True:
+        with mp.workdps(dps):
+            terms = [_to_mpf(c) * _MP_FUNCTIONS[name](_to_mpf(p))
+                     for c, p in zip(s.coeffs, points)]
+            total = mp.fsum(terms)
+            if not total:
+                if dps > 2000:
+                    return 0.0
+                dps *= 4
+                continue
+            lost = max(0, int(mp.log10(max(map(abs, terms)) / abs(total))) + 1)
+            if dps >= 56 + lost + height:
+                return float(total / _to_mpf(h) ** s.order)
+            dps = 66 + lost + height
+
+
+def _reference(s, f, x, h, power):
+    if _in_disc(s, f, h, power):
+        return _correctly_rounded(s, f.name, x, h)
+    return _per_point(s, f, x, h, power)
 
 
 class TestTableRowsMatchSingleDifferences:
@@ -579,21 +622,44 @@ class TestTableRowsMatchSingleDifferences:
         for h, qt, _ in table.rows:
             for got, power in ((qt, s.order), (difference_quotient(s, f, x, h), s.order),
                                (apply_difference(s, f, x, h), 0)):
-                want = _per_point(s, f, x, h, power)
+                want = _reference(s, f, x, h, power)
                 assert type(got) is type(want) and repr(got) == repr(want)
 
     def test_coefficients_convert_once_per_table(self, monkeypatch):
-        s = gaussian_forward(5, F(3, 2))
+        # R = (3/2)^4: the first row, h = 1/10, lies outside the disc R|h| <= 1/2
+        s, x = gaussian_forward(5, F(3, 2)), F(1, 3)
         calls = []
         rational_mpf = evaluator._rational_mpf
         monkeypatch.setattr(evaluator, "_rational_mpf",
                             lambda v, prec: calls.append(v) or rational_mpf(v, prec))
-        table = estimate_derivative(s, FunctionHandle.builtin("sin"), F(1, 3), steps=20)
+        table = estimate_derivative(s, FunctionHandle.builtin("sin"), x, steps=20)
         hs = [h for h, _, _ in table.rows]
         assert len(hs) == 20
-        # the n + 1 coefficients once, then each row's step h; every point
-        # fits the precision, so none goes through _rational_mpf
-        assert calls == [*s.coeffs, *hs]
+        # the direct sum of the first row converts the n + 1 coefficients and
+        # its step; the series of the other 19 converts x once, at its one
+        # precision, and no step at all
+        assert calls == [*s.coeffs, hs[0], x]
+
+    @pytest.mark.parametrize("name,x,h0,ratio,steps,precisions", [
+        ("sin", F(1, 3), F(1, 20), F(1, 2), 20, 1),
+        ("cos", F(-2, 7), F(-1, 20), F(2, 3), 30, 1),
+        ("exp", F(5, 4), F(1, 20), F(1, 2), 20, 1),
+        # Q(h) is about -h, and the row at h = 10^-33 needs twice the bits
+        ("sin", F(0), F(1, 10), F(1, 10**8), 5, 2),
+    ], ids=["sin", "cos", "exp", "sin-redone"])
+    def test_one_transcendental_call_per_table_and_precision(self, monkeypatch, name, x, h0,
+                                                            ratio, steps, precisions):
+        calls = []
+        for fn in ("mpf_cos_sin", "mpf_exp"):
+            real = getattr(evaluator, fn)
+            monkeypatch.setattr(evaluator, fn, lambda v, prec, rnd, real=real:
+                                calls.append(prec) or real(v, prec, rnd))
+        s, f = riemann_classic(2), FunctionHandle.builtin(name)
+        table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=steps)
+        assert len(table.rows) == steps
+        assert len(calls) == len(set(calls)) == precisions
+        for h, qt, _ in table.rows:
+            assert repr(qt) == repr(_correctly_rounded(s, name, x, h))
 
     @pytest.mark.parametrize("name", ["sin", "cos", "exp"])
     def test_rows_ignore_the_callers_precision(self, name):
@@ -620,6 +686,59 @@ class TestTableRowsMatchSingleDifferences:
         hs = [h for h, _, _ in table.rows]
         assert len(hs) == 8
         assert [qt for _, qt, _ in table.rows] == [difference_quotient(s, g, 0, h) for h in hs]
+
+
+@st.composite
+def _series_rows(draw):
+    """(stencil, name, x, h): every kind at n <= 12 with small rational q,
+    sin, cos or exp, and a step h inside the disc R|h| <= 1/2."""
+    kind = draw(st.sampled_from([*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom"]))
+    n = draw(st.integers(1, 12))
+    if kind == "custom":
+        ks = draw(st.lists(st.integers(-12, 12), min_size=n + 1, max_size=n + 1, unique=True))
+        s = _custom("small", ks)
+    elif kind in GAUSSIAN_BUILDERS:
+        s = GAUSSIAN_BUILDERS[kind](n, draw(st.sampled_from([F(2), F(-2), F(3), F(3, 2), F(-2, 3),
+                                                             F(-5, 3), F(31, 29)])))
+    else:
+        s = CLASSICAL_BUILDERS[kind](n)
+    name = draw(st.sampled_from(sorted(_MP_FUNCTIONS)))
+    x = draw(st.one_of(st.just(F(0)), st.fractions(min_value=-12, max_value=12,
+                                                   max_denominator=8)))
+    r = draw(st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool))
+    h = r / (2 * max(abs(a) for a in s.nodes)) / 10 ** draw(st.integers(0, 12))
+    return s, name, x, -h if draw(st.booleans()) else h
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_series_rows())
+# exactly 0: sin at 0 under an even stencil, cos at 0 under an odd one
+@example((gaussian_symmetric(4, F(3, 2)), "sin", F(0), F(1, 40)))
+@example((riemann_symmetric(3), "cos", F(0), F(-1, 7)))
+# Q(h) is about -h: -10^-400 rounds to -0.0, after four redoubled precisions
+@example((riemann_classic(2), "sin", F(0), F(1, 10**400)))
+# past the largest double, and x of 100 digits
+@example((gaussian_shifted(3, F(-5, 3)), "exp", F(720), F(1, 100)))
+@example((riemann_classic(2), "sin", F(10**99), F(1, 10)))
+def test_series_rows_are_correctly_rounded(row):
+    s, name, x, h = row
+    assert _in_disc(s, FunctionHandle.builtin(name), h, s.order)
+    got = difference_quotient(s, FunctionHandle.builtin(name), x, h)
+    assert repr(got) == repr(_correctly_rounded(s, name, x, h))
+
+
+@pytest.mark.parametrize("name", sorted(_MP_FUNCTIONS))
+def test_series_rows_redone_at_low_precision_stay_correctly_rounded(monkeypatch, name):
+    # 16 bits beyond the largest term leave most roundings open at the first
+    # precision: a row must then be redone, and any row its error bound
+    # accepts early must still be the correctly rounded one
+    monkeypatch.setattr(evaluator, "_SERIES_BITS", 16)
+    for s in (gaussian_forward(3, F(3, 2)), gaussian_symmetric(4, F(-5, 3)), riemann_classic(5)):
+        for x in (F(0), F(-7, 3), F(11, 8)):
+            table = estimate_derivative(s, FunctionHandle.builtin(name), x,
+                                        h0=1 / (2 * max(s.nodes)), ratio=F(3, 5), steps=20)
+            for h, qt, _ in table.rows:
+                assert repr(qt) == repr(_correctly_rounded(s, name, x, h))
 
 
 # ---------------------------------------------------------------------------

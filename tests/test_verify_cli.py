@@ -572,19 +572,23 @@ DERIVE_CSV_SHA256 = {
 # of `derive` on points of large height.  The custom nodes have 31-digit
 # denominators, and x in symmetric-sin-tall-x has a 56-digit one: their
 # points x + a_k h are quotients of integers wider than the 60-digit mpf
-# precision, the latter only from the 16th row on.  The poly and signpow5
-# rows sum exact values of degree 6 and 5 down to h ~ 1e-8.
+# precision, the latter only from the 16th row on.  The rows of
+# forward-cos-far and custom-sin-31-digit-nodes come from the moment series:
+# every one of them is the correctly rounded quotient, cos(123456.789) =
+# 0.0516725... as h -> 0 in the former and -cos(1/3) in each row of the
+# latter.  The poly and signpow5 rows sum exact values of degree 6 and 5
+# down to h ~ 1e-8.
 _D31 = "1" + "0" * 30
 DERIVE_TALL_SHA256 = {
     "forward-cos-far": (["--kind=forward", "-n12", "-q31/29", "--function=cos",
                          "--at=123456789/1000"], 3,
-                        "a463314510501315699c6aa907b3e5d18cca7641157d7ebf80886815ff73b475",
-                        "3a18a7f3fc07e2174894e9172d115c3707a6978b26d714058c54d6919a79d354"),
+                        "43edf0f21aab0471c79910d416bf1255ee60e95efd3fc0a0c2c395cc2d27a494",
+                        "c82cc524d6b56a441ae41eb84e15e088a8479ffbe8bede9a70e0c964c3ee77c6"),
     "custom-sin-31-digit-nodes": (["--kind=custom", "-n3",
                                    f"--nodes=-1/{_D31}3,1/{_D31}1,2/{_D31}7,3/{_D31}9",
-                                   "--function=sin", "--at=1/3"], 3,
-                                  "0b8825b5ec6b101ab276e361275678ea97ada37cb2fda5fa1db724d7083b0a80",
-                                  "a5a55a6fb4e9a2107ef7c500f0753f3f58b43b14e06e5a286c21d84a10eccd24"),
+                                   "--function=sin", "--at=1/3"], 0,
+                                  "8c37c3f47ddd5633e095e8f12a4aca1e74b3fbb50ff3528efda54b45c1f9d0e2",
+                                  "e44e4a433c2fdc5bcce1453c22f6fcd4c37253a50f88c280990abeed21a3fc5d"),
     "symmetric-sin-tall-x": (["--kind=symmetric", "-n4", "-q=3/2", "--function=sin",
                               f"--at={10**55 + 7}/{3 * 10**55}"], 0,
                              "3a116c004d4bba4f901d956b7dfbac2116dd158e13cdccd3a04154016cce9487",
@@ -618,6 +622,21 @@ class TestCmdDerive:
         assert (code, captured.err) == (want_code, "")
         digest = json_digest if output == "json" else text_digest
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("at,value", [
+        ("1e99", 0.27251160193436597),  # -sin(10^99)
+        ("1e999", -0.37589337755222713),  # -sin(10^999)
+    ])
+    def test_tall_x_rows_follow_the_second_derivative(self, capsys, at, value):
+        # x + a_k h takes log10|x| digits before any are left for the
+        # difference; the series rounds x to its precision plus the bits of |x|
+        code = cli.main(["derive", "--kind", "riemann", "-n", "2", "--function", "sin",
+                         "--at", at])
+        out = capsys.readouterr().out
+        assert "converged value=0.0" not in out and "diverged" not in out
+        assert code in (0, 3)
+        last = float(out.splitlines()[-2].split(",")[1])  # h = -1.9e-7
+        assert abs(last - value) < 1e-6
 
     @pytest.mark.parametrize("flags,row", [
         (["-n1", "--at=0", "--function=poly:0," + str(10**400)], 1),  # the quotient, 10^400
