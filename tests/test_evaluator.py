@@ -741,6 +741,21 @@ def test_series_rows_redone_at_low_precision_stay_correctly_rounded(monkeypatch,
                 assert repr(qt) == repr(_correctly_rounded(s, name, x, h))
 
 
+def test_series_rows_left_open_fall_back_to_the_direct_sum(monkeypatch):
+    # one bit beyond the largest term and no redo decide no rounding
+    monkeypatch.setattr(evaluator, "_SERIES_BITS", 1)
+    monkeypatch.setattr(evaluator, "_SERIES_REDOS", 0)
+    calls = []
+    cos = evaluator._MPF_FUNCTIONS["cos"]
+    monkeypatch.setitem(evaluator._MPF_FUNCTIONS, "cos",
+                        lambda v, prec, rnd: calls.append(v) or cos(v, prec, rnd))
+    s, f, x = gaussian_symmetric(4, F(3, 2)), FunctionHandle.builtin("cos"), F(1, 3)
+    table = estimate_derivative(s, f, x, h0=F(1, 20), steps=8)
+    assert len(calls) == 8 * len(s.nodes)
+    for h, qt, _ in table.rows:
+        assert repr(qt) == repr(_per_point(s, f, x, h, s.order))
+
+
 # ---------------------------------------------------------------------------
 
 
