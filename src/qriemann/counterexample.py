@@ -284,19 +284,24 @@ class PhiOnInterval:
 
 
 def _phi_signed_value(phi: ExponentialSum, logs: list, s: float):
-    """(value, sign) of phi at s as an mpf: at an integer the exact value,
-    rounded once, which keeps its exact sign (an mpf's exponent is
-    unbounded); else the sum of c_i exp(s ln b_i) over the (c_i, ln b_i)
-    pairs in logs.  Call inside an mp.workdps block.
+    """(value, sign, slope) of phi at s, value and slope as mpfs: at an
+    integer the exact value, rounded once, which keeps its exact sign (an
+    mpf's exponent is unbounded), and no slope; else the sum of
+    t_i = c_i exp(s ln b_i) over the (c_i, ln b_i) pairs in logs, and from
+    the same exps the slope phi'(s) = sum_i t_i ln b_i.  Call inside an
+    mp.workdps block.
 
-    find_exponent asks this at integer probes, where _double_sign leaves
-    the sign open, and for the two final endpoints."""
+    find_exponent asks this at integer probes, at the probes its doubles
+    and its expansion leave open, and for the two final endpoints where the
+    expansion cannot choose between them."""
     if s.is_integer():
-        v = _to_mpf(phi.eval_exact(int(s)))
+        v, slope = _to_mpf(phi.eval_exact(int(s))), None
     else:
         sm = mp.mpf(s)
-        v = mp.fsum(c * mp.exp(sm * lb) for c, lb in logs)
-    return v, (v > 0) - (v < 0)
+        ts = [(c * mp.exp(sm * lb), lb) for c, lb in logs]
+        v = mp.fsum(t for t, _ in ts)
+        slope = mp.fsum(t * lb for t, lb in ts)
+    return v, (v > 0) - (v < 0), slope
 
 
 def _double_sign(doubles: list, s: float) -> int:
@@ -326,21 +331,85 @@ def _double_sign(doubles: list, s: float) -> int:
     return (total > 0) - (total < 0) if abs(total) > bound * 2.0**-49 else 0
 
 
+def _centre(doubles: list, c: float, value, slope):
+    """phi's first-order expansion about a probe c summed at 60 digits, as
+    the doubles (c, p, d, q, L, e) that _expansion_sign reads, or None where
+    one of them would leave the normal range.
+
+    p and d are the 60-digit phi(c) and phi'(c) rounded to doubles.  With
+    a_i = |c_i| exp(c ln b_i) under the range checks of _double_sign, so
+    |c ln b_i| < 710 and each a_i is within 2136 units of 2^-53 of
+    |c_i| b_i^c: q is sum_i a_i (ln b_i)^2 raised by 2^-40, L is
+    max_i |ln b_i|, and e = 2^-179 sum_i a_i, far above the error of 60
+    digits in phi(c) + phi'(c) (s - c) wherever L |s - c| <= 1."""
+    t = q = lmax = 0.0
+    for cf, lb in doubles:
+        try:
+            e = math.exp(c * lb)
+        except OverflowError:
+            return None
+        a = abs(cf) * e
+        if not (min(abs(cf), e) > _TINY and _TINY < a < _HUGE):
+            return None
+        t += a
+        q += a * lb * lb
+        lmax = max(lmax, abs(lb))
+    p, d = float(value), float(slope)
+    if not (_TINY < abs(p) < _HUGE and _TINY < abs(d) < _HUGE):
+        return None
+    return c, p, d, q * (1 + 2.0**-40), lmax, t * 2.0**-179
+
+
+def _expansion_sign(centre: tuple, probes) -> int:
+    """The sign of phi(s) summed over the probes s, from p + d (s - c) of
+    the centre (_centre), or 0 where the error bound does not decide it.
+
+    With delta = s - c and x = L |delta| <= 1 (else the sign is left open),
+    Taylor's remainder is at most (1/2) delta^2 q e^x <= (1/2) delta^2 q
+    (1 + 2x).  Rounding phi(c) and phi'(c) to doubles and the double
+    arithmetic add at most 4 units of 2^-53 of |p| + |d delta|; the bound
+    takes 8, whose slack covers summing two probes.  e covers 60 digits."""
+    c, p, d, q, lmax, e = centre
+    total = bound = 0.0
+    for s in probes:
+        delta = s - c
+        x = lmax * abs(delta)
+        if x > 1:
+            return 0
+        m = d * delta
+        total += p + m
+        bound += 0.5 * delta * delta * q * (1 + 2 * x) + 2.0**-50 * (abs(p) + abs(m)) + e
+    return (total > 0) - (total < 0) if abs(total) > bound else 0
+
+
 def find_exponent(window: PhiOnInterval) -> Fraction:
     """Bisect the sign change of phi on the window's interval down to float
     resolution; returns the double it lands on, as an exact Fraction.
 
     Requires phi(lo) * phi(hi) < 0 strictly.  Integer probes are evaluated
-    exactly, so an exact integer root is returned exactly.  Other probes
-    take the sign of the double sum of c_i exp(s ln b_i) where its error
-    bound decides it (_double_sign), and else sum the same terms at MP_DPS
-    digits, with the c_i and ln b_i converted once per call: each term is
-    then correct to about |s ln b_i| units in the last of 60 digits, far
-    below the |phi| of any probe a double can reach.  Either way every sign
-    is phi's, so the probes are those of a bisection at 60 digits alone.
-    Among the final bracketing endpoints, recomputed at 60 digits, the one
-    with the smaller |phi| wins, so the residual is as small as doubles
-    allow.
+    exactly, so an exact integer root is returned exactly.  Every other
+    probe takes its sign from the first of three tiers whose error bound
+    decides it:
+
+    1. doubles: the sum of c_i exp(s ln b_i) (_double_sign);
+    2. once a probe c has been summed at 60 digits, and tried before the
+       doubles: the expansion phi(c) + phi'(c) (s - c) about the last such
+       c, in doubles (_expansion_sign).  Its bound is Taylor's remainder
+       (1/2) (s - c)^2 sum_i |c_i| (ln b_i)^2 b_i^c e^(|ln b_i| |s - c|)
+       plus the rounding of phi(c) and phi'(c) to doubles and of the
+       double arithmetic; where one of its doubles would leave the normal
+       range it decides nothing;
+    3. MP_DPS digits (_phi_signed_value), with the c_i and ln b_i converted
+       once per call: each term is then correct to about |s ln b_i| units
+       in the last of 60 digits, far below the |phi| of any probe a double
+       can reach.  The probe becomes the new centre c.
+
+    Every sign is phi's, so the probes are those of a bisection at 60
+    digits alone.  Among the final bracketing endpoints the one with the
+    smaller |phi| wins, so the residual is as small as doubles allow.  As
+    phi(lo) and phi(hi) have opposite signs, lo wins where phi(lo) + phi(hi)
+    has phi(hi)'s sign or is 0: decided from the expansion where it can,
+    else from both endpoints at 60 digits.
     """
     if not window.sign_change:
         raise NoSignChangeError(
@@ -350,6 +419,7 @@ def find_exponent(window: PhiOnInterval) -> Fraction:
     phi = window.phi
     lo, hi = (float(v) for v in window.interval)
     slo = 1 if window.lo_value > 0 else -1
+    centre = None
     with mp.workdps(MP_DPS):
         logs = [(_to_mpf(c), mp.log(_to_mpf(b))) for c, b in phi.terms]
         doubles = [(float(c), float(lb)) for c, lb in logs]
@@ -357,17 +427,23 @@ def find_exponent(window: PhiOnInterval) -> Fraction:
             mid = (lo + hi) / 2
             if not (lo < mid < hi):
                 break  # float resolution reached
-            smid = 0 if mid.is_integer() else _double_sign(doubles, mid)
+            smid = 0 if mid.is_integer() else (
+                centre and _expansion_sign(centre, (mid,)) or _double_sign(doubles, mid))
             if not smid:
-                smid = _phi_signed_value(phi, logs, mid)[1]
+                vmid, smid, slope = _phi_signed_value(phi, logs, mid)
                 if smid == 0:
                     return Fraction(mid)
+                if slope is not None:
+                    centre = _centre(doubles, mid, vmid, slope)
             if smid == slo:
                 lo = mid
             else:
                 hi = mid
-        vlo, vhi = (_phi_signed_value(phi, logs, v)[0] for v in (lo, hi))
-        return Fraction(lo if abs(vlo) <= abs(vhi) else hi)
+        total = centre and _expansion_sign(centre, (lo, hi))
+        if not total:
+            vlo, vhi = (_phi_signed_value(phi, logs, v)[0] for v in (lo, hi))
+            return Fraction(lo if abs(vlo) <= abs(vhi) else hi)
+        return Fraction(hi if total == slo else lo)
 
 
 # -- the full verification ----------------------------------------------------

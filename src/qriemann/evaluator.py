@@ -500,13 +500,12 @@ def estimate_derivative(
 
     table = ConvergenceTable(order=s.order)
     quotient = _row_quotients(s, f, x, s.order)
-    prev_q = None
+    quotients = []  # each row's quotient as a double, for the verdict
+    step = h0  # h0 ratio^i, carried as a running product
     for i in range(steps):
-        h = h0 * ratio**i
-        if s.order >= 3 and abs(h) < Fraction(1, 10**8):
-            break
-        if two_sided and i % 2 == 1:
-            h = -h
+        if s.order >= 3 and abs(step.numerator) * 10**8 < step.denominator:
+            break  # |h| < 1e-8
+        h = -step if two_sided and i % 2 == 1 else step
         qt = quotient(h)
         try:  # every row is reported as doubles, and an exact value may not fit one
             hf, qf = float(h), float(qt)
@@ -515,13 +514,12 @@ def estimate_derivative(
         if hf == 0:  # past the largest double, or a nonzero h below the smallest
             raise EvaluatorError(f"row {i + 1}: the step h or its quotient lies outside "
                                  "the double range")
-        delta = None if prev_q is None else abs(qf - prev_q)
-        table.rows.append((h, qt, delta))
-        prev_q = qf
+        table.rows.append((h, qt, abs(qf - quotients[-1]) if quotients else None))
+        quotients.append(qf)
+        step *= ratio
     if len(table.rows) < 2:
         raise EvaluatorError("fewer than two usable rows; raise h0 or lower the order")
 
-    quotients = [float(qt) for _, qt, _ in table.rows]
     deltas = [d for _, _, d in table.rows if d is not None]
     last_q = quotients[-1]
 
@@ -550,11 +548,11 @@ def estimate_derivative(
         return table
 
     table.verdict = "oscillating"
-    for h, qt, _ in table.rows:
+    for (h, _, _), qf in zip(table.rows, quotients):
         if h > 0:
-            table.pos_estimate = float(qt)
+            table.pos_estimate = qf
         else:
-            table.neg_estimate = float(qt)
+            table.neg_estimate = qf
     return table
 
 

@@ -380,7 +380,7 @@ def bisection_at_60_digits(window):
             mid = (lo + hi) / 2
             if not (lo < mid < hi):
                 break
-            vmid, smid = counterexample._phi_signed_value(phi, logs, mid)
+            vmid, smid = counterexample._phi_signed_value(phi, logs, mid)[:2]
             if smid == 0:
                 return F(mid)
             if smid == slo:
@@ -412,8 +412,9 @@ def sign_change_windows(draw):
 
 
 class TestBisectionFilter:
-    """find_exponent decides a probe's sign in doubles where their error
-    bound allows, and lands on the very double of the 60-digit bisection."""
+    """find_exponent decides a probe's sign in doubles, or from the
+    expansion about its last 60-digit sum, where their error bounds allow,
+    and lands on the very double of the 60-digit bisection."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(sign_change_windows())
@@ -421,9 +422,10 @@ class TestBisectionFilter:
         assert find_exponent(window) == bisection_at_60_digits(window)
 
     def test_thm32a_sums_at_60_digits_on_few_probes(self, monkeypatch):
-        # the 60-digit bisection sums phi at all 50 probes; the filter leaves
-        # only those within a few thousand doubles of the root, plus the two
-        # final endpoints
+        # the 60-digit bisection sums phi at all 50 probes; the doubles leave
+        # open only those within a few thousand doubles of the root, and the
+        # expansion about the first of them decides the rest and the final
+        # choice between the two endpoints
         case = NAMED_CASES["thm32a"]
         window = PhiOnInterval.of(case.build(), group(*case.generators), case.character,
                                   case.interval, case.flip_sign)
@@ -434,7 +436,45 @@ class TestBisectionFilter:
         assert len(sums) == 50
         sums.clear()
         find_exponent(window)
-        assert len(sums) <= 12
+        assert len(sums) <= 2
+
+    def test_three_roots_within_3e_12_need_the_remainder(self, monkeypatch):
+        # (2^s - 2)(2^s - 2(1 + e))(2^s - 2(1 + 2e)) expanded, e = 10^-12: the
+        # doubles leave open every probe within about 3e-5 of s = 1, where phi
+        # is far from its tangent at a centre; on (0, 2) the first probe
+        # would be the exact root 1, so the window is (0, 3)
+        e = F(1, 10**12)
+        a, b, c = 2, 2 * (1 + e), 2 * (1 + 2 * e)
+        phi = ExponentialSum(((F(1), F(8)), (-(a + b + c), F(4)),
+                              (a * b + b * c + c * a, F(2)), (-a * b * c, F(1))))
+        window = on_interval(phi, 0, 3)
+        sums, value = [], counterexample._phi_signed_value
+        monkeypatch.setattr(counterexample, "_phi_signed_value",
+                            lambda *a: sums.append(a[2]) or value(*a))
+        want = bisection_at_60_digits(window)
+        probes = len(sums)
+        sums.clear()
+        assert find_exponent(window) == want
+        assert abs(want - 1) < 3e-12
+        assert len(sums) < probes  # the expansion decided some probes
+
+    def test_a_probe_inside_the_remainder_is_left_open(self):
+        # phi = 2^s - 3 about c = log2(3) - 10^-3: 1.7e-7 right of the root phi
+        # is positive while its tangent is negative by about half the
+        # remainder; 1e-5 either side of the root the tangent decides
+        phi = ExponentialSum(((F(1), F(2)), (F(-3), F(1))))
+        root = math.log2(3)
+        with mp.workdps(MP_DPS):
+            logs = [(_to_mpf(c), mp.log(_to_mpf(b))) for c, b in phi.terms]
+            doubles = [(float(c), float(lb)) for c, lb in logs]
+            c = root - 1e-3
+            value, _, slope = counterexample._phi_signed_value(phi, logs, c)
+            centre = counterexample._centre(doubles, c, value, slope)
+            s = root + 1.7e-7
+            assert phi.eval_mp(F(s)) > 0 > centre[1] + centre[2] * (s - c)
+        assert counterexample._expansion_sign(centre, (s,)) == 0
+        assert counterexample._expansion_sign(centre, (root + 1e-5,)) == 1
+        assert counterexample._expansion_sign(centre, (root - 1e-5,)) == -1
 
     @pytest.mark.parametrize("terms, root", [
         # 10^(400 s) - 20 * 10^(399 s): exp(s ln 10^400) overflows a double
