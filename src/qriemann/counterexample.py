@@ -388,17 +388,16 @@ def find_exponent(window: PhiOnInterval) -> Fraction:
 
     Requires phi(lo) * phi(hi) < 0 strictly.  Integer probes are evaluated
     exactly, so an exact integer root is returned exactly.  Every other
-    probe takes its sign from the first of three tiers whose error bound
-    decides it:
+    probe takes its sign from doubles under a stated error bound, and where
+    that leaves it open from 60 digits:
 
-    1. doubles: the sum of c_i exp(s ln b_i) (_double_sign);
-    2. once a probe c has been summed at 60 digits, and tried before the
-       doubles: the expansion phi(c) + phi'(c) (s - c) about the last such
-       c, in doubles (_expansion_sign).  Its bound is Taylor's remainder
-       (1/2) (s - c)^2 sum_i |c_i| (ln b_i)^2 b_i^c e^(|ln b_i| |s - c|)
-       plus the rounding of phi(c) and phi'(c) to doubles and of the
-       double arithmetic; where one of its doubles would leave the normal
-       range it decides nothing;
+    1. the sum of c_i exp(s ln b_i) in doubles (_double_sign);
+    2. in place of 1 where the last probe c summed at 60 digits has every
+       double of its expansion in the normal range: the expansion
+       phi(c) + phi'(c) (s - c) in doubles (_expansion_sign).  Its bound
+       is Taylor's remainder (1/2) (s - c)^2 sum_i |c_i| (ln b_i)^2 b_i^c
+       e^(|ln b_i| |s - c|) plus the rounding of phi(c) and phi'(c) to
+       doubles and of the double arithmetic;
     3. MP_DPS digits (_phi_signed_value), with the c_i and ln b_i converted
        once per call: each term is then correct to about |s ln b_i| units
        in the last of 60 digits, far below the |phi| of any probe a double
@@ -428,7 +427,7 @@ def find_exponent(window: PhiOnInterval) -> Fraction:
             if not (lo < mid < hi):
                 break  # float resolution reached
             smid = 0 if mid.is_integer() else (
-                centre and _expansion_sign(centre, (mid,)) or _double_sign(doubles, mid))
+                _expansion_sign(centre, (mid,)) if centre else _double_sign(doubles, mid))
             if not smid:
                 vmid, smid, slope = _phi_signed_value(phi, logs, mid)
                 if smid == 0:
