@@ -333,14 +333,14 @@ def _double_sign(doubles: list, s: float) -> int:
 
 def _centre(doubles: list, c: float, value, slope):
     """phi's first-order expansion about a probe c summed at 60 digits, as
-    the doubles (c, p, d, q, L, e) that _expansion_sign reads, or None where
+    the doubles (c, p, d, q, L, err) that _expansion_sign reads, or None where
     one of them would leave the normal range.
 
     p and d are the 60-digit phi(c) and phi'(c) rounded to doubles.  With
     a_i = |c_i| exp(c ln b_i) under the range checks of _double_sign, so
     |c ln b_i| < 710 and each a_i is within 2136 units of 2^-53 of
     |c_i| b_i^c: q is sum_i a_i (ln b_i)^2 raised by 2^-40, L is
-    max_i |ln b_i|, and e = 2^-179 sum_i a_i, far above the error of 60
+    max_i |ln b_i|, and err = 2^-179 sum_i a_i, far above the error of 60
     digits in phi(c) + phi'(c) (s - c) wherever L |s - c| <= 1."""
     t = q = lmax = 0.0
     for cf, lb in doubles:
@@ -368,8 +368,8 @@ def _expansion_sign(centre: tuple, probes) -> int:
     Taylor's remainder is at most (1/2) delta^2 q e^x <= (1/2) delta^2 q
     (1 + 2x).  Rounding phi(c) and phi'(c) to doubles and the double
     arithmetic add at most 4 units of 2^-53 of |p| + |d delta|; the bound
-    takes 8, whose slack covers summing two probes.  e covers 60 digits."""
-    c, p, d, q, lmax, e = centre
+    takes 8, whose slack covers summing two probes.  err covers 60 digits."""
+    c, p, d, q, lmax, err = centre
     total = bound = 0.0
     for s in probes:
         delta = s - c
@@ -378,7 +378,7 @@ def _expansion_sign(centre: tuple, probes) -> int:
             return 0
         m = d * delta
         total += p + m
-        bound += 0.5 * delta * delta * q * (1 + 2 * x) + 2.0**-50 * (abs(p) + abs(m)) + e
+        bound += 0.5 * delta * delta * q * (1 + 2 * x) + 2.0**-50 * (abs(p) + abs(m)) + err
     return (total > 0) - (total < 0) if abs(total) > bound else 0
 
 
