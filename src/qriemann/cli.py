@@ -46,6 +46,7 @@ from .stencil import (
     GAUSSIAN_BUILDERS,
     Stencil,
     StencilError,
+    _abbreviated,
     format_rational,
     parse_rational,
     stencil_to_json,
@@ -64,7 +65,8 @@ MAX_ORDER = 200
 # Most digits a rational input may have, counted as the characters of its
 # text with any decimal exponent written out (1e-400 counts 401).  That count
 # bounds its numerator and denominator, so an input such as 5e5000 exits 2
-# before its height reaches a build; every double's short form fits.
+# before its height reaches a build; every double's short form fits.  An
+# integer list entry and signpowN's N are held to as many characters.
 MAX_DIGITS = 1000
 
 
@@ -77,8 +79,7 @@ def _parse_rational(text: str) -> Fraction:
         with suppress(ValueError):  # parse_rational rejects a malformed exponent
             digits = len(mantissa) + abs(int(exponent))
     if digits > MAX_DIGITS:
-        shown = s if len(s) <= 24 else s[:20] + "..."
-        raise StencilError(f"rational {shown} has more than {MAX_DIGITS} digits")
+        raise StencilError(f"rational {_abbreviated(s)} has more than {MAX_DIGITS} digits")
     return parse_rational(text)
 
 
@@ -90,15 +91,20 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    for t in items:
+        if len(t) > MAX_DIGITS:
+            raise StencilError(f"integer {_abbreviated(t)} has more than {MAX_DIGITS} digits")
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        return [int(t) for t in items]
     except ValueError as exc:
-        raise StencilError(f"bad integer list {text!r}") from exc
+        raise StencilError(f"bad integer list {_abbreviated(text)!r}") from exc
 
 
 def _bound_order(order: int):
     if order > MAX_ORDER:
-        raise StencilError(f"-n {order} exceeds the largest supported order {MAX_ORDER}")
+        raise StencilError(f"-n {_abbreviated(str(order))} exceeds the largest supported "
+                           f"order {MAX_ORDER}")
 
 
 def _parse_nodes(text: str) -> list[Fraction]:
@@ -116,9 +122,13 @@ def _parse_function(text: str) -> FunctionHandle:
             raise EvaluatorError(f"poly: has {len(coeffs)} coefficients, more than the "
                                  f"{MAX_ORDER + 1} of the largest supported degree {MAX_ORDER}")
         return FunctionHandle.rational_polynomial(coeffs)
+    power = text[len("signpow"):] if text.startswith("signpow") else ""
+    if len(power) > MAX_DIGITS:
+        raise EvaluatorError(f"signpow{_abbreviated(power)} has more than {MAX_DIGITS} digits")
     f = FunctionHandle.builtin(text)
     if f.power is not None and f.power > MAX_ORDER:
-        raise EvaluatorError(f"signpow{f.power} exceeds the largest supported power {MAX_ORDER}")
+        raise EvaluatorError(f"signpow{_abbreviated(str(f.power))} exceeds the largest "
+                             f"supported power {MAX_ORDER}")
     return f
 
 

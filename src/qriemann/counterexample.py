@@ -22,9 +22,11 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .evaluator import _HUGE, _TINY, MP_DPS, _to_mpf, peano_bound_check
+from .evaluator import (_HUGE, _TINY, MP_DPS, _exact_apply, _mp_apply, _to_mpf,
+                        peano_bound_check)
 from .stencil import (
     Stencil,
+    _abbreviated,
     format_rational,
     riemann_classic,
     riemann_symmetric,
@@ -71,7 +73,8 @@ class MultiplicativeGroup:
             raise CounterexampleError("generators must be distinct")
         for g in gens:
             if not isinstance(g, int) or g > MAX_GENERATOR or not _is_prime(g):
-                raise CounterexampleError(f"generator {g!r} is not a prime up to {MAX_GENERATOR}")
+                raise CounterexampleError(
+                    f"generator {_abbreviated(repr(g))} is not a prime up to {MAX_GENERATOR}")
         object.__setattr__(self, "generators", gens)
 
 
@@ -478,58 +481,12 @@ class CounterexampleReport:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def _generator_powers(f: GroupFunction) -> list:
-    """The g_i^s of f's exponent s: exact Fractions at an integer s, else
-    MP_DPS values from one mp.power each; call inside an mp.workdps block."""
-    s = f.exponent
-    if s.denominator == 1:
-        return [Fraction(g) ** s.numerator for g in f.group.generators]
-    sm = _to_mpf(s)
-    return [mp.power(g, sm) for g in f.group.generators]
-
-
-def _group_power(powers: list, e):
-    """x^s for the member x of G with exponent vector e: prod_i (g_i^s)^e_i."""
-    return math.prod(p**k for p, k in zip(powers, e) if k)
-
-
-def _group_differences(stencil: Stencil, f: GroupFunction, steps, powers: list):
-    """Yield (value, in_g) for each step h, value an mpf: for h in G the sum
-    sum_k A_k f(a_k h) divided by |h|^s, else the sum itself; call inside an
-    mp.workdps block.
-
-    Works in exponent coordinates: a member x of G has x^s = prod_i
-    (g_i^s)^e_i over its exponent vector e, and the g_i^s (powers, from
-    _generator_powers) are the only transcendental values.  Each nonzero
-    node a and each step h costs one membership test of |a| or |h|.  For h
-    in G, a point a h > 0 lies in G exactly when a does, with exponent
-    vector e(a) + e(h), so the sum is the paper's identity chi(h) |h|^s
-    W, where W is the sum of the weights w_a = chi(a) A_a |a|^s over the
-    nodes in G on h's side of 0: W+ over a > 0 is phi(s) with its raw
-    sign, W- is the same sum over a < 0.  Both are formed once per call,
-    and h's value is chi(h) W, so |h|^s is never formed.  For h outside G,
-    the nodes in G put every point outside G; each other node's point
-    a h > 0 costs one membership test.  At an integer exponent the powers
-    are exact, and so is each value until it is rounded once.
-    """
-    exact = isinstance(powers[0], Fraction)
-    add = (lambda terms: sum(terms, Fraction(0))) if exact else mp.fsum
-    weights = []  # (a, A_a, w_a), w_a None for a outside G
-    for a, c in zip(stencil.nodes, stencil.coeffs):
-        if a != 0:
-            c = c if exact else _to_mpf(c)
-            e = membership(f.group, abs(a))
-            weights.append((a, c, None if e is None else f.chi(e) * c * _group_power(powers, e)))
-    w_minus, w_plus = (add([w for a, _, w in weights if w is not None and (a > 0) == side])
-                       for side in (False, True))
-    for h in steps:
-        e = membership(f.group, abs(h))
-        if e is None:
-            total = add([f.chi(x) * c * _group_power(powers, x) for a, c, w in weights
-                         if w is None and a * h > 0 and (x := membership(f.group, a * h)) is not None])
-        else:
-            total = f.chi(e) * (w_plus if h > 0 else w_minus)
-        yield (_to_mpf(total) if exact else total), e is not None
+def _difference(stencil: Stencil, f: GroupFunction, h: Fraction):
+    """sum_k A_k f(a_k h), the stencil applied to f at 0 by the evaluator:
+    _exact_apply's sum rounded once where every value is exact, else
+    _mp_apply's; call inside an mp.workdps block."""
+    exact = _exact_apply(stencil, f, Fraction(0), h)
+    return _mp_apply(stencil, f, Fraction(0), h) if exact is None else _to_mpf(exact)
 
 
 def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
@@ -537,34 +494,36 @@ def _check_difference_vanishes(stencil: Stencil, f: GroupFunction,
     """(a): |sum_k A_k f(a_k h)| <= 1e-9 |h|^s at every member step h, and
     the sum is a literal 0 at every nonmember step.
 
-    One pass of _group_differences over both lists gives every value.  A
-    member's value is its sum divided by |h|^s, chi(h) W+ or chi(h) W-, the
-    node weights on h's side of 0 summed once per check, so its verdict is
-    the paper's identity divided by |h|^s: |chi(h) W| <= 1e-9.  At an
-    integer exponent W is exact until it is rounded once.  Otherwise the
-    weights are products of the g_i^s correct to a few units in the 60th
-    digit; a double-precision root leaves W+ near 1e-16 of its terms, so
-    rounding never decides the comparison.  A nonmember step puts every
-    positive point outside G, where f is exactly 0, so its sum is an empty
-    sum: any point that lands in G shows up as a nonzero term.
+    Each sum is the evaluator's (_difference).  For h in G the points a h
+    in G are those of the nodes a on h's side of 0 with |a| in G, so the
+    sum at h is the paper's identity chi(|h|) |h|^s D(sign h), with D(+-1)
+    the sums at h = +-1 (D(+1) is phi(s) with its raw sign).  A member
+    passes when |D(sign h)| <= 1e-9, the bound divided by |h|^s, and D is
+    formed once per sign.  At an integer exponent D is exact until it is
+    rounded once; else its terms are correctly rounded mp.powers, and a
+    double-precision root leaves D(+1) near 1e-16 of its terms, so
+    rounding never decides.  A nonmember step maps no node in G into G,
+    so its sum is a literal 0 unless some other point lands in G.
     """
     with mp.workdps(MP_DPS):
-        powers = _generator_powers(f)
-        values = _group_differences(stencil, f, members + nonmembers, powers)
         threshold = mp.mpf("1e-9")
         worst = mp.mpf(0)
-        for h, (value, in_g) in zip(members, values):
-            if not in_g:
+        sides = {}  # sign of h -> |D(sign h)|
+        for h in members:
+            if membership(f.group, abs(h)) is None:
                 raise CounterexampleError(f"member step {format_rational(h)} is not in the group")
-            lhs = abs(value)
+            sign = 1 if h > 0 else -1
+            if sign not in sides:
+                sides[sign] = abs(_difference(stencil, f, Fraction(sign)))
+            lhs = sides[sign]
             ratio = lhs / threshold
             worst = max(worst, ratio)
             if lhs > threshold:
                 return False, {"failed_at": float(h), "ratio_to_threshold": float(ratio)}
-        for h, (value, in_g) in zip(nonmembers, values):  # the same generator, past the members
-            if in_g:
+        for h in nonmembers:
+            if membership(f.group, abs(h)) is not None:
                 raise CounterexampleError(f"nonmember step {format_rational(h)} is in the group")
-            if value != 0:
+            if _difference(stencil, f, h) != 0:
                 return False, {"failed_at": float(h), "nonmember_exact_zero": False}
         return True, {"worst_member_ratio_to_threshold": float(worst),
                       "members": len(members), "nonmembers": len(nonmembers)}

@@ -62,6 +62,12 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _abbreviated(text: str) -> str:
+    """text as an error message shows it: its first 20 characters and
+    '...' where it is longer than 24."""
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/r' into a Fraction; reject anything else."""
     if not isinstance(text, str):

@@ -169,8 +169,6 @@ class TestGroupFunction:
         assert f == GroupFunction(group(2, 3), (1, 0), F(2))
         assert type(f.exponent) is Fraction
         assert f.eval_exact(F(3, 2)) == -F(9, 4)  # member: chi = -1, (3/2)^2
-        with mp.workdps(MP_DPS):
-            assert counterexample._generator_powers(f) == [4, 9]
 
     def test_float_exponent_is_the_dyadic_rational_it_stands_for(self):
         f = GroupFunction(group(2, 3), (0, 1), 2.5)
@@ -411,6 +409,34 @@ def sign_change_windows(draw):
     assume(False)
 
 
+@st.composite
+def clustered_root_windows(draw):
+    """phi(s) = prod_i (b^s - v_i) expanded exactly, for a base b in 2..5,
+    on an integer interval (lo, hi) with every b^lo < v_i < b^hi: a cluster
+    of 2 or 3 roots log_b v_i, neighbours about 1e-12 to 1e-6 apart (each
+    v_i is the last times 1 + k 10^-j, k < 10, 7 <= j <= 12), and with a
+    pair a distant third root, so that phi changes sign on the interval.
+    Near a cluster phi is far from its tangent at any centre."""
+    b = draw(st.integers(2, 5))
+    lo = draw(st.integers(0, 3))
+    hi = lo + draw(st.integers(1, 3))
+    at = [F(draw(st.integers(1, 98)), 100)]
+    vs = [b**lo + (b**hi - b**lo) * at[0]]
+    for _ in range(draw(st.integers(1, 2))):
+        vs.append(vs[-1] * (1 + F(draw(st.integers(1, 9)), 10 ** draw(st.integers(7, 12)))))
+    if len(vs) == 2:
+        at.append(F(draw(st.integers(1, 98)), 100))
+        assume(abs(at[1] - at[0]) >= F(1, 10))
+        vs.append(b**lo + (b**hi - b**lo) * at[1])
+    coeffs = [F(1)]  # of b^(k s), k = 0, 1, ..: multiply by b^s - v for each v
+    for v in vs:
+        coeffs = [(coeffs[k - 1] if k else 0) - v * (coeffs[k] if k < len(coeffs) else 0)
+                  for k in range(len(coeffs) + 1)]
+    window = on_interval(ExponentialSum(tuple((c, F(b) ** k) for k, c in enumerate(coeffs))), lo, hi)
+    assert window.sign_change
+    return window
+
+
 class TestBisectionFilter:
     """find_exponent decides a probe's sign in doubles, or from the
     expansion about its last 60-digit sum, where their error bounds allow,
@@ -419,6 +445,11 @@ class TestBisectionFilter:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(sign_change_windows())
     def test_lands_on_the_60_digit_root(self, window):
+        assert find_exponent(window) == bisection_at_60_digits(window)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(clustered_root_windows())
+    def test_lands_on_the_60_digit_root_among_clustered_roots(self, window):
         assert find_exponent(window) == bisection_at_60_digits(window)
 
     def test_thm32a_sums_at_60_digits_on_few_probes(self, monkeypatch):
@@ -997,10 +1028,24 @@ def test_peano_bound_is_formed_only_where_f_is_nonzero(monkeypatch):
     assert all(y == _to_mpf(f.exponent) for _, y in calls)  # f's own x^s
 
 
+def side_sums(stn, f, hs):
+    """(h, D(sign h), |h|^s) for each step h, D(+-1) from the check's own
+    apply path, with the terms' size sum_k |A_k f(a_k h)| last; call
+    inside an mp.workdps block."""
+    d = {sign: counterexample._difference(stn, f, F(sign)) for sign in (1, -1)}
+    s = _to_mpf(f.exponent)
+    for h in hs:
+        size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h)) for a, c in zip(stn.nodes, stn.coeffs))
+        yield h, d[1 if h > 0 else -1], mp.power(_to_mpf(abs(h)), s), size
+
+
 class TestGroupDifferences:
-    """The generator-power member sums against the per-point mp.power
-    reference, _mp_apply.  A member step's value is its sum divided by
-    |h|^s, so each test multiplies it back by its own mp.power of |h|."""
+    """The identity the check reads at member steps: the sum at h in G is
+    chi(|h|) |h|^s D(sign h), D(+-1) the sums at h = +-1, against the
+    per-point mp.power reference _mp_apply, and D(+1) and D(-1) against
+    phi's two side sums.  Each is compared within 1e-50 of the terms'
+    size, sum_k |A_k f(a_k h)|, as at the root the sum cancels about 16
+    digits."""
 
     @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
     def test_matches_mp_apply_off_the_root(self, name):
@@ -1008,66 +1053,42 @@ class TestGroupDifferences:
         stn, f, _ = case_function(name)
         hs = random_members(f.group, rng, 20)
         hs += [-h for h in hs]  # negative nodes times negative steps land in G
-        for expo in (f.exponent + 0.25, F(13, 2), 3.0625):
+        for expo in (f.exponent + F(1, 4), F(13, 2), 3):
             g = GroupFunction(f.group, f.character, expo)
             with mp.workdps(MP_DPS):
-                powers = counterexample._generator_powers(g)
-                got = list(counterexample._group_differences(stn, g, hs, powers))
-                for h, (v, in_g) in zip(hs, got):
-                    assert in_g
-                    v *= mp.power(_to_mpf(abs(h)), _to_mpf(g.exponent))
-                    ref = abs(_mp_apply(stn, g, F(0), h))
+                for h, d, h_power, size in side_sums(stn, g, hs):
+                    want = g.chi(membership(g.group, abs(h))) * h_power * d
+                    ref = _mp_apply(stn, g, F(0), h)
                     # a forward stencil at a negative step sees only x <= 0
-                    assert ref > 0 or (v == 0 and min(stn.nodes) >= 0 and h < 0)
-                    assert abs(abs(v) - ref) <= mp.mpf("1e-50") * ref
+                    assert ref != 0 or (d == 0 and min(stn.nodes) >= 0 and h < 0)
+                    assert abs(want - ref) <= mp.mpf("1e-50") * size
 
     @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
     def test_matches_mp_apply_at_the_root(self, name):
-        # At the root the sum cancels about 16 digits, so the agreement is
-        # measured against the size of the terms, sum_k |A_k f(a_k h)|.
         rng = random.Random(1618)
         stn, f, _ = case_function(name)
         hs = random_members(f.group, rng, 20)
         hs += [-h for h in hs]
         with mp.workdps(MP_DPS):
-            powers = counterexample._generator_powers(f)
-            got = list(counterexample._group_differences(stn, f, hs, powers))
-            for h, (v, in_g) in zip(hs, got):
-                assert in_g
-                v *= mp.power(_to_mpf(abs(h)), _to_mpf(f.exponent))
-                points = [a * h for a in stn.nodes]
-                size = mp.fsum(abs(c) * mp.power(_to_mpf(x), f.exponent)
-                               for c, x in zip(stn.coeffs, points) if x > 0)
-                ref = abs(_mp_apply(stn, f, F(0), h))
-                assert abs(abs(v) - ref) <= mp.mpf("1e-50") * size
+            for h, d, h_power, size in side_sums(stn, f, hs):
+                want = f.chi(membership(f.group, abs(h))) * h_power * d
+                assert abs(want - _mp_apply(stn, f, F(0), h)) <= mp.mpf("1e-50") * size
 
     @pytest.mark.parametrize("name", ["thm32a", "thm32-n8"])
     def test_member_sums_follow_the_phi_identity(self, name):
-        # sum_k A_k f(a_k h) = chi(|h|) |h|^s phi_+(s) for h in G, and with
-        # phi_- at -h: phi_+ is phi_from_stencil's sum, phi_- the same sum
-        # over the negated negative nodes in G (0 without one), each term
-        # from its own mp.power.
-        rng = random.Random(3141)
+        # D(+1) is phi_from_stencil's sum and D(-1) the same sum over the
+        # negated negative nodes in G (0 without one), each term from its
+        # own mp.power
         stn, root, _ = case_function(name)
-        hs = random_members(root.group, rng, 20)
-        hs += [-h for h in hs]
         for expo in (root.exponent, root.exponent + F(1, 4), 3):
             f = GroupFunction(root.group, root.character, expo)
             minus = [(c * f.chi(e), -a) for a, c in zip(stn.nodes, stn.coeffs)
                      if a < 0 and (e := membership(f.group, -a)) is not None]
             with mp.workdps(MP_DPS):
-                s = _to_mpf(f.exponent)
-                phi = {True: phi_from_stencil(stn, f).eval_mp(f.exponent),
-                       False: ExponentialSum(tuple(minus)).eval_mp(f.exponent) if minus else 0}
-                powers = counterexample._generator_powers(f)
-                got = counterexample._group_differences(stn, f, hs, powers)
-                for h, (v, in_g) in zip(hs, got):
-                    assert in_g
-                    h_power = mp.power(_to_mpf(abs(h)), s)
-                    want = f.chi(membership(f.group, abs(h))) * h_power * phi[h > 0]
-                    size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h))
-                                   for a, c in zip(stn.nodes, stn.coeffs))
-                    assert abs(v * h_power - want) <= mp.mpf("1e-50") * size
+                phi = {1: phi_from_stencil(stn, f).eval_mp(f.exponent),
+                       -1: ExponentialSum(tuple(minus)).eval_mp(f.exponent) if minus else 0}
+                for h, d, _, size in side_sums(stn, f, [F(1), F(-1)]):
+                    assert abs(d - phi[h]) <= mp.mpf("1e-50") * size
 
     def test_negative_steps_through_h_samples(self):
         rng = random.Random(99)
@@ -1095,45 +1116,27 @@ class TestGroupDifferences:
         assert want > 0
         assert abs(detail["worst_member_ratio_to_threshold"] - float(want)) <= 1e-6 * float(want)
 
-    def test_one_power_per_generator_and_member(self, monkeypatch):
+    def test_one_mp_apply_per_side_of_0(self, monkeypatch):
+        # thm32a's 100 + 100 drawn steps: the members all lie in (0, 1) and
+        # need only D(+1); each nonmember's sum is an exact empty sum.  On
+        # thm32-n8 members on both sides need D(+1) and D(-1), once each.
         stn, f, _ = case_function("thm32a")
         rng = random.Random(4)
         members = unit_members(f.group, rng, 100)
         nonmembers = empty_sum_nonmembers(stn, f.group, rng, 100)
-        calls = []
-        power = mp.power
-        monkeypatch.setattr(mp, "power", lambda *a: calls.append(a) or power(*a))
+        n8_stn, n8_f, _ = case_function("thm32-n8")
+        n8_members = random_members(n8_f.group, rng, 50)
+        applied, mp_apply = [], counterexample._mp_apply
+        monkeypatch.setattr(counterexample, "_mp_apply",
+                            lambda *a: applied.append(a[3]) or mp_apply(*a))
         ok, _ = counterexample._check_difference_vanishes(stn, f, members, nonmembers)
         assert ok
-        # the node weights W+ and W- are built from the same g_i^s
-        assert len(calls) == len(f.group.generators)
-
-    @pytest.mark.parametrize("name", ["thm32a", "nodes-2..13"])
-    def test_one_membership_test_per_node_and_step(self, monkeypatch, name):
-        # thm32a's 100 + 100 drawn steps; and a stencil whose positive
-        # nodes 7, 11 and 13 lie outside <2, 3>, where only nonmember steps
-        # are drawn, so that the check passes without a root.
-        if name == "thm32a":
-            stn, f, _ = case_function(name)
-        else:
-            stn, f = NODES_2_TO_13, GroupFunction(group(2, 3), (1, 0), F(5, 2))
-        rng = random.Random(4)
-        members = unit_members(f.group, rng, 100) if name == "thm32a" else []
-        nonmembers = empty_sum_nonmembers(stn, f.group, rng, 100)
-        tested, powered = [], []
-        group_power = counterexample._group_power
-        monkeypatch.setattr(counterexample, "membership",
-                            lambda g, x: tested.append(x) or membership(g, x))
-        monkeypatch.setattr(counterexample, "_group_power",
-                            lambda p, e: powered.append(e) or group_power(p, e))
-        ok, _ = counterexample._check_difference_vanishes(stn, f, members, nonmembers)
+        assert applied == [1]
+        applied.clear()
+        ok, _ = counterexample._check_difference_vanishes(
+            n8_stn, n8_f, n8_members + [-h for h in n8_members], [])
         assert ok
-        in_group = [a for a in stn.nodes if a != 0 and membership(f.group, abs(a)) is not None]
-        outside = [a for a in stn.nodes if a > 0 and membership(f.group, a) is None]
-        assert len(tested) <= (len(stn.nodes) + len(members) + len(nonmembers)
-                               + len(outside) * len(nonmembers))
-        # |a|^s once per node in G, and never |h|^s
-        assert len(powered) == len(in_group)
+        assert applied == [1, -1]
 
 
 G23 = group(2, 3)
@@ -1160,21 +1163,26 @@ def oracle_steps(stn, members):
                  st.fractions(min_value=F(1, 2), max_value=9, max_denominator=16)),
        st.lists(g23_members, min_size=1, max_size=3))
 def test_group_differences_match_the_per_point_reference(nodes, character, exponent, members):
+    # the check's verdict at each step alone against the per-point one:
+    # |sum| <= 1e-9 |h|^s at a member, a literal 0 at a nonmember
     stn = vandermonde_solve(nodes, len(nodes) - 1)
     f = GroupFunction(G23, character, exponent)
-    steps = oracle_steps(stn, members)
-    with mp.workdps(MP_DPS):
-        powers = counterexample._generator_powers(f)
-        for h, (v, in_g) in zip(steps, counterexample._group_differences(stn, f, steps, powers)):
-            assert in_g == (membership(G23, abs(h)) is not None)
-            if exponent.denominator == 1:
-                # a member's value is its exact sum over |h|^n, rounded once
-                h_power = abs(h) ** exponent.numerator if in_g else 1
-                assert v == _to_mpf(apply_difference(stn, f, F(0), h) / h_power)
-                continue
-            h_power = mp.power(_to_mpf(abs(h)), _to_mpf(exponent)) if in_g else 1
-            size = mp.fsum(abs(_to_mpf(c) * f.eval_mp(a * h)) for a, c in zip(stn.nodes, stn.coeffs))
-            assert abs(v * h_power - _mp_apply(stn, f, F(0), h)) <= mp.mpf("1e-50") * size
+    for h in oracle_steps(stn, members):
+        in_g = membership(G23, abs(h)) is not None
+        ok, detail = counterexample._check_difference_vanishes(stn, f, [h] * in_g, [h] * (not in_g))
+        if exponent.denominator == 1:
+            total = apply_difference(stn, f, F(0), h)
+            ratio = abs(total) / (F(1, 10**9) * abs(h) ** exponent.numerator)
+        else:
+            with mp.workdps(MP_DPS):
+                total = _mp_apply(stn, f, F(0), h)
+                ratio = abs(total) / (mp.mpf("1e-9") * mp.power(_to_mpf(abs(h)), _to_mpf(exponent)))
+        if not in_g:
+            assert ok is (total == 0)
+            continue
+        assert ok is (ratio <= 1)
+        got = detail["worst_member_ratio_to_threshold" if ok else "ratio_to_threshold"]
+        assert abs(got - float(ratio)) <= 1e-12 * float(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -988,7 +988,8 @@ class TestCmdCounterexample:
 
 class TestRationalDigitBound:
     """Every rational the CLI parses holds at most cli.MAX_DIGITS digits,
-    checked before any build."""
+    checked before any build, and so does every integer it parses itself;
+    an error message cuts a longer number short."""
 
     @pytest.mark.parametrize("argv", [
         ["stencil", "--kind=forward", "-n1", "-q1e1000"],
@@ -1029,6 +1030,25 @@ class TestRationalDigitBound:
     def test_over_the_bound_message_is_one_short_line(self, capsys):
         assert cli.main(["derive", "--kind=riemann", "-n2", "--function=sin", "--at=" + "7" * 5000]) == 2
         assert capsys.readouterr().err == "error: rational 77777777777777777777... has more than 1000 digits\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "--custom", "--nodes=1,2,3", "-n2", "--generators=" + "9" * 100_000,
+         "--character=0", "--interval=1,2", "--lower-order=1"],
+        ["derive", "--kind=riemann", "-n" + "9" * 100_000, "--function=sin"],
+        ["derive", "--kind=riemann", "-n2", "--function=signpow" + "9" * 100_000],
+        # within the digit bound: rejected by the group and the power bound
+        ["counterexample", "--custom", "--nodes=1,2,3", "-n2", "--generators=" + "9" * 1000,
+         "--character=0", "--interval=1,2", "--lower-order=1"],
+        ["derive", "--kind=riemann", "-n2", "--function=signpow" + "9" * 1000],
+    ], ids=["generators", "order", "signpow", "generators-1000", "signpow-1000"])
+    def test_oversized_integer_exits_2_with_one_short_line(self, capsys, argv):
+        # the message shows the integer's first 20 characters, as it does a rational's
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "99999999999999999999..." in captured.err
+        assert len(captured.err.encode()) < 120
 
 
 class TestErrorExits:
