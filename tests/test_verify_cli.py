@@ -988,8 +988,9 @@ class TestCmdCounterexample:
 
 class TestRationalDigitBound:
     """Every rational the CLI parses holds at most cli.MAX_DIGITS digits,
-    checked before any build, and so does every integer it parses itself;
-    an error message cuts a longer number short."""
+    checked before any build; every integer it parses itself holds at most
+    as many characters, checked before int().  An error message cuts a
+    longer number short."""
 
     @pytest.mark.parametrize("argv", [
         ["stencil", "--kind=forward", "-n1", "-q1e1000"],
