@@ -7,6 +7,8 @@ tables; and reproduces the group-supported functions that separate these
 generalized derivatives from ordinary ones.
 """
 
+import importlib
+
 from .qcore import (
     QPolynomial,
     pascal_check,
@@ -36,33 +38,29 @@ from .stencil import (
     vandermonde_solve,
     verify_vandermonde,
 )
-from .evaluator import (
-    ConvergenceTable,
-    EvaluatorError,
-    FunctionHandle,
-    apply_difference,
-    difference_quotient,
-    estimate_derivative,
-    peano_bound_check,
-    recursive_quotient,
-)
-from .counterexample import (
-    CounterexampleError,
-    CounterexampleReport,
-    ExponentialSum,
-    GroupFunction,
-    MultiplicativeGroup,
-    NoSignChangeError,
-    PhiOnInterval,
-    character_search,
-    find_exponent,
-    membership,
-    phi_from_stencil,
-    run_case,
-    run_search,
-    verify_counterexample,
-)
 from .verify import DEFAULT_SEED, SuiteResult, run_all
+
+# The evaluator and counterexample modules import mpmath, so their names,
+# and the modules themselves, resolve on first use (PEP 562): importing the
+# package, or its CLI for stencil and verify, loads neither.
+_DEFERRED = {
+    "evaluator": ("ConvergenceTable", "EvaluatorError", "FunctionHandle", "apply_difference",
+                  "difference_quotient", "estimate_derivative", "peano_bound_check",
+                  "recursive_quotient"),
+    "counterexample": ("CounterexampleError", "CounterexampleReport", "ExponentialSum",
+                       "GroupFunction", "MultiplicativeGroup", "NoSignChangeError",
+                       "PhiOnInterval", "character_search", "find_exponent", "membership",
+                       "phi_from_stencil", "run_case", "run_search", "verify_counterexample"),
+}
+
+
+def __getattr__(name):
+    for module, names in _DEFERRED.items():
+        if name == module or name in names:
+            source = importlib.import_module(f".{module}", __name__)
+            return source if name == module else getattr(source, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -22,25 +22,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 from contextlib import suppress
 from fractions import Fraction
 
-from .counterexample import (
-    NAMED_CASES,
-    SEARCH_CASES,
-    CounterexampleError,
-    GroupFunction,
-    MultiplicativeGroup,
-    NoSignChangeError,
-    PhiOnInterval,
-    find_exponent,
-    run_case,
-    run_search,
-    verify_counterexample,
-)
-from .evaluator import EvaluatorError, FunctionHandle, estimate_derivative
+from .cases import NAMED_CASES, SEARCH_CASES
 from .stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
@@ -55,6 +43,36 @@ from .stencil import (
 )
 from .verify import DEFAULT_Q_GRID, DEFAULT_SEED, run_all
 
+# The names that derive and counterexample read from the evaluator and
+# counterexample modules, which import mpmath.  Each function that reads one
+# first calls _bind_deferred, so that stencil and verify start without
+# either module.
+_DEFERRED = {
+    "evaluator": ("EvaluatorError", "FunctionHandle", "estimate_derivative"),
+    "counterexample": ("CounterexampleError", "GroupFunction", "MultiplicativeGroup",
+                       "PhiOnInterval", "find_exponent", "run_case", "run_search",
+                       "verify_counterexample"),
+}
+
+
+@functools.cache
+def _bind_deferred():
+    """Bind every _DEFERRED name as a module attribute, keeping one that is
+    already set (a caller's patch); later calls do nothing."""
+    for module, names in _DEFERRED.items():
+        source = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    """cli.find_exponent and the other _DEFERRED names, bound on first use;
+    any other missing name (a dunder probe among them) imports nothing."""
+    if not any(name in names for names in _DEFERRED.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_deferred()
+    return globals()[name]
+
 
 # Largest derivative order the CLI builds a stencil for, and so at most
 # MAX_ORDER + 1 nodes: a larger -n or --nodes list exits 2 before any build.
@@ -68,6 +86,21 @@ MAX_ORDER = 200
 # before its height reaches a build; every double's short form fits.  An
 # integer list entry and signpowN's N are held to as many characters.
 MAX_DIGITS = 1000
+
+
+def _bounded(convert):
+    """The argparse type convert(text) for text of at most MAX_DIGITS
+    characters.  Longer text raises OverflowError before convert runs,
+    which argparse lets through to main's one-line exit 2; a shorter bad
+    text gets argparse's own message, which names the type."""
+    def parse(text: str):
+        if len(text) > MAX_DIGITS:
+            raise OverflowError(f"{convert.__name__} value {_abbreviated(text)} has more "
+                                f"than {MAX_DIGITS} characters")
+        return convert(text)
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -116,6 +149,7 @@ def _parse_nodes(text: str) -> list[Fraction]:
 
 
 def _parse_function(text: str) -> FunctionHandle:
+    _bind_deferred()
     if text.startswith("poly:"):
         coeffs = _parse_rational_list(text[len("poly:"):])
         if len(coeffs) > MAX_ORDER + 1:
@@ -203,6 +237,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    _bind_deferred()
     f = _parse_function(args.function)
     x, h0, ratio = (_parse_rational(t) for t in (args.at, args.h0, args.ratio))
     s = _build_stencil(args)
@@ -229,6 +264,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    _bind_deferred()
     if args.case and args.custom:
         raise CounterexampleError("--case and --custom are mutually exclusive")
     if args.case:
@@ -269,7 +305,7 @@ def cmd_counterexample(args) -> int:
 def _add_stencil_arguments(p):
     """The stencil-selecting flags shared by the stencil and derive commands."""
     p.add_argument("--kind", choices=(*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom"), required=True)
-    p.add_argument("-n", "--order", type=int)
+    p.add_argument("-n", "--order", type=_bounded(int))
     p.add_argument("-q", help="ratio as 'p/r' (gaussian kinds only)")
     p.add_argument("--nodes", help="comma-separated rational nodes (custom kind only)")
 
@@ -292,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("verify", help="run the exact-identity suites")
-    p.add_argument("--max-n", type=int, default=8, help="stencil-grid order cap, 1..12")
+    p.add_argument("--max-n", type=_bounded(int), default=8, help="stencil-grid order cap, 1..12")
     p.add_argument("--q-list", default=",".join(map(format_rational, DEFAULT_Q_GRID)),
                    help="comma-separated rational ratios for the stencil grids")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_bounded(int), default=DEFAULT_SEED)
     p.add_argument("--output", choices=("json", "text"), default="text")
 
     p = sub.add_parser("derive", help="estimate a derivative from a convergence table")
@@ -305,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default="0", help="expansion point (rational or decimal)")
     p.add_argument("--h0", default="1/10", help="initial step (rational or decimal)")
     p.add_argument("--ratio", default="1/2", help="step shrink factor in (0,1)")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_bounded(int), default=20)
     p.add_argument("--one-sided", action="store_true",
                    help="keep every step positive instead of alternating signs")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_bounded(float), default=None,
                    help="convergence tolerance on the final delta")
     p.add_argument("--output", choices=("csv", "json", "text"), default="csv")
 
@@ -316,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=tuple(sorted(NAMED_CASES)) + tuple(sorted(SEARCH_CASES)))
     p.add_argument("--custom", action="store_true")
     p.add_argument("--nodes", help="comma-separated rational nodes (custom)")
-    p.add_argument("-n", "--order", type=int, help="derivative order (custom)")
+    p.add_argument("-n", "--order", type=_bounded(int), help="derivative order (custom)")
     p.add_argument("--generators", help="comma-separated primes up to 10**9 (custom)")
     p.add_argument("--character", help="comma-separated bits (custom)")
     p.add_argument("--interval", help=f"LO,HI integer exponent bracket in [0, {MAX_ORDER}] (custom)")
-    p.add_argument("--exponent", type=float, default=None,
+    p.add_argument("--exponent", type=_bounded(float), default=None,
                    help="use this exponent, within --interval, instead of locating a root (custom)")
-    p.add_argument("--lower-order", type=int, default=None,
+    p.add_argument("--lower-order", type=_bounded(int), default=None,
                    help="claimed intact differentiability order (custom)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_bounded(int), default=DEFAULT_SEED,
                    help="accepted; has no effect on counterexample reports")
 
     return parser
@@ -340,17 +376,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 on usage errors
         return int(exc.code) if exc.code else 0
+    except OverflowError as exc:  # a flag value too long to convert, from _bounded
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     commands = {"stencil": cmd_stencil, "verify": cmd_verify,
                 "derive": cmd_derive, "counterexample": cmd_counterexample}
     try:
         return commands[args.command](args)
-    except NoSignChangeError as exc:
-        # a strict sign-change precondition failure is a verdict, not a usage slip
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:  # CounterexampleError, StencilError and EvaluatorError among them
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a strict sign-change precondition failure is a verdict, not a usage
+        # slip; only a loaded counterexample module can have raised one
+        counterexample = sys.modules.get(f"{__package__}.counterexample")
+        return 3 if counterexample and isinstance(exc, counterexample.NoSignChangeError) else 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ Applying an order-n stencil at the origin collapses, for steps h in G, to
 chi(h) * phi(s) * h^s where phi is an exponential sum over the positive
 stencil nodes that lie in G.  A root s* of phi in (n-1, n) then makes the
 n-th difference quotient vanish while f itself is too rough for the ordinary
-n-th derivative: exactly the separation the named cases below reproduce.
+n-th derivative: exactly the separation that run_case reproduces for each
+named case of the cases module.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from .cases import NAMED_CASES, SEARCH_CASES, NamedCase
 from .evaluator import (_HUGE, _TINY, MP_DPS, _exact_apply, _mp_apply, _to_mpf,
                         peano_bound_check)
-from .stencil import (
-    Stencil,
-    _abbreviated,
-    format_rational,
-    riemann_classic,
-    riemann_symmetric,
-    scale,
-    stencil_to_jsonable,
-    vandermonde_solve,
-)
+from .stencil import Stencil, _abbreviated, format_rational, stencil_to_jsonable
 
 # Largest generator accepted, so that _is_prime's trial division takes at
 # most about 3 * 10^4 steps.
@@ -617,82 +610,12 @@ def character_search(stencil: Stencil, generators, lo: int, hi: int) -> list:
 # -- named reproductions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedCase:
-    build: object  # () -> Stencil
-    generators: tuple
-    character: tuple
-    interval: tuple
-    lower_order: int
-    flip_sign: bool  # presentation-only: phi as conventionally printed
-
-
-NAMED_CASES = {
-    "prop25": NamedCase(
-        build=lambda: vandermonde_solve((1, 2, 3), 2),
-        generators=(2, 3),
-        character=(1, 1),
-        interval=(1, 3),
-        lower_order=1,
-        flip_sign=False,
-    ),
-    "thm32a": NamedCase(
-        build=lambda: riemann_classic(7),
-        generators=(2, 3, 5, 7),
-        character=(0, 1, 1, 0),
-        interval=(6, 7),
-        lower_order=6,
-        flip_sign=False,
-    ),
-    "thm32-n5": NamedCase(
-        build=lambda: scale(riemann_symmetric(5), 2),
-        generators=(3, 5),
-        character=(1, 1),
-        interval=(3, 4),
-        lower_order=3,
-        flip_sign=True,
-    ),
-    "thm32-n6": NamedCase(
-        build=lambda: riemann_symmetric(6),
-        generators=(2, 3),
-        character=(1, 1),
-        interval=(4, 5),
-        lower_order=4,
-        flip_sign=True,
-    ),
-    "thm32-n7": NamedCase(
-        build=lambda: scale(riemann_symmetric(7), 2),
-        generators=(3, 5, 7),
-        character=(0, 1, 1),
-        interval=(5, 7),
-        lower_order=5,
-        flip_sign=True,
-    ),
-    "thm32-n8": NamedCase(
-        build=lambda: riemann_symmetric(8),
-        generators=(2, 3),
-        character=(1, 0),
-        interval=(7, 8),
-        lower_order=7,
-        flip_sign=False,
-    ),
-}
-
-SEARCH_CASES = {
-    "search-n9": {
-        "build": lambda: scale(riemann_symmetric(9), 2),
-        "generators": (3, 5, 7),
-        "interval": (7, 9),
-    },
-}
-
-
 def run_case(name: str) -> CounterexampleReport:
     """Reproduce a named separation end to end: extract phi, locate the
     exponent in its pinned interval, then run all three checks."""
     if name not in NAMED_CASES:
         raise CounterexampleError(f"unknown case {name!r}; named cases: {sorted(NAMED_CASES)}")
-    case = NAMED_CASES[name]
+    case: NamedCase = NAMED_CASES[name]
     stencil = case.build()
     group = MultiplicativeGroup(case.generators)
     window = PhiOnInterval.of(stencil, group, case.character, case.interval, case.flip_sign)

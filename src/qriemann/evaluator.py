@@ -32,8 +32,8 @@ from mpmath import libmp, mp
 from mpmath.libmp import (dps_to_prec, from_int, mpf_cos_sin, mpf_div, mpf_exp, mpf_mul,
                           mpf_pow_int, mpf_sum, round_nearest, to_fixed, to_float)
 
-from .stencil import (GAUSSIAN_BUILDERS, Stencil, _finite_rational, _over_common_denominator,
-                      recursive_build)
+from .stencil import (GAUSSIAN_BUILDERS, Stencil, _abbreviated, _finite_rational,
+                      _over_common_denominator, recursive_build)
 
 MP_DPS = 60
 # Double-precision filters in front of 60-digit decisions (peano_bound_check,
@@ -83,10 +83,12 @@ class FunctionHandle:
             tail = name[len("signpow"):]
             power = int(tail) if tail.isdecimal() else 0
             if power < 1:
-                raise EvaluatorError(f"bad signed-power name {name!r}; use signpowN with N >= 1")
+                raise EvaluatorError(f"bad signed-power name {_abbreviated(name)!r}; "
+                                     "use signpowN with N >= 1")
             return cls(name="signpow", power=power)
         if name not in BUILTIN_NAMES:
-            raise EvaluatorError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
+            raise EvaluatorError(f"unknown builtin {_abbreviated(name)!r}; "
+                                 f"expected one of {BUILTIN_NAMES}")
         return cls(name=name)
 
     @classmethod

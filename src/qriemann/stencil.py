@@ -88,7 +88,7 @@ def _finite_rational(x, what: str, error=StencilError) -> Fraction:
 
 def _validate_q(q) -> Fraction:
     q = _finite_rational(q, "ratio q")
-    if q in (Fraction(0), Fraction(1), Fraction(-1)):
+    if q.denominator == 1 and abs(q.numerator) <= 1:
         raise StencilError("ratio q must avoid 0, 1 and -1")
     return q
 
@@ -128,8 +128,9 @@ class Stencil:
         _check_order(self.order)
         if self.kind not in KINDS:
             raise StencilError(f"unknown stencil kind {self.kind!r}")
-        nodes = [a if type(a) is Fraction else Fraction(a) for a in self.nodes]
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs]
+        nodes = [a if type(a) is Fraction else _finite_rational(a, "node") for a in self.nodes]
+        coeffs = [c if type(c) is Fraction else _finite_rational(c, "coefficient")
+                  for c in self.coeffs]
         if len(nodes) != len(coeffs):
             raise StencilError("nodes and coeffs must have equal length")
         if not nodes:
@@ -198,7 +199,7 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
     product per k and one division.
     """
     _check_order(n)
-    pts = [Fraction(a) for a in nodes]
+    pts = [a if type(a) is Fraction else _finite_rational(a, "node") for a in nodes]
     if len(set(pts)) != len(pts):
         raise StencilError("duplicate nodes")
     if len(pts) != n + 1:

@@ -1,7 +1,8 @@
 """A stdlib lint: every module-level import in the package is used, every
 module-level private name is read, every private name a docstring or
-comment mentions is one the package defines, and ``qriemann.__all__``
-lists exactly the package's public names.
+comment mentions is one the package defines, every name the CLI reads
+from the evaluator or counterexample is one it defers, and
+``qriemann.__all__`` lists exactly the package's public names.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 public re-exports.  A name counts as used when it appears anywhere in the
@@ -11,11 +12,21 @@ read when any module of the package loads it, as a bare name or as an
 attribute, outside its own definition.  A mention in prose is a ``_name``
 that follows no letter, digit, ``]`` or ``)``, so that math subscripts
 such as ``a_k`` or ``[N k]_r`` are not read as names.
+
+The package and its CLI import the evaluator and counterexample modules,
+and mpmath with them, only when one of their names is first used; fresh
+interpreters check that stencil and verify work never loads them.
 """
 
 import ast
+import builtins
+import importlib
 import io
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tokenize
 import types
 from pathlib import Path
@@ -23,6 +34,7 @@ from pathlib import Path
 import pytest
 
 import qriemann
+from qriemann import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qriemann"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -113,6 +125,32 @@ def dangling_mentions(sources: dict[str, str]) -> list[str]:
             for name in PRIVATE_MENTION.findall(text) if name not in defined]
 
 
+def deferred_name_problems(source: str, deferred: set[str]) -> list[str]:
+    """How a module's reads break its deferred names: a name it reads but
+    binds nowhere that is neither a builtin nor deferred; a top-level
+    statement that reads a deferred name, unless it is a function whose
+    first statement (after any docstring) is ``_bind_deferred()``; and a
+    deferred name it never reads."""
+    tree = ast.parse(source)
+    bound = defined_names({"": source}) | set(dir(builtins))
+    bound |= {n.name for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler) and n.name}
+    problems, read = [], set()
+    for stmt in tree.body:
+        free = {n.id for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - bound
+        read |= free
+        problems += [f"line {stmt.lineno}: {name} is bound nowhere" for name in sorted(free - deferred)]
+        if isinstance(stmt, ast.FunctionDef):
+            body = stmt.body[1:] if ast.get_docstring(stmt) is not None else stmt.body
+            binds_first = bool(body) and ast.unparse(body[0]) == "_bind_deferred()"
+        else:
+            binds_first = False
+        if free & deferred and not binds_first:
+            problems.append(f"line {stmt.lineno}: reads {', '.join(sorted(free & deferred))} "
+                            "before _bind_deferred()")
+    return problems + [f"{name} is deferred but never read" for name in sorted(deferred - read)]
+
+
 def test_package_modules_are_found():
     assert {"cli.py", "evaluator.py", "stencil.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -180,8 +218,127 @@ def test_mention_detector_flags_missing_and_keeps_defined_names():
         "a.py line 1: _gone", "a.py line 4: _missing", "a.py line 5: _moved"]
 
 
+def test_cli_reads_only_names_it_binds_or_defers():
+    deferred = {name for names in cli._DEFERRED.values() for name in names}
+    assert deferred_name_problems((PACKAGE / "cli.py").read_text(), deferred) == []
+
+
+def test_deferred_name_detector_flags_unbound_unread_and_unbound_first_reads():
+    source = (
+        "import json\n"
+        "_DEFERRED = {}\n"
+        "def _bind_deferred():\n"
+        "    pass\n"
+        "def fine(x):\n"
+        '    """Docstring first."""\n'
+        "    _bind_deferred()\n"
+        "    return json.dumps(Handle(x), default=str)\n"
+        "def late():\n"
+        "    value = estimate()\n"
+        "    _bind_deferred()\n"
+        "    return value\n"
+        "TABLE = [Handle]\n"
+        "def typo():\n"
+        "    return Handel\n"
+    )
+    assert deferred_name_problems(source, {"Handle", "estimate", "unused"}) == [
+        "line 9: reads estimate before _bind_deferred()",
+        "line 13: reads Handle before _bind_deferred()",
+        "line 14: Handel is bound nowhere",
+        "unused is deferred but never read",
+    ]
+
+
+@pytest.mark.parametrize("owner", [qriemann, cli], ids=["package", "cli"])
+def test_every_deferred_name_exists_in_its_module(owner):
+    for module, names in owner._DEFERRED.items():
+        source = importlib.import_module(f"qriemann.{module}")
+        assert [name for name in names if not hasattr(source, name)] == []
+
+
 def test_all_lists_exactly_the_public_bindings():
-    # a name removed from the package cannot stay behind in __all__
-    public = {name for name, value in vars(qriemann).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert sorted(qriemann.__all__) == sorted(public | {"__version__"})
+    # every name in __all__ resolves, to the object its defining module holds,
+    # so a name removed from the package cannot stay behind in __all__; and
+    # every public binding, imported or deferred, is listed
+    for name in qriemann.__all__:
+        value = getattr(qriemann, name)
+        home = getattr(value, "__module__", None) or ""
+        if home.startswith("qriemann."):
+            assert getattr(sys.modules[home], name) is value, name
+    imported = {name for name, value in vars(qriemann).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    deferred = {name for names in qriemann._DEFERRED.values() for name in names}
+    assert sorted(qriemann.__all__) == sorted(imported | deferred | {"__version__"})
+
+
+# -- what a fresh interpreter imports ------------------------------------------
+
+DEFERRED_MODULES = ("mpmath", "qriemann.evaluator", "qriemann.counterexample")
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """python args in a new interpreter that imports qriemann from this checkout."""
+    pythonpath = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def loaded_after(code: str) -> list[str]:
+    """Which of DEFERRED_MODULES a fresh interpreter holds after running code."""
+    proc = run_fresh("-c", textwrap.dedent(code) + "\nimport sys\n"
+                     f"print([m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    return eval(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_and_building_its_parser_loads_no_mpmath():
+    assert loaded_after("import qriemann.cli; qriemann.cli.build_parser()") == []
+
+
+def test_stencil_and_verify_commands_load_no_mpmath():
+    assert loaded_after("""
+        import contextlib, io
+        from qriemann.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stencil", "--kind=forward", "-n3", "-q2"]) == 0
+            assert main(["stencil", "--kind=custom", "-n2", "--nodes=0,1,3", "--output=text"]) == 0
+            assert main(["verify", "--max-n", "2"]) == 0
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["stencil", "--kind=forward", "-n3", "-q1"]) == 2
+            assert main(["stencil", "--kind=forward", "-nx"]) == 2
+        """) == []
+
+
+def test_module_execution_of_stencil_imports_no_mpmath():
+    proc = run_fresh("-X", "importtime", "-m", "qriemann", "stencil", "--kind=forward", "-n3", "-q2")
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "qriemann.stencil" in imported and imported.isdisjoint(DEFERRED_MODULES)
+
+
+def test_package_names_resolve_on_first_use():
+    assert loaded_after("""
+        import qriemann
+        assert qriemann.Stencil and qriemann.run_all
+        try:
+            qriemann.no_such_name
+        except AttributeError:
+            pass
+        from qriemann import cli
+        assert not hasattr(cli, "__path__") and not hasattr(cli, "no_such_name")
+        """) == []
+    assert loaded_after("""
+        import qriemann
+        assert qriemann.evaluator.estimate_derivative is qriemann.estimate_derivative
+        """) == ["mpmath", "qriemann.evaluator"]
+    assert loaded_after("from qriemann.cli import find_exponent") == list(DEFERRED_MODULES)
+
+
+def test_no_sign_change_exits_3_from_a_fresh_interpreter():
+    # the trivial character makes phi vanish on the whole window: a strict
+    # sign-change failure, which main reports as a verdict
+    proc = run_fresh("-m", "qriemann", "counterexample", "--custom", "--nodes=1,2,3", "-n2",
+                     "--generators=2,3", "--character=0,0", "--interval=1,3", "--lower-order=1")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

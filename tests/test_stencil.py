@@ -205,6 +205,13 @@ class TestStencilType:
         with pytest.raises(StencilError, match="zero coefficients are not stored"):
             Stencil(order=1, nodes=(0, 1, 0.5), coeffs=(1, zero, -1))
 
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_node_or_coefficient_is_a_stencil_error(self, x):
+        with pytest.raises(StencilError, match=r"^node must be a finite rational, got -?(inf|nan)$"):
+            Stencil(order=1, nodes=(0, x), coeffs=(1, -1))
+        with pytest.raises(StencilError, match=r"^coefficient must be a finite rational, got -?(inf|nan)$"):
+            Stencil(order=1, nodes=(0, 1), coeffs=(x, -1))
+
     def test_duplicate_nodes_reported_before_zero_coefficients(self):
         with pytest.raises(StencilError, match="duplicate nodes"):
             Stencil(order=1, nodes=(0, 1, 0.5, F(1, 2)), coeffs=(0, 1, 0.0, F(0)))
@@ -306,6 +313,15 @@ class TestVandermondeSolve:
         with pytest.raises(StencilError, match="duplicate nodes"):
             vandermonde_solve((F(1, 3), F(2, 6), 5), 2)  # equal as rationals
 
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_node_is_a_stencil_error(self, x):
+        with pytest.raises(StencilError, match=r"^node must be a finite rational, got -?(inf|nan)$"):
+            vandermonde_solve((0, x), 1)
+
+    def test_fraction_nodes_are_kept_as_given(self):
+        nodes = (F(0), F(1, 3), F(2))
+        assert all(a is b for a, b in zip(vandermonde_solve(nodes, 2).nodes, nodes))
+
     def test_random_node_sets_have_exact_order(self):
         rng = random.Random(5150)
         for _ in range(40):
@@ -406,6 +422,11 @@ class TestGaussianForward:
         for q in (0, 1, -1):
             with pytest.raises(StencilError):
                 gaussian_forward(2, q)
+
+    @pytest.mark.parametrize("q", [F(0), F(2, 2), F(-3, 3), 0.0, 1.0, -1.0, "-1"], ids=repr)
+    def test_invalid_q_of_every_type(self, q):
+        with pytest.raises(StencilError, match="^ratio q must avoid 0, 1 and -1$"):
+            gaussian_forward(2, q)
 
     @pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_q_is_a_stencil_error(self, q):

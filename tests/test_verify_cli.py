@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 
 from qriemann import cli, counterexample, qcore, verify
 from qriemann.counterexample import CounterexampleError, NoSignChangeError
-from qriemann.evaluator import EvaluatorError
+from qriemann.evaluator import EvaluatorError, FunctionHandle
 from qriemann.stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
@@ -1050,6 +1051,61 @@ class TestRationalDigitBound:
         assert captured.err.count("\n") == 1
         assert "99999999999999999999..." in captured.err
         assert len(captured.err.encode()) < 120
+
+
+class TestBoundedEchoes:
+    """A flag value or function name longer than cli.MAX_DIGITS characters
+    is echoed cut short, and an int or float flag's text that long is
+    rejected before it is converted.  Shorter bad text keeps argparse's
+    message.  The long strings are built in process: one argument from a
+    shell is capped at 128 KiB."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stencil", "--kind=riemann", "-n" + "9" * 100_000 + "x"],
+        ["stencil", "--kind=riemann", "-n" + "9" * 400_000],
+        ["verify", "--seed=" + "7" * 100_000],
+        ["derive", "--kind=riemann", "-n2", "--function=sin", "--tol=" + "1" * 100_000],
+        ["derive", "--kind=riemann", "-n2", "--function=" + "9" * 100_000],
+        ["derive", "--kind=riemann", "-n2", "--function=signpow" + "x" * 100_000],
+    ], ids=["order-text", "order-digits", "seed", "tol", "builtin", "signpow"])
+    def test_long_value_exits_2_with_a_short_echo(self, capsys, argv):
+        t0 = time.perf_counter()
+        assert cli.main(argv) == 2
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
+        assert "..." in captured.err
+        if "--function" not in argv[-1]:  # a builtin name loads the evaluator first
+            assert elapsed < 0.1
+
+    def test_long_value_message(self, capsys):
+        assert cli.main(["verify", "--max-n=" + "1" * 1001]) == 2
+        assert capsys.readouterr().err == (
+            "error: int value 11111111111111111111... has more than 1000 characters\n")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["stencil", "--kind=riemann", "-nabc"],
+         "qriemann stencil: error: argument -n/--order: invalid int value: 'abc'"),
+        (["verify", "--max-n", "x"], "qriemann verify: error: argument --max-n: invalid int value: 'x'"),
+        (["derive", "--kind=riemann", "-n2", "--function=sin", "--tol=abc"],
+         "qriemann derive: error: argument --tol: invalid float value: 'abc'"),
+        (["counterexample", "--case=prop25", "--exponent=zz"],
+         "qriemann counterexample: error: argument --exponent: invalid float value: 'zz'"),
+        (["derive", "--kind=riemann", "-n2", "--function=bogus"],
+         "error: unknown builtin 'bogus'; expected one of ('sin', 'cos', 'exp', 'abs', 'signpowN')"),
+        (["derive", "--kind=riemann", "-n2", "--function=signpow0"],
+         "error: bad signed-power name 'signpow0'; use signpowN with N >= 1"),
+    ], ids=["order", "max-n", "tol", "exponent", "builtin", "signpow"])
+    def test_short_bad_value_keeps_its_message(self, capsys, argv, line):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
+    def test_builtin_echoes_a_long_name_cut_short(self):
+        with pytest.raises(EvaluatorError, match=r"^unknown builtin 'xxxxxxxxxxxxxxxxxxxx\.\.\.'; "):
+            FunctionHandle.builtin("x" * 100_000)
+        with pytest.raises(EvaluatorError, match=r"^bad signed-power name 'signpowxxxxxxxxxxxxx\.\.\.'; "):
+            FunctionHandle.builtin("signpow" + "x" * 100_000)
 
 
 class TestErrorExits:
