@@ -288,7 +288,7 @@ def loaded_after(code: str) -> list[str]:
     proc = run_fresh("-c", textwrap.dedent(code) + "\nimport sys\n"
                      f"print([m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    return eval(proc.stdout.splitlines()[-1])
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_importing_the_cli_and_building_its_parser_loads_no_mpmath():
