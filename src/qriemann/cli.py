@@ -302,6 +302,30 @@ def cmd_counterexample(args) -> int:
     return 0 if report.passed() else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a bad choice, an ambiguous --option=value and
+    the first ten stray arguments are echoed as _abbreviated cuts them."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            value = _abbreviated(value)
+        super()._check_value(action, value)
+
+    def _parse_optional(self, arg_string):
+        option, sep, value = arg_string.partition("=")
+        if (arg_string.startswith("--") and sep and option not in self._option_string_actions
+                and len(self._get_option_tuples(arg_string)) > 1):
+            arg_string = f"{option}={_abbreviated(value)}"
+        return super()._parse_optional(arg_string)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            more = " ..." if len(extras) > 10 else ""
+            self.error(f"unrecognized arguments: {' '.join(map(_abbreviated, extras[:10]))}{more}")
+        return args
+
+
 def _add_stencil_arguments(p):
     """The stencil-selecting flags shared by the stencil and derive commands."""
     p.add_argument("--kind", choices=(*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom"), required=True)
@@ -316,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared by every later call in the process; callers must not mutate it.
     It only maps argv to a namespace: main picks the command function by
     the parsed command name when the command runs."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qriemann",
         description="Geometric-node difference stencils, derivative estimation, "
                     "and group-supported counterexample checks, in exact arithmetic.",

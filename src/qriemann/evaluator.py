@@ -10,11 +10,11 @@ combined exactly, so cancellation identities come out exactly zero.
 
 Every difference, a single one or a table row, is a row of _row_quotients.
 A sin, cos or exp quotient of order n whose stencil has M_0 .. M_(n-1) = 0
-is taken, at every step h with R|h| <= 1/2 (R the largest |node|), from
-the exact moment series Q(h) = sum_(j>=n) M_j f^(j)(x) h^(j-n) / j!
-(_moment_series): one transcendental call per table and precision, and a
-row correctly rounded to a double.  Every other transcendental row is the
-direct sum at MP_DPS = 60 significant digits, on mpmath.libmp's raw mpf
+is taken, at every step h with R|h| <= 16 and |h| / D <= 1/2 (R the
+largest |node|, D the nodes' denominator), from the exact moment series
+Q(h) = sum_(j>=n) M_j f^(j)(x) h^(j-n) / j! (_moment_series): one
+transcendental call per table and precision, and a row correctly rounded
+to a double.  Every other transcendental row is the direct sum at MP_DPS = 60 significant digits, on mpmath.libmp's raw mpf
 tuples, each call given the bits of MP_DPS and round-to-nearest, so that
 it reads no mpmath context and equals _mp_apply's; it is rounded to float
 once, at the very end, since plain double precision would drown the
@@ -166,6 +166,9 @@ def _mp_apply(s: Stencil, f, x: Fraction, h: Fraction):
 _SERIES_BITS = 93
 # times a series row may double its precision before the direct sum takes it
 _SERIES_REDOS = 4
+# a series row has R|h| <= _SERIES_RADIUS, and e^(R|h|) < 2^_RADIUS_BITS
+_SERIES_RADIUS = 16
+_RADIUS_BITS = math.ceil(_SERIES_RADIUS * math.log2(math.e))
 
 
 def _fixed_to_double(v: int, shift: int) -> float:
@@ -186,8 +189,8 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
     """Rows h -> Q(h) = sum_k A_k f(x + a_k h) / h^n of f = sin, cos or exp,
     correctly rounded to a double, from the Taylor series of Q about h = 0;
     None when a moment M_j, j < n, is not 0.  A row is None where
-    R|h| > 1/2, R = max |a_k|, and where the last precision leaves its
-    rounding open.
+    R|h| > 16, R = max |a_k|, or |y| > 1/2, and where the last precision
+    leaves its rounding open.
 
     With a_k = P_k / D (d and ps), A_k = C_k / E and y = h / D,
 
@@ -196,8 +199,8 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
 
     where f^(j)(x) cycles through +-sin x and +-cos x, or is e^x.  S_j and
     U_j = sum_k |C_k| |P_k|^j are running integer sums, built only as far
-    as a row needs them.  At G = 93 + lb bits, lb >= log2(B) read off the
-    integer bit lengths of B = sum_k |A_k| R^n / n!, alpha_j is the
+    as a row needs them.  At G = 93 + lb bits, lb >= log2(B e^16) read off
+    the integer bit lengths of B = sum_k |A_k| R^n / n!, alpha_j is the
     integer floor(S_j Phi_j / (E D^n j!)) in units of 2^-G, Phi_j the
     fixed-point f^(j)(x), e^x scaled by 2^-t into [1/2, 1).  One mpf_cos_sin
     or mpf_exp per table and G, at G + 4 bits of x rounded to
@@ -205,11 +208,11 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
     Phi_j within 2 units.  A row is a Horner pass in y over j = J .. n with
     one floor division per step.  J is the first index whose Lagrange
     remainder U_(J+1) |y|^(J+1-n) max|f^(J+1)| / (E D^n (J+1)!) is at most
-    2^(lb-3) max|f^(J+1)| units, with max|f^(J+1)| <= 1 for sin and cos and
-    e^(x + R|h|) <= e^(1/2) 2^t for exp; its logarithm is taken from the
-    exact integers with the bit that rounding may need to spare.
+    2^(lb-4) units, with max|f^(J+1)| <= 1 for sin and cos and
+    e^(x + R|h|) <= e^16 2^t for exp, whose cut is 24 bits lower; its
+    logarithm is taken from the exact integers with a bit to spare.
 
-    Since |y| <= 1/2 and sum_j U_j |y|^(j-n) / (E D^n j!) <= B e^(1/2), the
+    Since |y| <= 1/2 and sum_j U_j |y|^(j-n) / (E D^n j!) <= B e^16, the
     sum is within 2^(lb+3) units of Q 2^(G-t).  The row is accepted when
     both ends of that interval round to the same double, else redone at 2G
     (A. Ziv, ACM TOMS 17, 1991).  At x = 0 a sin (cos) quotient whose
@@ -234,7 +237,9 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
         return None
     pmax = max(map(abs, ps))
     lb = max(1, (sum(map(abs, cs)) * pmax**n).bit_length() - dens[0].bit_length() + 1)
+    lb += _RADIUS_BITS
     g0, err = _SERIES_BITS + lb, 1 << (lb + 3)
+    cut = lb - 4 - (_RADIUS_BITS if name == "exp" else 0)
     x_bits = max(0, abs(x.numerator).bit_length() - x.denominator.bit_length() + 1)
     # at x = 0 a sin sum vanishes on an even stencil, a cos sum on an odd one
     at, parity = dict(zip(ps, cs)), 1 if name == "sin" else -1
@@ -261,7 +266,7 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
 
     def row(h):
         yn, yd = h.numerator, h.denominator * d
-        if 2 * pmax * abs(yn) > yd:
+        if pmax * abs(yn) > _SERIES_RADIUS * yd or 2 * abs(yn) > yd:
             return None
         if zero:
             return 0.0
@@ -272,7 +277,7 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
             while True:
                 if len(log_ratios) < top + 2:
                     extend(n + top + 1)
-                if log_ratios[top + 1] + (top + 1) * log_y + g <= lb - 4:
+                if log_ratios[top + 1] + (top + 1) * log_y + g <= cut:
                     break
                 top += 1
             t, al = alphas(g, n + top)

@@ -309,7 +309,7 @@ class TestRecursiveQuotient:
 # recursive_quotient, one line each, over the Gaussian families at n 1..6 and
 # q in {2, -3/2}, exact and transcendental functions, and x of small and of
 # large height: the points of x = 3^160 + 2/7 are wider than MP_DPS.
-SINGLE_DIFFERENCES_SHA256 = "883dca4ec52ab7ee7678a33d50c5bf95b8e873e573facf14d57652af735bfbfc"
+SINGLE_DIFFERENCES_SHA256 = "c0d99b9a595d1899431d10269b155a8845383b95196777b05afe6ca356685a35"
 
 
 def test_single_differences_pin():
@@ -539,12 +539,18 @@ def _per_point(s, f, x, h, power):
 _MP_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "exp": mp.exp}
 
 
+def _disc(s):
+    """The largest |h| of the moment series' disc: R|h| <= 16, R the largest
+    |node|, and |h| / D <= 1/2, D the nodes' common denominator."""
+    return min(16 / max(abs(a) for a in s.nodes), F(math.lcm(*(a.denominator for a in s.nodes)), 2))
+
+
 def _in_disc(s, f, h, power):
     """True where a row comes from the moment series: a sin, cos or exp
-    quotient of the stencil's order, M_0 .. M_(n-1) all 0, and R|h| <= 1/2."""
+    quotient of the stencil's order, M_0 .. M_(n-1) all 0, and |h| in the
+    disc."""
     return (isinstance(f, FunctionHandle) and f.name in _MP_FUNCTIONS and power == s.order
-            and not any(moments(s, s.order - 1))
-            and 2 * max(abs(a) for a in s.nodes) * abs(h) <= 1)
+            and not any(moments(s, s.order - 1)) and abs(h) <= _disc(s))
 
 
 def _correctly_rounded(s, name, x, h):
@@ -614,6 +620,14 @@ class TestTableRowsMatchSingleDifferences:
     @example((riemann_symmetric(6),
               GroupFunction(MultiplicativeGroup((2, 3)), (1, 1), F(5238489919019941, 2**50)), 0,
               F(1, 2), F(2, 3), 6, True))
+    # the disc's edges: a first row at R|h| = 16 and |h| / D = 1/2, one just
+    # past R|h| = 16, and h0 = 4, whose first rows have R|h| <= 16 but
+    # |h| / D > 1/2 and take the direct sum
+    @example((gaussian_forward(6, 2), FunctionHandle.builtin("exp"), F(-1, 3), F(1, 2),
+              F(1, 2), 4, True))
+    @example((gaussian_forward(6, 3), FunctionHandle.builtin("cos"), F(1, 3),
+              F(16, 243) + F(1, 10**12), F(1, 2), 4, True))
+    @example((riemann_classic(2), FunctionHandle.builtin("sin"), F(1, 3), F(4), F(1, 2), 6, True))
     def test_rows_equal_the_reference(self, table_args):
         s, f, x, h0, ratio, steps, two_sided = table_args
         table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=steps,
@@ -626,8 +640,8 @@ class TestTableRowsMatchSingleDifferences:
                 assert type(got) is type(want) and repr(got) == repr(want)
 
     def test_coefficients_convert_once_per_table(self, monkeypatch):
-        # R = (3/2)^4: the first row, h = 1/10, lies outside the disc R|h| <= 1/2
-        s, x = gaussian_forward(5, F(3, 2)), F(1, 3)
+        # R = 3^5: the first row, h = 1/10, lies outside the disc R|h| <= 16
+        s, x = gaussian_forward(6, 3), F(1, 3)
         calls = []
         rational_mpf = evaluator._rational_mpf
         monkeypatch.setattr(evaluator, "_rational_mpf",
@@ -691,7 +705,7 @@ class TestTableRowsMatchSingleDifferences:
 @st.composite
 def _series_rows(draw):
     """(stencil, name, x, h): every kind at n <= 12 with small rational q,
-    sin, cos or exp, and a step h inside the disc R|h| <= 1/2."""
+    sin, cos or exp, and a step h inside the disc R|h| <= 16, |h| / D <= 1/2."""
     kind = draw(st.sampled_from([*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom"]))
     n = draw(st.integers(1, 12))
     if kind == "custom":
@@ -706,7 +720,7 @@ def _series_rows(draw):
     x = draw(st.one_of(st.just(F(0)), st.fractions(min_value=-12, max_value=12,
                                                    max_denominator=8)))
     r = draw(st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool))
-    h = r / (2 * max(abs(a) for a in s.nodes)) / 10 ** draw(st.integers(0, 12))
+    h = r * _disc(s) / 10 ** draw(st.integers(0, 12))
     return s, name, x, -h if draw(st.booleans()) else h
 
 
@@ -720,6 +734,13 @@ def _series_rows(draw):
 # past the largest double, and x of 100 digits
 @example((gaussian_shifted(3, F(-5, 3)), "exp", F(720), F(1, 100)))
 @example((riemann_classic(2), "sin", F(10**99), F(1, 10)))
+# on the disc's edge R|h| = 16, with |h| / D = 1/2 in the second; exp at
+# x = 700, whose points reach e^716, past the double range
+@example((gaussian_forward(6, 3), "sin", F(5, 4), F(16, 243)))
+@example((gaussian_forward(6, 2), "cos", F(-3), F(-1, 2)))
+@example((gaussian_forward(6, 3), "exp", F(700), F(16, 243)))
+# R|h| = 1.16: the 60-digit direct sum lost 8 digits here to cancellation
+@example((gaussian_forward(12, F(-5)), "sin", F(-7, 6), F(1, 41943040)))
 def test_series_rows_are_correctly_rounded(row):
     s, name, x, h = row
     assert _in_disc(s, FunctionHandle.builtin(name), h, s.order)
@@ -731,14 +752,39 @@ def test_series_rows_are_correctly_rounded(row):
 def test_series_rows_redone_at_low_precision_stay_correctly_rounded(monkeypatch, name):
     # 16 bits beyond the largest term leave most roundings open at the first
     # precision: a row must then be redone, and any row its error bound
-    # accepts early must still be the correctly rounded one
+    # accepts early must still be the correctly rounded one, from the
+    # disc's edge inwards
     monkeypatch.setattr(evaluator, "_SERIES_BITS", 16)
     for s in (gaussian_forward(3, F(3, 2)), gaussian_symmetric(4, F(-5, 3)), riemann_classic(5)):
         for x in (F(0), F(-7, 3), F(11, 8)):
             table = estimate_derivative(s, FunctionHandle.builtin(name), x,
-                                        h0=1 / (2 * max(s.nodes)), ratio=F(3, 5), steps=20)
+                                        h0=_disc(s), ratio=F(3, 5), steps=20)
             for h, qt, _ in table.rows:
+                assert _in_disc(s, FunctionHandle.builtin(name), h, s.order)
                 assert repr(qt) == repr(_correctly_rounded(s, name, x, h))
+
+
+@pytest.mark.parametrize("s,h,direct", [
+    (gaussian_forward(6, 3), F(16, 243), False),
+    (gaussian_forward(6, 3), F(16, 243) + F(1, 10**12), True),
+    (gaussian_forward(6, 2), F(-1, 2), False),
+    (riemann_classic(2), F(1, 2), False),
+    (riemann_classic(2), F(-4), True),
+    (_custom("small", [-1, 2, 5]), F(3, 2), False),
+    (_custom("small", [-1, 2, 5]), F(-2), True),
+], ids=["R|h|=16", "R|h|>16", "y=1/2", "small-R", "y>1/2", "D=3-y=1/2", "D=3-y>1/2"])
+def test_series_disc_edges(monkeypatch, s, h, direct):
+    # a row inside the disc calls no per-point function; one outside it
+    # calls one per node
+    calls = []
+    sin = evaluator._MPF_FUNCTIONS["sin"]
+    monkeypatch.setitem(evaluator._MPF_FUNCTIONS, "sin",
+                        lambda v, prec, rnd: calls.append(v) or sin(v, prec, rnd))
+    f = FunctionHandle.builtin("sin")
+    assert _in_disc(s, f, h, s.order) is not direct
+    got = difference_quotient(s, f, F(2, 3), h)
+    assert len(calls) == (len(s.nodes) if direct else 0)
+    assert repr(got) == repr(_reference(s, f, F(2, 3), h, s.order))
 
 
 def test_series_rows_left_open_fall_back_to_the_direct_sum(monkeypatch):

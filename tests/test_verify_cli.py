@@ -1101,6 +1101,32 @@ class TestBoundedEchoes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.splitlines()[-1] == line
 
+    @pytest.mark.parametrize("argv", [
+        ["stencil", "--kind={}", "-n2"],
+        ["counterexample", "--case={}"],
+        ["stencil", "--kind=riemann", "-n2", "{}"],
+        ["stencil", "--kind=riemann", "-n2", "--output={}"],
+        ["stencil", "--kind=riemann", "-n2", "--o={}"],
+        ["{}"],
+    ], ids=["kind", "case", "stray", "output", "ambiguous", "command"])
+    def test_argparse_echoes_a_long_argument_cut_short(self, capsys, argv):
+        # argparse's usage, then one error line that echoes the argument cut
+        # to its first 20 characters: the usage is that of a short bad value
+        assert cli.main([a.format("x") for a in argv]) == 2
+        *usage, line = capsys.readouterr().err.splitlines()
+        assert cli.main([a.format("x" * 100_000) for a in argv]) == 2
+        captured = capsys.readouterr()
+        *long_usage, long_line = captured.err.splitlines()
+        assert captured.out == "" and long_usage == usage
+        assert "x" * 20 + "..." in long_line and "x" * 21 not in long_line
+        assert long_line.replace("x" * 20 + "...", "x") == line
+        assert len(long_line.encode()) < 300
+
+    def test_argparse_echoes_ten_stray_arguments(self, capsys):
+        assert cli.main(["stencil", "--kind=riemann", "-n2", *["y"] * 100_000]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qriemann: error: unrecognized arguments: y y y y y y y y y y ...")
+
     def test_builtin_echoes_a_long_name_cut_short(self):
         with pytest.raises(EvaluatorError, match=r"^unknown builtin 'xxxxxxxxxxxxxxxxxxxx\.\.\.'; "):
             FunctionHandle.builtin("x" * 100_000)
