@@ -185,14 +185,14 @@ def _fixed_to_double(v: int, shift: int) -> float:
         return math.copysign(math.inf, v)
 
 
-def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
+def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
     """Rows h -> Q(h) = sum_k A_k f(x + a_k h) / h^n of f = sin, cos or exp,
     correctly rounded to a double, from the Taylor series of Q about h = 0;
     None when a moment M_j, j < n, is not 0.  A row is None where
     R|h| > 16, R = max |a_k|, or |y| > 1/2, and where the last precision
     leaves its rounding open.
 
-    With a_k = P_k / D (d and ps), A_k = C_k / E and y = h / D,
+    With a_k = P_k / D (d and ps), A_k = C_k / E (e and cs) and y = h / D,
 
         Q(h) = sum_{j >= n} alpha_j y^(j-n),
         alpha_j = S_j f^(j)(x) / (E D^n j!),  S_j = sum_k C_k P_k^j,
@@ -218,7 +218,6 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, coeffs):
     (A. Ziv, ACM TOMS 17, 1991).  At x = 0 a sin (cos) quotient whose
     stencil is even (odd) under a -> -a is exactly 0.
     """
-    e, cs = _over_common_denominator(coeffs)
     terms, sums = cs, []  # C_k P_k^j, S_j
     dens, log_ratios = [], []  # from j = n on: E D^n j!, log2(U_j / (E D^n j!))
 
@@ -299,10 +298,10 @@ def _row_quotients(s: Stencil, f, x, power: int):
 
     Other function objects take their rows from _exact_apply and _mp_apply.
     A FunctionHandle prepares the stencil once per table: with x = u/v,
-    h = p/t and a_k = P_k/D over the nodes' common denominator D, the points
-    are N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.
-    Exact functions sum integer values into one Fraction per row.  A sin,
-    cos or exp row at power = order takes _moment_series's correctly
+    h = p/t, a_k = P_k/D from s.node_ints and A_k = C_k/E, the points are
+    N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.  Exact
+    functions sum C_k times integer values into one Fraction per row.  A
+    sin, cos or exp row at power = order takes _moment_series's correctly
     rounded value wherever it gives one.  Any other sin, cos or exp row is
     the direct sum, on raw mpf tuples at prec = dps_to_prec(MP_DPS) bits
     with round-to-nearest, the operations _mp_apply's mpf objects do inside
@@ -322,7 +321,7 @@ def _row_quotients(s: Stencil, f, x, power: int):
                 return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
 
         return row
-    v, (d, ps) = x.denominator, _over_common_denominator(s.nodes)
+    v, (d, ps), (e, cs) = x.denominator, s.node_ints, _over_common_denominator(s.coeffs)
     ud, vd = x.numerator * d, v * d
 
     def points(h):
@@ -331,30 +330,28 @@ def _row_quotients(s: Stencil, f, x, power: int):
 
     fn = _MPF_FUNCTIONS.get(f.name)
     if fn is None:
-        den, cs = _over_common_denominator(s.coeffs)
-
         def exact_row(h):
             ws, w = f._exact_over(*points(h))
             return Fraction(sum(c * wk for c, wk in zip(cs, ws)) * h.denominator**power,
-                            den * w * h.numerator**power)
+                            e * w * h.numerator**power)
 
         return exact_row
 
     prec, rnd = dps_to_prec(MP_DPS), round_nearest
-    cs = []  # the coefficients' mpf tuples, made by the table's first direct sum
+    mpcs = []  # the coefficients' mpf tuples, made by the table's first direct sum
 
     def mp_row(h):
-        if not cs:
-            cs.extend(_rational_mpf(c, prec) for c in s.coeffs)
+        if not mpcs:
+            mpcs.extend(_rational_mpf(c, prec) for c in s.coeffs)
         ns, m = points(h)
         mm, wide = from_int(m), m.bit_length() > prec
         values = (fn(_rational_mpf(Fraction(n, m), prec) if wide or n.bit_length() > prec
                      else mpf_div(from_int(n), mm, prec, rnd), prec, rnd) for n in ns)
-        total = mpf_sum([mpf_mul(c, y, prec, rnd) for c, y in zip(cs, values)], prec, rnd)
+        total = mpf_sum([mpf_mul(c, y, prec, rnd) for c, y in zip(mpcs, values)], prec, rnd)
         step = mpf_pow_int(_rational_mpf(h, prec), power, prec, rnd)
         return to_float(mpf_div(total, step, prec, rnd), rnd=rnd)
 
-    series = _moment_series(f.name, x, power, d, ps, s.coeffs) if power == s.order else None
+    series = _moment_series(f.name, x, power, d, ps, e, cs) if power == s.order else None
     if series is None:
         return mp_row
 

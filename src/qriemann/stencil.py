@@ -112,8 +112,11 @@ def _over_common_denominator(xs) -> tuple[int, list[int]]:
 class Stencil:
     """Immutable node/coefficient stencil of a given derivative order.
 
-    Nodes are kept sorted ascending with coefficients aligned; nodes must be
-    distinct and coefficients nonzero.  Construction does not verify the
+    Nodes are kept sorted ascending with coefficients aligned, and also as
+    node_ints = (D, (P_0, ..., P_n)), a_k = P_k / D over the lcm D of their
+    denominators: the integers construction sorts on, which same_difference,
+    moments and the evaluator read.  node_ints is not a field.  Nodes must
+    be distinct and coefficients nonzero.  Construction does not verify the
     moment conditions (see verify_vandermonde), so deliberately broken
     stencils can be represented and inspected.
     """
@@ -135,8 +138,7 @@ class Stencil:
             raise StencilError("nodes and coeffs must have equal length")
         if not nodes:
             raise StencilError("a stencil needs at least one node")
-        # a_k = P_k / D: sort and compare the integers P_k, not the Fractions
-        _, ps = _over_common_denominator(nodes)
+        d, ps = _over_common_denominator(nodes)
         order = sorted(range(len(ps)), key=ps.__getitem__)
         if any(ps[i] == ps[j] for i, j in zip(order, order[1:])):
             raise StencilError("duplicate nodes")
@@ -144,6 +146,7 @@ class Stencil:
             raise StencilError("zero coefficients are not stored; drop the node instead")
         object.__setattr__(self, "nodes", tuple(nodes[i] for i in order))
         object.__setattr__(self, "coeffs", tuple(coeffs[i] for i in order))
+        object.__setattr__(self, "node_ints", (d, tuple(ps[i] for i in order)))
         q = self.q
         object.__setattr__(self, "q", q if q is None or type(q) is Fraction else Fraction(q))
 
@@ -151,7 +154,7 @@ class Stencil:
         return dict(zip(self.nodes, self.coeffs))
 
     def coeff_at(self, node) -> Fraction:
-        node = Fraction(node)
+        node = _finite_rational(node, "node")
         for a, c in zip(self.nodes, self.coeffs):
             if a == node:
                 return c
@@ -162,9 +165,9 @@ class Stencil:
 
 
 def same_difference(a: Stencil, b: Stencil) -> bool:
-    """True when two stencils define the same difference: equal order and
-    equal node->coefficient maps, ignoring kind/q bookkeeping."""
-    return a.order == b.order and a.nodes == b.nodes and a.coeffs == b.coeffs
+    """True when two stencils define the same difference: equal order,
+    node_ints (D included) and coeffs, ignoring kind/q bookkeeping."""
+    return a.order == b.order and a.node_ints == b.node_ints and a.coeffs == b.coeffs
 
 
 # -- the geometric-node families ----------------------------------------------
@@ -200,14 +203,14 @@ def vandermonde_solve(nodes, n: int) -> Stencil:
     """
     _check_order(n)
     pts = [a if type(a) is Fraction else _finite_rational(a, "node") for a in nodes]
-    if len(set(pts)) != len(pts):
+    d, ps = _over_common_denominator(pts)
+    if len(set(ps)) != len(ps):
         raise StencilError("duplicate nodes")
     if len(pts) != n + 1:
         raise ExcessNodesError(
             f"need exactly {n + 1} nodes for order {n}, got {len(pts)}; "
             "excess-node systems are not supported"
         )
-    d, ps = _over_common_denominator(pts)
     top = math.factorial(n) * d**n
     coeffs = [Fraction(top, math.prod(pk - pj for j, pj in enumerate(ps) if j != k))
               for k, pk in enumerate(ps)]
@@ -388,15 +391,15 @@ def scale(s: Stencil, r) -> Stencil:
 def moments(s: Stencil, upto: int) -> list[Fraction]:
     """Exact moments [M_0, ..., M_upto], M_j = sum_k A_k a_k^j (0^0 = 1).
 
-    With a_k = P_k / D and A_k = C_k / E over the common denominators D of
-    the nodes and E of the coefficients,
+    With a_k = P_k / D from s.node_ints and A_k = C_k / E over the common
+    denominator E of the coefficients,
 
         M_j = (sum_k C_k P_k^j) / (E D^j),
 
     so each C_k P_k^j is a running integer, multiplied by P_k per step, and
     each j costs one integer sum and one Fraction.
     """
-    d, ps = _over_common_denominator(s.nodes)
+    d, ps = s.node_ints
     den, terms = _over_common_denominator(s.coeffs)  # den = E D^j below
     out = []
     for j in range(upto + 1):

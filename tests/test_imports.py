@@ -13,6 +13,10 @@ attribute, outside its own definition.  A mention in prose is a ``_name``
 that follows no letter, digit, ``]`` or ``)``, so that math subscripts
 such as ``a_k`` or ``[N k]_r`` are not read as names.
 
+A stencil's node integers (D, P_k) are read from ``node_ints``, which
+``Stencil`` forms once: no module calls ``_over_common_denominator`` on an
+expression's ``.nodes``.
+
 The package and its CLI import the evaluator and counterexample modules,
 and mpmath with them, only when one of their names is first used; fresh
 interpreters check that stencil and verify work never loads them.
@@ -151,6 +155,15 @@ def deferred_name_problems(source: str, deferred: set[str]) -> list[str]:
     return problems + [f"{name} is deferred but never read" for name in sorted(deferred - read)]
 
 
+def node_form_rederivations(source: str) -> list[str]:
+    """Calls _over_common_denominator(<expr>.nodes) in the source, which
+    form a stencil's node integers again instead of reading node_ints."""
+    return [f"line {n.lineno}: {ast.unparse(n)}" for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "_over_common_denominator"
+            and any(isinstance(a, ast.Attribute) and a.attr == "nodes" for a in n.args)]
+
+
 def test_package_modules_are_found():
     assert {"cli.py", "evaluator.py", "stencil.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -216,6 +229,25 @@ def test_mention_detector_flags_missing_and_keeps_defined_names():
     }
     assert dangling_mentions(sources) == [
         "a.py line 1: _gone", "a.py line 4: _missing", "a.py line 5: _moved"]
+
+
+def test_only_stencil_construction_forms_the_node_integers():
+    assert [f"{p.name} {call}" for p in sorted(PACKAGE.glob("*.py"))
+            for call in node_form_rederivations(p.read_text())] == []
+
+
+def test_node_form_detector_flags_calls_on_nodes_and_keeps_others():
+    source = (
+        "def f(s, nodes, coeffs):\n"
+        "    d, ps = _over_common_denominator(s.nodes)\n"
+        "    e, cs = _over_common_denominator(s.coeffs)\n"
+        "    _, qs = _over_common_denominator(nodes)\n"
+        "    return _over_common_denominator(stencil(1).nodes), s.node_ints\n"
+    )
+    assert node_form_rederivations(source) == [
+        "line 2: _over_common_denominator(s.nodes)",
+        "line 5: _over_common_denominator(stencil(1).nodes)",
+    ]
 
 
 def test_cli_reads_only_names_it_binds_or_defers():

@@ -1,7 +1,8 @@
 """Property tests: the moment solver, the Gaussian builders, scaling and JSON.
 
 Each property is checked against an independent oracle (direct moment sums,
-the divided-difference solver, the recursion) on inputs hypothesis draws.
+the divided-difference solver, the recursion, math.lcm of the node
+denominators for the stored node integers) on inputs hypothesis draws.
 Every test is derandomized, so a run is reproducible and needs no example
 database.
 """
@@ -35,6 +36,12 @@ def moment(nodes, coeffs, j):
     return sum((c * a**j for a, c in zip(nodes, coeffs)), F(0))
 
 
+def assert_node_ints(s):
+    d, ps = s.node_ints
+    assert type(s.node_ints) is tuple and d == math.lcm(*(a.denominator for a in s.nodes)), s
+    assert [F(p, d) for p in ps] == list(s.nodes), s
+
+
 def assert_moments(s):
     n = s.order
     for j in range(n):
@@ -45,7 +52,9 @@ def assert_moments(s):
 @SETTINGS
 @given(node_sets)
 def test_solver_moments_on_random_nodes(nodes):
-    assert_moments(vandermonde_solve(nodes, len(nodes) - 1))
+    s = vandermonde_solve(nodes, len(nodes) - 1)
+    assert_moments(s)
+    assert_node_ints(s)
 
 
 @SETTINGS
@@ -53,6 +62,7 @@ def test_solver_moments_on_random_nodes(nodes):
 def test_gaussian_builders_match_solver_and_recursion(family, n, q):
     built = GAUSSIAN_BUILDERS[family](n, q)
     assert_moments(built)
+    assert_node_ints(built)
     assert same_difference(built, vandermonde_solve(built.nodes, n))
     assert recursive_build(family, n, q) == built
 
@@ -63,6 +73,7 @@ def test_scale_round_trip(nodes, r):
     s = vandermonde_solve(nodes, len(nodes) - 1)
     scaled = scale(s, r)
     assert_moments(scaled)
+    assert_node_ints(scaled)
     assert scale(scaled, 1 / r) == s
 
 
@@ -73,4 +84,5 @@ def test_json_round_trip(nodes):
     text = stencil_to_json(s)
     back = stencil_from_json(text)
     assert back == s
+    assert_node_ints(back)
     assert stencil_to_json(back) == text

@@ -264,11 +264,28 @@ class TestStencilType:
             s.coeff_at(F(7))
         assert len(s) == 4
 
+    @pytest.mark.parametrize("node", [float("inf"), float("nan"), "x"], ids=repr)
+    def test_coeff_at_rejects_a_node_that_is_not_a_finite_rational(self, node):
+        # as the constructor and scale do, not a bare OverflowError or ValueError
+        with pytest.raises(StencilError, match="node must be a finite rational"):
+            riemann_classic(2).coeff_at(node)
+
     def test_equality_includes_tags(self):
         a = gaussian_forward(1, 2)
         b = Stencil(order=1, nodes=(0, 1), coeffs=(-1, 1))
         assert a != b  # kind/q tags differ
         assert same_difference(a, b)  # but they are the same difference
+
+    @pytest.mark.parametrize("other", [
+        Stencil(2, (0, 1), (-1, 1)),  # another order
+        Stencil(1, (0, 2), (-1, 1)),  # one node moved
+        Stencil(1, (0, 1), (-1, 2)),  # one coefficient changed
+        Stencil(1, (0, F(1, 2)), (-1, 1)),  # the same P_k = (0, 1) over D = 2
+    ], ids=["order", "node", "coefficient", "denominator"])
+    def test_same_difference_is_false_on_any_other_difference(self, other):
+        base = Stencil(1, (0, 1), (-1, 1))
+        assert not same_difference(base, other)
+        assert not same_difference(other, base)
 
     def test_kind_catalogue(self):
         assert set(KINDS) == {
