@@ -26,7 +26,8 @@ from mpmath import mp
 from .cases import NAMED_CASES, SEARCH_CASES, NamedCase
 from .evaluator import (_HUGE, _TINY, MP_DPS, _exact_apply, _mp_apply, _to_mpf,
                         peano_bound_check)
-from .stencil import Stencil, _abbreviated, format_rational, stencil_to_jsonable
+from .stencil import (Stencil, _abbreviated, _finite_rational, format_rational,
+                      stencil_to_jsonable)
 
 # Largest generator accepted, so that _is_prime's trial division takes at
 # most about 3 * 10^4 steps.
@@ -76,7 +77,8 @@ def membership(group: MultiplicativeGroup, x) -> tuple | None:
 
     Requires x > 0; the group lives in the positive rationals.
     """
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = _finite_rational(x, "x", CounterexampleError)
     if x <= 0:
         raise CounterexampleError("membership requires x > 0")
     num, den = x.numerator, x.denominator
@@ -175,7 +177,8 @@ class ExponentialSum:
     def __post_init__(self):
         cleaned = []
         for c, b in self.terms:
-            c, b = Fraction(c), Fraction(b)
+            c = _finite_rational(c, "coefficient", CounterexampleError)
+            b = _finite_rational(b, "base", CounterexampleError)
             if b <= 0:
                 raise CounterexampleError("bases must be positive")
             if c != 0:

@@ -82,7 +82,7 @@ def parse_rational(text: str) -> Fraction:
 def _finite_rational(x, what: str, error=StencilError) -> Fraction:
     try:
         return Fraction(x)
-    except (OverflowError, ValueError) as exc:  # an infinite or NaN float
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise error(f"{what} must be a finite rational, got {x!r}") from exc
 
 
@@ -148,7 +148,8 @@ class Stencil:
         object.__setattr__(self, "coeffs", tuple(coeffs[i] for i in order))
         object.__setattr__(self, "node_ints", (d, tuple(ps[i] for i in order)))
         q = self.q
-        object.__setattr__(self, "q", q if q is None or type(q) is Fraction else Fraction(q))
+        if q is not None and type(q) is not Fraction:
+            object.__setattr__(self, "q", _finite_rational(q, "ratio q"))
 
     def as_map(self) -> dict:
         return dict(zip(self.nodes, self.coeffs))

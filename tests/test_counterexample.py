@@ -256,6 +256,18 @@ class TestExponentialSum:
             ExponentialSum(((F(1), F(-2)),))
 
 
+@pytest.mark.parametrize("bad", [None, "x", float("inf")], ids=repr)
+@pytest.mark.parametrize("what, build", [
+    pytest.param("x", lambda x: membership(group(2), x), id="membership"),
+    pytest.param("coefficient", lambda x: ExponentialSum(((x, 2),)), id="sum-coefficient"),
+    pytest.param("base", lambda x: ExponentialSum(((1, x),)), id="sum-base"),
+])
+def test_input_that_is_not_a_rational_is_a_counterexample_error(what, build, bad):
+    # not the bare TypeError, ValueError or OverflowError that Fraction raises
+    with pytest.raises(CounterexampleError, match=f"^{what} must be a finite rational, got "):
+        build(bad)
+
+
 # ---------------------------------------------------------------------------
 # phi extraction from stencils
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 module-level private name is read, every private name a docstring or
 comment mentions is one the package defines, every name the CLI reads
 from the evaluator or counterexample is one it defers, and
-``qriemann.__all__`` lists exactly the package's public names.
+``qriemann.__all__`` lists exactly the package's public names.  No module
+writes ``__all__`` out as a literal of strings: the package computes it
+from its imports and ``_DEFERRED``, where each public name is written once.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 public re-exports.  A name counts as used when it appears anywhere in the
@@ -164,6 +166,25 @@ def node_form_rederivations(source: str) -> list[str]:
             and any(isinstance(a, ast.Attribute) and a.attr == "nodes" for a in n.args)]
 
 
+def literal_all_assignments(source: str) -> list[str]:
+    """Statements of the source that assign, annotate or extend __all__
+    with a list or tuple literal of strings."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Assign):
+            targets = n.targets
+        elif isinstance(n, (ast.AnnAssign, ast.AugAssign)):
+            targets = [n.target]
+        else:
+            continue
+        if (any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+                and isinstance(n.value, (ast.List, ast.Tuple)) and n.value.elts
+                and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                        for e in n.value.elts)):
+            found.append(f"line {n.lineno}: {type(n).__name__}")
+    return found
+
+
 def test_package_modules_are_found():
     assert {"cli.py", "evaluator.py", "stencil.py", "verify.py"} <= {p.name for p in MODULES}
 
@@ -286,6 +307,27 @@ def test_every_deferred_name_exists_in_its_module(owner):
     for module, names in owner._DEFERRED.items():
         source = importlib.import_module(f"qriemann.{module}")
         assert [name for name in names if not hasattr(source, name)] == []
+
+
+def test_no_module_writes_all_out_as_a_literal():
+    assert [f"{p.name} {found}" for p in sorted(PACKAGE.glob("*.py"))
+            for found in literal_all_assignments(p.read_text())] == []
+
+
+def test_all_literal_detector_flags_literals_and_keeps_comprehensions():
+    source = (
+        "import os\n"
+        "__all__ = ['a', 'b']\n"
+        "__all__: tuple = ('c',)\n"
+        "__all__ += ['d']\n"
+        "__all__ = [name for name in dir() if not name.startswith('_')]\n"
+        "__all__ += [n for n in ('e', 'f')] + ['__version__']\n"
+        "__all__ = []\n"
+        "__all__ = [os.sep, 'g']\n"
+        "names = ['h', 'i']\n"
+    )
+    assert literal_all_assignments(source) == [
+        "line 2: Assign", "line 3: AnnAssign", "line 4: AugAssign"]
 
 
 def test_all_lists_exactly_the_public_bindings():

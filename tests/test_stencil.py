@@ -212,6 +212,25 @@ class TestStencilType:
         with pytest.raises(StencilError, match=r"^coefficient must be a finite rational, got -?(inf|nan)$"):
             Stencil(order=1, nodes=(0, 1), coeffs=(x, -1))
 
+    @pytest.mark.parametrize("what, build, bad", [
+        pytest.param("node", lambda x: Stencil(1, (x, 1), (-1, 1)), None, id="Stencil-node-None"),
+        pytest.param("node", lambda x: Stencil(1, (x, 1), (-1, 1)), "1/0", id="Stencil-node-'1/0'"),
+        pytest.param("coefficient", lambda x: Stencil(1, (0, 1), (x, 1)), None,
+                     id="Stencil-coefficient-None"),
+        pytest.param("ratio q", lambda x: Stencil(1, (0, 1), (-1, 1), q=x), "x", id="Stencil-q-'x'"),
+        pytest.param("ratio q", lambda x: Stencil(1, (0, 1), (-1, 1), q=x), float("inf"),
+                     id="Stencil-q-inf"),
+        pytest.param("scale factor", lambda x: scale(riemann_classic(2), x), None, id="scale-None"),
+        pytest.param("node", lambda x: vandermonde_solve([x, 1], 1), None,
+                     id="vandermonde_solve-None"),
+        pytest.param("ratio q", lambda x: gaussian_forward(2, x), None, id="gaussian_forward-None"),
+    ])
+    def test_input_that_is_not_a_rational_is_a_stencil_error(self, what, build, bad):
+        # not the bare TypeError, ValueError, OverflowError or ZeroDivisionError
+        # that Fraction raises
+        with pytest.raises(StencilError, match=f"^{what} must be a finite rational, got "):
+            build(bad)
+
     def test_duplicate_nodes_reported_before_zero_coefficients(self):
         with pytest.raises(StencilError, match="duplicate nodes"):
             Stencil(order=1, nodes=(0, 1, 0.5, F(1, 2)), coeffs=(0, 1, 0.0, F(0)))
@@ -264,9 +283,9 @@ class TestStencilType:
             s.coeff_at(F(7))
         assert len(s) == 4
 
-    @pytest.mark.parametrize("node", [float("inf"), float("nan"), "x"], ids=repr)
+    @pytest.mark.parametrize("node", [float("inf"), float("nan"), "x", None], ids=repr)
     def test_coeff_at_rejects_a_node_that_is_not_a_finite_rational(self, node):
-        # as the constructor and scale do, not a bare OverflowError or ValueError
+        # as the constructor and scale do, not a bare OverflowError, TypeError or ValueError
         with pytest.raises(StencilError, match="node must be a finite rational"):
             riemann_classic(2).coeff_at(node)
 
