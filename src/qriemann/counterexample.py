@@ -135,7 +135,8 @@ class GroupFunction:
         whatever the exponent, so differences built entirely off-support
         cancel to literal zero.
         """
-        x = Fraction(x)
+        if type(x) is not Fraction:
+            x = _finite_rational(x, "x", CounterexampleError)
         if x <= 0:
             return Fraction(0)
         e = membership(self.group, x)
@@ -146,22 +147,19 @@ class GroupFunction:
         return self.chi(e) * x**self.exponent.numerator
 
     def eval_mp(self, x: Fraction):
-        """mpmath value, from one membership test; call inside an mp.workdps block.
+        """mpmath value; call inside an mp.workdps block.
 
-        0 off the support.  At an integer exponent n the exact chi(x) x^n is
-        rounded once, so the value is correct to working precision; otherwise
-        it is chi(x) * x^s from one correctly rounded mp.power.
+        Where eval_exact's value is exact (off the support, or at an integer
+        exponent) it is rounded once, so the value is correct to working
+        precision; otherwise x is in G and the value is chi(x) * x^s from
+        one correctly rounded mp.power.
         """
-        x = Fraction(x)
-        if x <= 0:
-            return mp.mpf(0)
-        e = membership(self.group, x)
-        if e is None:
-            return mp.mpf(0)
-        s = self.exponent
-        if s.denominator == 1:
-            return _to_mpf(self.chi(e) * x**s.numerator)
-        return self.chi(e) * mp.power(_to_mpf(x), _to_mpf(s))
+        exact = self.eval_exact(x)
+        if exact is not None:
+            return _to_mpf(exact)
+        if type(x) is not Fraction:  # eval_exact took it, so it is a finite rational
+            x = Fraction(x)
+        return self.chi(membership(self.group, x)) * mp.power(_to_mpf(x), _to_mpf(self.exponent))
 
 
 # -- exponential sums ---------------------------------------------------------
@@ -198,7 +196,9 @@ class ExponentialSum:
 
     def eval_mp(self, s):
         """mpmath value at a rational or float s; call inside an mp.workdps block."""
-        sm = _to_mpf(Fraction(s))
+        if type(s) is not Fraction:
+            s = _finite_rational(s, "s", CounterexampleError)
+        sm = _to_mpf(s)
         return mp.fsum(_to_mpf(c) * mp.power(_to_mpf(b), sm) for c, b in self.terms)
 
 

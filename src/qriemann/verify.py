@@ -130,57 +130,23 @@ def qbinomial_consistency_suite(max_n: int = 20, cross_check_n: int = 12) -> Sui
 
 def _product_side(n: int, a: Fraction, b: Fraction, q: Fraction) -> Fraction:
     """(a-b)(a-bq)...(a-bq^(n-1)) as one integer product: at a = p/s,
-    b = r/t and q = u/v the j-th factor is (p t v^j - r s u^j) / (s t v^j)."""
+    b = r/t and q = u/v the j-th factor is (p t v^j - r s u^j) / (s t v^j).
+    With r for q it is also the product side of _qbinomial_terms' theorem."""
     p, s, r, t = a.numerator, a.denominator, b.numerator, b.denominator
     u, v = q.numerator, q.denominator
     return Fraction(prod(p * t * v**j - r * s * u**j for j in range(n)),
                     (s * t) ** n * v ** comb(n, 2))
 
 
-def _expansion_side(n: int, a: Fraction, b: Fraction, q: Fraction) -> Fraction:
-    """sum_k c_k(q) a^(n-k) b^k over qbinomial_expand(n), as one integer sum:
-    with the c_k(q) over their common denominator D, a = p/s and b = r/t,
-    it is sum_k C_k p^(n-k) s^k r^k t^(n-k) / (D s^n t^n)."""
-    p, s, r, t = a.numerator, a.denominator, b.numerator, b.denominator
-    terms = [(coeff(q), pa, pb) for coeff, pa, pb in qbinomial_expand(n)]
-    d = lcm(*(c.denominator for c, _, _ in terms))
-    return Fraction(sum(c.numerator * (d // c.denominator) * p**pa * s**pb * r**pb * t**pa
-                        for c, pa, pb in terms), d * (s * t) ** n)
-
-
-def qbinomial_product_suite(count: int = 100, seed: int = DEFAULT_SEED,
-                            max_n: int = 12) -> SuiteResult:
-    """(a-b)(a-bq)...(a-bq^(n-1)) against its expansion, at random rationals."""
-    res = SuiteResult("qbinomial-product")
-    rng = random.Random(seed)
-    for i in range(count):
-        n = (i % max_n) + 1
-        a = _random_rational(rng)
-        b = _random_rational(rng)
-        q = _random_q(rng)
-        res.check(_product_side(n, a, b, q) == _expansion_side(n, a, b, q),
-                  f"product expansion fails at n={n}, a={a}, b={b}, q={q}")
-    return res
-
-
-def _qbinomial_terms(N: int, first: int, step: int, q: Fraction) -> tuple[int, list[int]]:
-    """t_0..t_N of the q-binomial theorem
-
-        prod_{i<N} (a - q^(first + step*i)) = sum_k t_k a^(N-k),
-        t_k = (-1)^k q^(first*k) r^C(k,2) [N k]_r,  r = q^step
-
-    (Kac & Cheung, *Quantum Calculus*, 2002, ch. 5), as (D, [T_k]) with
-    t_k = T_k / D over one common denominator.  [N k]_r is qcore's
-    polynomial evaluated at r, independent of the stencil builders; with
-    q = u/v and e_k = first*k + step*C(k,2), t_k = (-1)^k u^e_k B_k / v^e_k
-    for the Fraction B_k = [N k]_r."""
-    u, v, r = q.numerator, q.denominator, q**step
-    es = [first * k + step * comb(k, 2) for k in range(N + 1)]
-    bs = [q_binomial(N, k)(r) for k in range(N + 1)]
-    dens = [v**e * b.denominator for e, b in zip(es, bs)]
-    d = lcm(*dens)
-    return d, [(-1) ** k * u**e * b.numerator * (d // den)
-               for k, (e, b, den) in enumerate(zip(es, bs, dens))]
+def _expanded_terms(coeffs: list[tuple[int, int]], b: Fraction) -> tuple[int, list[int]]:
+    """The terms t_k = c_k b^k of sum_k c_k b^k a^(N-k), k = 0..N, as
+    (D, [T_k]) with t_k = T_k / D over one common denominator.  Each c_k
+    comes as an integer pair (C_k, E_k) with c_k = C_k / E_k, not
+    necessarily in lowest terms; at b = r/t, D = lcm(E_k) t^N and
+    T_k = C_k (lcm(E_k) / E_k) r^k t^(N-k)."""
+    r, t, n = b.numerator, b.denominator, len(coeffs) - 1
+    d = lcm(*(e for _, e in coeffs))
+    return d * t**n, [c * (d // e) * r**k * t ** (n - k) for k, (c, e) in enumerate(coeffs)]
 
 
 def _qbinomial_sum(terms: tuple[int, list[int]], a: Fraction) -> Fraction:
@@ -195,18 +161,42 @@ def _qbinomial_sum(terms: tuple[int, list[int]], a: Fraction) -> Fraction:
     return Fraction(acc * s, d * sk)
 
 
-def _qbinomial_product(N: int, first: int, step: int, q: Fraction, a: Fraction) -> Fraction:
-    """The product side, prod_{i<N} (a - q^(first + step*i)): at a = p/s and
-    q = u/v each factor is (p v^e - u^e s) / (s v^e), so the product is one
-    integer product over s^N v^(sum e)."""
-    es = [first + step * i for i in range(N)]
-    p, s, u, v = a.numerator, a.denominator, q.numerator, q.denominator
-    return Fraction(prod(p * v**e - u**e * s for e in es), s**N * v ** sum(es))
+def qbinomial_product_suite(count: int = 100, seed: int = DEFAULT_SEED,
+                            max_n: int = 12) -> SuiteResult:
+    """(a-b)(a-bq)...(a-bq^(n-1)) against qbinomial_expand(n) at random
+    rationals; the powers of a and b in term k must be a^(n-k) b^k."""
+    res = SuiteResult("qbinomial-product")
+    rng = random.Random(seed)
+    for i in range(count):
+        n = (i % max_n) + 1
+        a = _random_rational(rng)
+        b = _random_rational(rng)
+        q = _random_q(rng)
+        expansion = [(coeff(q), pa, pb) for coeff, pa, pb in qbinomial_expand(n)]
+        terms = _expanded_terms([(c.numerator, c.denominator) for c, _, _ in expansion], b)
+        res.check([(pa, pb) for _, pa, pb in expansion] == [(n - k, k) for k in range(n + 1)]
+                  and _qbinomial_sum(terms, a) == _product_side(n, a, b, q),
+                  f"product expansion fails at n={n}, a={a}, b={b}, q={q}")
+    return res
+
+
+def _qbinomial_terms(N: int, b: Fraction, r: Fraction) -> tuple[int, list[int]]:
+    """t_0..t_N of the q-binomial theorem
+
+        prod_{i<N} (a - b r^i) = sum_k t_k a^(N-k),  t_k = r^C(k,2) [N k]_r (-b)^k
+
+    (Kac & Cheung, *Quantum Calculus*, 2002, ch. 5), as _expanded_terms
+    gives them.  [N k]_r is qcore's polynomial evaluated at r, independent
+    of the stencil builders; at r = u/v, c_k = r^C(k,2) [N k]_r is the
+    integer pair (u^C(k,2) C, v^C(k,2) E) for the Fraction [N k]_r = C/E."""
+    u, v = r.numerator, r.denominator
+    cs = [(q_binomial(N, k)(r), comb(k, 2)) for k in range(N + 1)]
+    return _expanded_terms([(u**e * c.numerator, v**e * c.denominator) for c, e in cs], -b)
 
 
 def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
                                 max_n: int = 12) -> SuiteResult:
-    """The q-binomial theorem with (first, step) = (1, 1) and N = n-1: at a
+    """The q-binomial theorem with b = r = q and N = n-1: at a
     random a, at a = 1, at a = q^j (0 < j < n, the vanishing moments) and at
     a = q^n (the top moment)."""
     res = SuiteResult("qbinomial-specialized")
@@ -215,15 +205,15 @@ def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
         q = _random_q(rng)
         for n in range(1, max_n + 1):
             a = _random_rational(rng)
-            terms = _qbinomial_terms(n - 1, 1, 1, q)
-            res.check(_qbinomial_sum(terms, a) == _qbinomial_product(n - 1, 1, 1, q, a),
+            terms = _qbinomial_terms(n - 1, q, q)
+            res.check(_qbinomial_sum(terms, a) == _product_side(n - 1, a, q, q),
                       f"monic collapse fails at n={n}, a={a}, q={q}")
-            res.check(_qbinomial_sum(terms, 1) == _qbinomial_product(n - 1, 1, 1, q, 1),
+            res.check(_qbinomial_sum(terms, 1) == _product_side(n - 1, 1, q, q),
                       f"a=1 collapse fails at n={n}, q={q}")
             for j in range(1, n):
                 res.check(_qbinomial_sum(terms, q**j) == 0,
                           f"vanishing moment j={j} fails at n={n}, q={q}")
-            res.check(_qbinomial_sum(terms, q**n) == _qbinomial_product(n - 1, 1, 1, q, q**n),
+            res.check(_qbinomial_sum(terms, q**n) == _product_side(n - 1, q**n, q, q),
                       f"top moment fails at n={n}, q={q}")
     return res
 
@@ -231,16 +221,17 @@ def qbinomial_specialized_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
 def qbinomial_squared_suite(q_count: int = 20, seed: int = DEFAULT_SEED,
                             max_m: int = 12) -> SuiteResult:
     """The q-binomial theorem in the squared ratio r = q^2 with N = m-1:
-    (first, step) = (2, 2) for the even powers, (1, 2) for the odd ones."""
+    b = q^2 for the even powers, b = q for the odd ones."""
     res = SuiteResult("qbinomial-squared")
     rng = random.Random(seed)
     for _ in range(q_count):
         q = _random_q(rng)
+        r = q**2
         for m in range(1, max_m + 1):
             a = _random_rational(rng)
-            for first, label in ((2, "even"), (1, "odd")):
-                terms = _qbinomial_terms(m - 1, first, 2, q)
-                res.check(_qbinomial_sum(terms, a) == _qbinomial_product(m - 1, first, 2, q, a),
+            for b, label in ((r, "even"), (q, "odd")):
+                terms = _qbinomial_terms(m - 1, b, r)
+                res.check(_qbinomial_sum(terms, a) == _product_side(m - 1, a, b, r),
                           f"{label}-power collapse fails at m={m}, a={a}, q={q}")
     return res
 

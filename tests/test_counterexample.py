@@ -207,6 +207,13 @@ class TestGroupFunction:
         got = float(f.eval_mp(F(3)))
         assert got == pytest.approx(-(3.0**6.5), rel=1e-12)
 
+    @pytest.mark.parametrize("s", [F(5, 2), 3], ids=["non-integral", "integral"])
+    def test_eval_mp_takes_int_and_float_points(self, s):
+        f = GroupFunction(group(2, 3), (1, 0), s)
+        with mp.workdps(MP_DPS):
+            assert f.eval_mp(0.5) == f.eval_mp(F(1, 2))
+            assert f.eval_mp(4) == f.eval_mp(F(4))
+
     def test_handle_round_trip(self):
         f = GroupFunction(group(2, 3), (1, 1), 2)
         assert f.eval_exact(F(6)) == 36
@@ -261,6 +268,11 @@ class TestExponentialSum:
     pytest.param("x", lambda x: membership(group(2), x), id="membership"),
     pytest.param("coefficient", lambda x: ExponentialSum(((x, 2),)), id="sum-coefficient"),
     pytest.param("base", lambda x: ExponentialSum(((1, x),)), id="sum-base"),
+    pytest.param("x", lambda x: GroupFunction(group(2, 3), (1, 0), F(5, 2)).eval_exact(x),
+                 id="eval_exact"),
+    pytest.param("x", lambda x: GroupFunction(group(2, 3), (1, 0), F(5, 2)).eval_mp(x),
+                 id="eval_mp"),
+    pytest.param("s", lambda s: ExponentialSum(((1, 2), (-1, 3))).eval_mp(s), id="sum-eval_mp"),
 ])
 def test_input_that_is_not_a_rational_is_a_counterexample_error(what, build, bad):
     # not the bare TypeError, ValueError or OverflowError that Fraction raises

@@ -116,14 +116,14 @@ class TestSuites:
                 r = q**step
                 terms = [(-1) ** k * q ** (first * k + step * math.comb(k, 2)) * qcore.q_binomial(N, k)(r)
                          for k in range(N + 1)]
-                integer_terms = verify._qbinomial_terms(N, first, step, q)
+                integer_terms = verify._qbinomial_terms(N, q**first, r)
                 for a in (0, 1, -3, F(-5, 4), F(7, 3), q, q**N):
                     horner = F(0)
                     for t in terms:
                         horner = horner * a + t
                     product = math.prod((a - q ** (first + step * i) for i in range(N)), start=F(1))
                     got_sum = verify._qbinomial_sum(integer_terms, a)
-                    got_product = verify._qbinomial_product(N, first, step, q, a)
+                    got_product = verify._product_side(N, a, q**first, r)
                     assert type(got_sum) is F and type(got_product) is F
                     assert (got_sum, got_product) == (horner, product), (q, N, a)
                     assert got_sum == got_product, (q, N, a)
@@ -139,25 +139,47 @@ class TestSuites:
                         product = math.prod((a - b * q**j for j in range(n)), start=F(1))
                         expansion = sum((coeff(q) * a**pa * b**pb
                                          for coeff, pa, pb in qcore.qbinomial_expand(n)), F(0))
-                        got = (verify._product_side(n, a, b, q), verify._expansion_side(n, a, b, q))
+                        coeffs = [coeff(q) for coeff, _, _ in qcore.qbinomial_expand(n)]
+                        terms = verify._expanded_terms([(c.numerator, c.denominator)
+                                                        for c in coeffs], b)
+                        got = (verify._product_side(n, a, b, q), verify._qbinomial_sum(terms, a))
                         assert all(type(v) is F for v in got)
                         assert got == (product, expansion), (n, a, b, q)
 
-    def test_product_suite_catches_a_wrong_expansion(self, monkeypatch):
-        # the k = 1 term of the n = 3 expansion off by a factor 2
+    @pytest.mark.parametrize("fault", [
+        lambda coeff, pa, pb: (coeff * 2, pa, pb),
+        lambda coeff, pa, pb: (coeff, pb, pa),
+    ], ids=["coefficient-doubled", "powers-swapped"])
+    def test_product_suite_catches_a_wrong_expansion(self, monkeypatch, fault):
+        # the k = 1 term of the n = 3 expansion with its coefficient off by a
+        # factor 2, or with its powers of a and b swapped to a b^2
         real = verify.qbinomial_expand
 
         def faulty(n):
             terms = real(n)
             if n == 3:
-                coeff, pa, pb = terms[1]
-                terms[1] = (coeff * 2, pa, pb)
+                terms[1] = fault(*terms[1])
             return terms
 
         monkeypatch.setattr(verify, "qbinomial_expand", faulty)
         res = qbinomial_product_suite(count=48, seed=3)
         assert res.total == 48 and res.failed >= 1
         assert all(m.startswith("product expansion fails at n=3,") for m in res.failures)
+
+    @pytest.mark.parametrize("helper", ["_qbinomial_sum", "_product_side"])
+    def test_one_fault_fails_all_three_qbinomial_suites(self, monkeypatch, helper):
+        # the three q-binomial suites form their sides through one integer
+        # Horner and one integer product, so either one off by one fails
+        # every check that reads it: all of them but the vanishing moments,
+        # which compare the Horner with 0
+        real = getattr(verify, helper)
+        monkeypatch.setattr(verify, helper, lambda *args: real(*args) + 1)
+        product = qbinomial_product_suite(count=24, seed=3)
+        spec = qbinomial_specialized_suite(q_count=2, seed=5, max_n=5)
+        sq = qbinomial_squared_suite(q_count=2, seed=5, max_m=5)
+        vanishing = 2 * sum(range(5)) if helper == "_product_side" else 0
+        assert (product.passed, spec.passed, sq.passed) == (0, vanishing, 0)
+        assert (product.total, spec.total, sq.total) == (24, 50, 20)
 
     def test_scaling_suite_builds_once_per_random_draw(self, monkeypatch):
         # each random draw builds its stencil once and scales it twice:
