@@ -128,6 +128,18 @@ class GroupFunction:
     def chi(self, exponents) -> int:
         return -1 if sum(c * e for c, e in zip(self.character, exponents)) % 2 else 1
 
+    def _locate(self, x) -> tuple:
+        """(x as a Fraction, its exponents in G or None off the support, the
+        exact value or None), from one membership test and none at x <= 0."""
+        if type(x) is not Fraction:
+            x = _finite_rational(x, "x", CounterexampleError)
+        e = membership(self.group, x) if x > 0 else None
+        if e is None:
+            return x, None, Fraction(0)
+        if self.exponent.denominator != 1:
+            return x, e, None
+        return x, e, self.chi(e) * x**self.exponent.numerator
+
     def eval_exact(self, x: Fraction) -> Fraction | None:
         """Exact value, or None when x is in G but the exponent is not integral.
 
@@ -135,31 +147,22 @@ class GroupFunction:
         whatever the exponent, so differences built entirely off-support
         cancel to literal zero.
         """
-        if type(x) is not Fraction:
-            x = _finite_rational(x, "x", CounterexampleError)
-        if x <= 0:
-            return Fraction(0)
-        e = membership(self.group, x)
-        if e is None:
-            return Fraction(0)
-        if self.exponent.denominator != 1:
-            return None
-        return self.chi(e) * x**self.exponent.numerator
+        return self._locate(x)[2]
 
     def eval_mp(self, x: Fraction):
         """mpmath value; call inside an mp.workdps block.
 
-        Where eval_exact's value is exact (off the support, or at an integer
-        exponent) it is rounded once, so the value is correct to working
-        precision; otherwise x is in G and the value is chi(x) * x^s from
-        one correctly rounded mp.power.
+        Off the support it is 0.  Where eval_exact's value is exact (at an
+        integer exponent) it is rounded once, so the value is correct to
+        working precision; otherwise the value is chi(x) * x^s from one
+        correctly rounded mp.power.
         """
-        exact = self.eval_exact(x)
+        x, e, exact = self._locate(x)
+        if e is None:
+            return mp.mpf(0)
         if exact is not None:
             return _to_mpf(exact)
-        if type(x) is not Fraction:  # eval_exact took it, so it is a finite rational
-            x = Fraction(x)
-        return self.chi(membership(self.group, x)) * mp.power(_to_mpf(x), _to_mpf(self.exponent))
+        return self.chi(e) * mp.power(_to_mpf(x), _to_mpf(self.exponent))
 
 
 # -- exponential sums ---------------------------------------------------------

@@ -164,15 +164,17 @@ def _qbinomial_sum(terms: tuple[int, list[int]], a: Fraction) -> Fraction:
 def qbinomial_product_suite(count: int = 100, seed: int = DEFAULT_SEED,
                             max_n: int = 12) -> SuiteResult:
     """(a-b)(a-bq)...(a-bq^(n-1)) against qbinomial_expand(n) at random
-    rationals; the powers of a and b in term k must be a^(n-k) b^k."""
+    rationals; the powers of a and b in term k must be a^(n-k) b^k.  Each
+    expansion is formed once, before the checks that evaluate it."""
     res = SuiteResult("qbinomial-product")
     rng = random.Random(seed)
+    expansions = {n: qbinomial_expand(n) for n in {i % max_n + 1 for i in range(count)}}
     for i in range(count):
         n = (i % max_n) + 1
         a = _random_rational(rng)
         b = _random_rational(rng)
         q = _random_q(rng)
-        expansion = [(coeff(q), pa, pb) for coeff, pa, pb in qbinomial_expand(n)]
+        expansion = [(coeff(q), pa, pb) for coeff, pa, pb in expansions[n]]
         terms = _expanded_terms([(c.numerator, c.denominator) for c, _, _ in expansion], b)
         res.check([(pa, pb) for _, pa, pb in expansion] == [(n - k, k) for k in range(n + 1)]
                   and _qbinomial_sum(terms, a) == _product_side(n, a, b, q),

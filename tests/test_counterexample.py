@@ -214,6 +214,32 @@ class TestGroupFunction:
             assert f.eval_mp(0.5) == f.eval_mp(F(1, 2))
             assert f.eval_mp(4) == f.eval_mp(F(4))
 
+    @pytest.mark.parametrize("s", [F(5, 2), 3], ids=["non-integral", "integral"])
+    def test_eval_mp_tests_membership_once_per_positive_point(self, monkeypatch, s):
+        # one membership test gives both the support and chi; x <= 0 takes none,
+        # and every exact value is the one eval_exact gives, rounded once
+        calls = []
+
+        def counted(g, x):
+            calls.append(x)
+            return membership(g, x)
+
+        monkeypatch.setattr(counterexample, "membership", counted)
+        f = GroupFunction(group(2, 3), (1, 1), s)
+        points = (F(0), F(-6), F(-1, 2), F(6), F(2, 9), F(1), F(7, 5), F(10), 0.5, 12)
+        with mp.workdps(MP_DPS):
+            for x in points:
+                calls.clear()
+                got = f.eval_mp(x)
+                assert calls == ([x] if x > 0 else []), x
+                exact = f.eval_exact(x)
+                if exact is not None:
+                    assert got == _to_mpf(exact), x
+                else:
+                    x = F(x)
+                    assert got == f.chi(membership(f.group, x)) * mp.power(_to_mpf(x), _to_mpf(f.exponent))
+            assert f.eval_mp(F(-6)) == 0 and f.eval_mp(F(10)) == 0
+
     def test_handle_round_trip(self):
         f = GroupFunction(group(2, 3), (1, 1), 2)
         assert f.eval_exact(F(6)) == 36

@@ -39,7 +39,7 @@ from qriemann.stencil import (
     vandermonde_solve,
     verify_vandermonde,
 )
-from qriemann.verify import DEFAULT_Q_GRID
+from qriemann.verify import DEFAULT_Q_GRID, closed_vs_solver_suite
 
 F = Fraction
 
@@ -544,6 +544,9 @@ class TestGaussianSymmetric:
                 assert_exact_order(gaussian_symmetric(n, q))
 
     def test_cross_check_catches_a_closed_form_slip(self, monkeypatch):
+        # the closed forms are checked against the solver by verify's
+        # closed-vs-solver suite, not at each build: a slip in the shared
+        # _expand fails every check of every family there
         closed = stencil_module._expand
 
         def slipped(*args):
@@ -554,9 +557,29 @@ class TestGaussianSymmetric:
             return mapping
 
         monkeypatch.setattr(stencil_module, "_expand", slipped)
-        for n in (1, 2, 5, 6):
-            with pytest.raises(AssertionError, match="disagrees with moment solve"):
-                gaussian_symmetric(n, F(3, 2))
+        res = closed_vs_solver_suite(max_n=3, q_grid=(F(3, 2),))
+        assert (res.passed, res.failed) == (0, 18)
+        for family in GAUSSIAN_BUILDERS:
+            for n in (1, 2, 3):
+                assert f"{family} closed form != solver at n={n}, q=3/2" in res.failures
+                assert f"{family} moment residual nonzero at n={n}, q=3/2" in res.failures
+
+    def test_no_gaussian_builder_calls_the_solver(self, monkeypatch):
+        calls = []
+        real = stencil_module.vandermonde_solve
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stencil_module, "vandermonde_solve", counted)
+        for build in GAUSSIAN_BUILDERS.values():
+            for n in range(1, 13):
+                for q in DEFAULT_Q_GRID:
+                    build(n, q)
+        assert calls == []
+        stencil_module.vandermonde_solve((0, 1), 1)  # the counter counts
+        assert len(calls) == 1
 
 
 class TestExpand:

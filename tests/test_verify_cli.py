@@ -166,6 +166,43 @@ class TestSuites:
         assert res.total == 48 and res.failed >= 1
         assert all(m.startswith("product expansion fails at n=3,") for m in res.failures)
 
+    # (seed, passed, SHA-256 of summary()) of qbinomial_product_suite(count=100,
+    # max_n=12) with the coefficient of the k = 1 term at n = 3 doubled, as the
+    # suite read when it formed qbinomial_expand(n) at every check
+    PRODUCT_SUITE_FAULT_PINS = [
+        (1729, 91, "c03e1148e60127d5327b3f363e7d63db29663cacc47af7c451d3122972c37315"),
+        (3, 92, "983bd75c213239b6e9afc09b5a934e573c9015db78d0056fa238c4a99e9c610f"),
+    ]
+
+    @pytest.mark.parametrize("seed, faulty_passed, faulty_sha256", PRODUCT_SUITE_FAULT_PINS)
+    def test_product_suite_expands_each_n_once(self, monkeypatch, seed, faulty_passed,
+                                               faulty_sha256):
+        # one qbinomial_expand(n) per n in 1..12, with the draws, check count and
+        # messages of the suite that expanded at every check
+        real = verify.qbinomial_expand
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(verify, "qbinomial_expand", counted)
+        res = qbinomial_product_suite(count=100, seed=seed, max_n=12)
+        assert sorted(calls) == list(range(1, 13))
+        assert (res.passed, res.summary()) == (100, "qbinomial-product: ok (100 checks)")
+
+        def doubled(n):
+            terms = real(n)
+            if n == 3:
+                coeff, pa, pb = terms[1]
+                terms[1] = (coeff * 2, pa, pb)
+            return terms
+
+        monkeypatch.setattr(verify, "qbinomial_expand", doubled)
+        res = qbinomial_product_suite(count=100, seed=seed, max_n=12)
+        assert res.passed == faulty_passed
+        assert hashlib.sha256(res.summary().encode()).hexdigest() == faulty_sha256
+
     @pytest.mark.parametrize("helper", ["_qbinomial_sum", "_product_side"])
     def test_one_fault_fails_all_three_qbinomial_suites(self, monkeypatch, helper):
         # the three q-binomial suites form their sides through one integer
