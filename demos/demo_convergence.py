@@ -9,8 +9,9 @@ Three functions, one stencil order each, three different verdicts:
                3rd-order table is identically zero;
   |x|       -> the 2nd-order symmetric quotient grows like 2/|h|: diverged.
 
-The two-sided h sequence (sign alternates step to step) is what exposes the
-sign-flip behavior; a one-sided table would happily "converge" to +6.
+Every verdict is the quotient's exact limit.  The two-sided h sequence (sign
+alternates step to step) is what exposes the sign flip; a one-sided table
+converges to +6, the limit from the right.
 
 Run:  python3 demos/demo_convergence.py
 """
@@ -51,7 +52,7 @@ def main():
     run("x^3 sgn(x) under the same stencil: oscillates between +-6",
         gaussian_forward(3, 2), FunctionHandle.builtin("signpow3"))
 
-    run("x^3 sgn(x) one-sided: the false positive two-sided sampling avoids",
+    run("x^3 sgn(x) one-sided: +6, the limit from the right only",
         gaussian_forward(3, 2), FunctionHandle.builtin("signpow3"),
         two_sided=False)
 

@@ -11,8 +11,8 @@ makes it on first use, and main dispatches on the parsed command name, so
 the cmd_* functions are looked up when the command runs.
 
 Exit codes: 0 success; 1 verification or check failure; 2 usage error;
-3 nonexistence verdict (a table that does not converge, or a search that
-rules every candidate out).
+3 nonexistence verdict (a quotient whose limit does not exist, or a search
+that rules every candidate out).
 
 Rational-valued flags take exact 'p/r' syntax (or a decimal literal, which
 is parsed exactly); purely float-domain flags like --tol take decimals.
@@ -304,7 +304,8 @@ def cmd_counterexample(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a bad choice, an ambiguous --option=value and
-    the first ten stray arguments are echoed as _abbreviated cuts them."""
+    the first ten stray arguments are echoed as _abbreviated cuts them, and
+    --option=-- passes the value "--" on."""
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -317,6 +318,13 @@ class _Parser(argparse.ArgumentParser):
                 and len(self._get_option_tuples(arg_string)) > 1):
             arg_string = f"{option}={_abbreviated(value)}"
         return super()._parse_optional(arg_string)
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:  # --opt=--, which argparse empties
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)

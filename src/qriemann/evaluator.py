@@ -19,12 +19,16 @@ tuples, each call given the bits of MP_DPS and round-to-nearest, so that
 it reads no mpmath context and equals _mp_apply's; it is rounded to float
 once, at the very end, since plain double precision would drown the
 small-h difference quotients the convergence tables are built from.
+
+A FunctionHandle's table takes its verdict from the exact limit of its
+quotient where the stencil's lower moments vanish (estimate_derivative).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -216,7 +220,8 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
     sum is within 2^(lb+3) units of Q 2^(G-t).  The row is accepted when
     both ends of that interval round to the same double, else redone at 2G
     (A. Ziv, ACM TOMS 17, 1991).  At x = 0 a sin (cos) quotient whose
-    stencil is even (odd) under a -> -a is exactly 0.
+    stencil is even (odd) under a -> -a is exactly 0.  The row at h = 0 is
+    the limit alpha_n, exactly 0 where S_n = 0 or f^(n)(x) = +-sin 0.
     """
     terms, sums = cs, []  # C_k P_k^j, S_j
     dens, log_ratios = [], []  # from j = n on: E D^n j!, log2(U_j / (E D^n j!))
@@ -243,6 +248,7 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
     # at x = 0 a sin sum vanishes on an even stencil, a cos sum on an odd one
     at, parity = dict(zip(ps, cs)), 1 if name == "sin" else -1
     zero = x == 0 and name != "exp" and all(at.get(-p) == parity * c for p, c in at.items())
+    flat = not sums[n] or x == 0 and name != "exp" and n % 2 == (name == "cos")
     fixed = {}  # G -> (t, the alpha_j at G from j = n on)
 
     def alphas(g, upto):
@@ -267,9 +273,9 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
         yn, yd = h.numerator, h.denominator * d
         if pmax * abs(yn) > _SERIES_RADIUS * yd or 2 * abs(yn) > yd:
             return None
-        if zero:
+        if zero or not yn and flat:
             return 0.0
-        log_y = math.log2(abs(yn)) - math.log2(yd)
+        log_y = math.log2(abs(yn)) - math.log2(yd) if yn else -math.inf
         g = g0
         for _ in range(_SERIES_REDOS + 1):
             top = 0  # J - n
@@ -293,8 +299,11 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
 
 
 def _row_quotients(s: Stencil, f, x, power: int):
-    """h -> sum_k A_k f(x + a_k h) / h^power for any function object: an
-    exact Fraction when every value is exact, else a float.
+    """(row, limit): row is h -> sum_k A_k f(x + a_k h) / h^power for any
+    function object, an exact Fraction when every value is exact, else a
+    float.  limit is None but for a FunctionHandle: sign -> (exists, value)
+    of the limit through steps of that sign (0: both), or None where some
+    M_j, j < power, is not 0.
 
     Other function objects take their rows from _exact_apply and _mp_apply.
     A FunctionHandle prepares the stencil once per table: with x = u/v,
@@ -310,6 +319,10 @@ def _row_quotients(s: Stencil, f, x, power: int):
     Fraction; either is _to_mpf's mpf, so the row equals the per-point
     _mp_apply at MP_DPS, rounded to float once after the division, whatever
     the caller's mp.prec.
+
+    The limit is M_n f^(n)(x) / n!, M_j = S_j / (E D^j), S_j = sum_k C_k P_k^j:
+    the series row at h = 0 for sin, cos and exp, else an exact Fraction.
+    abs and signpowN at x = 0 have Q(h) = Q(sgn h) |h|^(p - n) instead.
     """
     x = _finite_rational(x, "x", EvaluatorError)
     if not isinstance(f, FunctionHandle):
@@ -320,7 +333,7 @@ def _row_quotients(s: Stencil, f, x, power: int):
             with mp.workdps(MP_DPS):
                 return float(_mp_apply(s, f, x, h) / _to_mpf(h) ** power)
 
-        return row
+        return row, None
     v, (d, ps), (e, cs) = x.denominator, s.node_ints, _over_common_denominator(s.coeffs)
     ud, vd = x.numerator * d, v * d
 
@@ -335,7 +348,30 @@ def _row_quotients(s: Stencil, f, x, power: int):
             return Fraction(sum(c * wk for c, wk in zip(cs, ws)) * h.denominator**power,
                             e * w * h.numerator**power)
 
-        return exact_row
+        def exact_limit(sign):
+            terms = cs  # C_k P_k^j, summing to S_j = 0 for each j < n
+            for _ in range(power):
+                if sum(terms):
+                    return None
+                terms = list(map(operator.mul, terms, ps))
+            p = f.power or 1  # abs is signpow1
+            if f.coeffs is None and x == 0:  # Q(h) = Q(sgn h) |h|^(p - n)
+                ws, w = f._exact_over(ps, d)
+                total = sum(c * wk for c, wk in zip(cs, ws))  # Q(1) = total / (E w)
+                if p > power or not total:
+                    return True, 0
+                if p < power or not sign:
+                    return False, None
+                return True, Fraction(sign * total, e * w)
+            # f^(n)(x) = acc / (den v^(m - n)); near x != 0 abs and signpowN are sgn(x) t^p
+            den, es = f._over or (1, (0,) * p + (1 if x > 0 else -1,))
+            u, m = x.numerator, len(es) - 1
+            acc = sum(es[i] * math.perm(i, power) * u**(i - power) * v**(m - i)
+                      for i in range(power, m + 1))
+            return True, Fraction(sum(terms) * acc, e * d**power * math.factorial(power)
+                                  * den * v**max(m - power, 0))
+
+        return exact_row, exact_limit
 
     prec, rnd = dps_to_prec(MP_DPS), round_nearest
     mpcs = []  # the coefficients' mpf tuples, made by the table's first direct sum
@@ -353,13 +389,17 @@ def _row_quotients(s: Stencil, f, x, power: int):
 
     series = _moment_series(f.name, x, power, d, ps, e, cs) if power == s.order else None
     if series is None:
-        return mp_row
+        return mp_row, None
 
     def row(h):
         value = series(h)
         return mp_row(h) if value is None else value
 
-    return row
+    def series_limit(sign):
+        value = series(0)
+        return None if value is None else (True, value)
+
+    return row, series_limit
 
 
 def _apply(s: Stencil, f, x, h, power: int):
@@ -367,7 +407,7 @@ def _apply(s: Stencil, f, x, h, power: int):
     h = _finite_rational(h, "step h", EvaluatorError)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
-    return _row_quotients(s, f, x, power)(h)
+    return _row_quotients(s, f, x, power)[0](h)
 
 
 def apply_difference(s: Stencil, f, x, h):
@@ -478,12 +518,20 @@ def estimate_derivative(
     """Quotient table along h_i = h0 * ratio^i (sign alternating when
     two_sided) with a converged / diverged / oscillating verdict.
 
-    converged: the last three deltas each shrink by at least 1.5x (exact
-    zeros count) and the final delta is below tol (finite and > 0; default
-    1e-8 scaled by max(1, |quotient|)).  diverged: the magnitudes grow
-    without bound -- either past 1e12 outright, or monotone growth (last
-    five ratios >= 1.2) spanning three decades.  Anything else is oscillating, reported with the
-    last quotients seen on each side of 0.
+    A FunctionHandle on a stencil with M_0 .. M_(n-1) = 0 is decided by the
+    exact limit (_row_quotients): converged where it exists, with value the
+    limit correctly rounded and est_error |last quotient - value|; a limit
+    past the double range raises EvaluatorError.  Where there is none,
+    diverged and oscillating are told apart as below; tol decides nothing.
+
+    Other function objects and stencils take the shrink rule.  converged:
+    the last three deltas each shrink by at least 1.5x (exact zeros count)
+    and the final delta is below tol (finite and > 0; default 1e-8 scaled
+    by max(1, |quotient|)), with the last quotient as value and the last
+    delta as est_error.  diverged: the magnitudes grow without bound --
+    either past 1e12 outright, or monotone growth (last five ratios >= 1.2)
+    spanning three decades.  Anything else is oscillating, reported with
+    the last quotients seen on each side of 0.
 
     For orders >= 3 rows with |h| < 1e-8 are dropped: beyond that point the
     quotient digits carry no information at any reasonable precision.  An
@@ -503,7 +551,7 @@ def estimate_derivative(
         raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)
-    quotient = _row_quotients(s, f, x, s.order)
+    quotient, limit = _row_quotients(s, f, x, s.order)
     quotients = []  # each row's quotient as a double, for the verdict
     step = h0  # h0 ratio^i, carried as a running product
     for i in range(steps):
@@ -524,12 +572,23 @@ def estimate_derivative(
     if len(table.rows) < 2:
         raise EvaluatorError("fewer than two usable rows; raise h0 or lower the order")
 
-    deltas = [d for _, _, d in table.rows if d is not None]
     last_q = quotients[-1]
+    rule = limit and limit(0 if two_sided else 1 if h0 > 0 else -1)
+    if rule and rule[0]:
+        try:
+            value = float(rule[1])
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise EvaluatorError("the limit lies outside the double range")
+        table.verdict, table.value, table.est_error = "converged", value, abs(last_q - value)
+        return table
 
+    deltas = [d for _, _, d in table.rows if d is not None]
     tol_eff = tol if tol is not None else 1e-8 * max(1.0, abs(last_q))
     if (
-        len(deltas) >= 3
+        rule is None
+        and len(deltas) >= 3
         and _shrinks(deltas[-3], deltas[-2])
         and _shrinks(deltas[-2], deltas[-1])
         and deltas[-1] < tol_eff

@@ -35,6 +35,7 @@ from qriemann.evaluator import (
 from qriemann.stencil import (
     CLASSICAL_BUILDERS,
     GAUSSIAN_BUILDERS,
+    Stencil,
     gaussian_forward,
     gaussian_shifted,
     gaussian_symmetric,
@@ -354,8 +355,8 @@ class TestEstimateDerivative:
         assert abs(table.neg_estimate - (-6.0)) < 1e-6
 
     def test_signpow3_one_sided_converges_to_6(self):
-        # One-sided sampling is exactly the false-positive the two-sided
-        # default exists to avoid.
+        # Q(h) = 6 sgn(h): one-sided steps see the limit from the right,
+        # which two-sided sampling rejects
         table = estimate_derivative(
             gaussian_forward(3, 2),
             FunctionHandle.builtin("signpow3"),
@@ -445,6 +446,175 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError, match="tol must be a finite number > 0"):
             estimate_derivative(gaussian_forward(1, 2), FunctionHandle.rational_polynomial([0, 1]),
                                 0, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts from the exact limit, against independent oracles
+# ---------------------------------------------------------------------------
+
+
+# every kind the CLI builds; forward's q = 2 keeps each of its rows in the
+# series disc, the other q put the first rows outside it
+_KIND_STENCILS = {
+    "forward": lambda n: gaussian_forward(n, 2),
+    "shifted": lambda n: gaussian_shifted(n, F(-3, 2)),
+    "symmetric": lambda n: gaussian_symmetric(n, F(3, 2)),
+    **CLASSICAL_BUILDERS,
+    "custom": lambda n: vandermonde_solve([F(k * k - 3, 2) for k in range(n + 1)], n),
+}
+_LIMIT_POLY = [F(3), F(-1, 2), F(0), F(2), F(5, 3), F(-1), F(1, 4), F(2), F(-3, 2), F(1), F(1, 5)]
+
+
+def _limit_cases(n):
+    """(function name, x) pairs: the smooth builtins and a polynomial of
+    degree n + 2 at 0 and off it, abs and signpowN for N = n - 1, n, n + 1
+    at 0 and at a negative x."""
+    rough = ["abs"] + [f"signpow{p}" for p in (n - 1, n, n + 1) if p >= 1]
+    return ([(name, x) for name in ("sin", "cos", "exp", "poly") for x in (F(0), F(-5, 7))]
+            + [(name, x) for name in rough for x in (F(0), F(-2, 3))])
+
+
+def _handle(name, n):
+    if name == "poly":
+        return FunctionHandle.rational_polynomial(_LIMIT_POLY[:n + 3])
+    return FunctionHandle.builtin(name)
+
+
+def _limit_oracle(s, name, x, two_sided):
+    """(exists, the double nearest the limit) of the order-n quotient at x,
+    for steps h0 (-1/2)^i or, one-sided, (1/2)^i with h0 > 0.
+
+    sin, cos and exp take f^(n)(x) from mpmath at 100 digits (sin^(n) is
+    +-sin or +-cos, so f^(n)(0) = +-sin 0 is exactly 0); a polynomial, and
+    abs or signpowN at x != 0 (locally sgn(x) t^p), take the exact
+    derivative.  At x = 0, f(a h) = g(a) k(h) gives Q(h) = S sgn(h) |h|^(p-n)
+    with S = sum_k A_k g(a_k): the limit is 0 where S = 0 or p > n, S itself
+    where p = n and every step is positive, and there is none otherwise.
+    """
+    n = s.order
+    if name in ("sin", "cos", "exp"):
+        with mp.workdps(100):
+            xm = mp.mpf(x.numerator) / x.denominator
+            if name == "exp":
+                return True, float(mp.exp(xm))
+            k = n + (name == "cos")  # cos = sin'
+            return True, float((mp.sin, mp.cos)[k % 2](xm) * (-1 if k % 4 >= 2 else 1))
+    if name == "poly":
+        return True, float(poly_nth_derivative(_LIMIT_POLY[:n + 3], n, x))
+    p = 1 if name == "abs" else int(name[len("signpow"):])
+    if x != 0:
+        return True, float(poly_nth_derivative([0] * p + [1 if x > 0 else -1], n, x))
+    total = sum(c * a**p * (1 if a > 0 else -1) for a, c in zip(s.nodes, s.coeffs))
+    if total == 0 or p > n:
+        return True, 0.0
+    return (True, float(total)) if p == n and not two_sided else (False, None)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", list(_KIND_STENCILS))
+def test_verdicts_follow_the_exact_limit(kind, n):
+    s = _KIND_STENCILS[kind](n)
+    for name, x in _limit_cases(n):
+        f = _handle(name, n)
+        for two_sided in (True, False):
+            table = estimate_derivative(s, f, x, two_sided=two_sided)
+            exists, value = _limit_oracle(s, name, x, two_sided)
+            case = (name, x, two_sided, table.verdict_line())
+            if not exists:
+                assert table.verdict in ("diverged", "oscillating"), case
+                continue
+            assert (table.verdict, repr(table.value)) == ("converged", repr(value)), case
+            assert table.est_error == abs(float(table.rows[-1][1]) - value), case
+
+
+def test_the_limit_adds_no_transcendental_call(monkeypatch):
+    # one mpf_cos_sin or mpf_exp per table and precision, as for the rows
+    # alone: the limit is the series' own alpha_n, or exactly 0.  The count
+    # is the one from before the limit was taken: 120 calls for 126 tables,
+    # since the sin (cos) tables at 0 on the even (odd) symmetric stencils,
+    # n = 4 (1 and 7), are exactly 0 and call nothing
+    calls = []
+    for fn in ("mpf_cos_sin", "mpf_exp"):
+        real = getattr(evaluator, fn)
+        monkeypatch.setattr(evaluator, fn, lambda v, prec, rnd, real=real:
+                            calls.append(prec) or real(v, prec, rnd))
+    total = 0
+    for build in _KIND_STENCILS.values():
+        for n in (1, 4, 7):
+            for name in ("sin", "cos", "exp"):
+                for x in (F(0), F(-5, 7)):
+                    calls.clear()
+                    estimate_derivative(build(n), FunctionHandle.builtin(name), x)
+                    assert len(calls) == len(set(calls)), (build, n, name, x)
+                    total += len(calls)
+    assert total == 120
+
+
+class _StubCos:
+    """cos with no exact path: a function object that is no FunctionHandle."""
+
+    @staticmethod
+    def eval_exact(x):
+        return None
+
+    @staticmethod
+    def eval_mp(x):
+        return mp.cos(_to_mpf(x))
+
+
+# (verdict line, SHA-256 of the CSV) of tables the shrink rule decides,
+# captured before the exact limit was taken.  The stub's table is the
+# one-sided stencil's slow O(h) approach to cos(-5/3) that the exact rule
+# calls converged; the broken stencil has M_0 = 1, so no exact rule applies.
+_BROKEN = Stencil(order=2, nodes=(0, 1, 2), coeffs=(2, -2, 1))
+_SHRINK_RULE_TABLES = {
+    "stub-cos": (vandermonde_solve([-5, -4, -1, F(-1, 2), 3], 4), _StubCos(), F(-5, 3),
+                 "# verdict: oscillating pos_estimate=-0.09572411759135283 "
+                 "neg_estimate=-0.09572326322586824",
+                 "8d0f97719c8f0f3e1fa133d726ed0b9f16f046332d53e5a80f8413efa75211e8"),
+    "broken-sin": (_BROKEN, FunctionHandle.builtin("sin"), F(1, 3), "# verdict: diverged",
+                   "b909afbfe735f851a8c11ed7b54af1bf82b5725033d295dbb77da58d04a3da33"),
+    "broken-poly": (_BROKEN, FunctionHandle.rational_polynomial([0, 0, 5]), 0,
+                    "# verdict: converged value=10.0 est_error=0.0",
+                    "47948067c369ad49bc1e53d61c3ad942fcf15b238c6690d215e374498e14048f"),
+    # M_0 f(x) / h^2 grows, where M_2 f''(x) / 2 = 10 would be the limit
+    "broken-poly-off-0": (_BROKEN, FunctionHandle.rational_polynomial([0, 0, 5]), F(1, 3),
+                          "# verdict: diverged",
+                          "fcacdc9559de13689b3ae265179e5720501c2c2f3e56260b79f3de57458b935d"),
+    "broken-abs-off-0": (_BROKEN, FunctionHandle.builtin("abs"), F(-1, 3), "# verdict: diverged",
+                         "848febe02dcd45a5092f7e324cad805d3a56e400d022c96df37b62a6048733e4"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHRINK_RULE_TABLES))
+def test_other_functions_and_stencils_keep_the_shrink_rule(name):
+    s, f, x, verdict, digest = _SHRINK_RULE_TABLES[name]
+    csv = estimate_derivative(s, f, x).to_csv()
+    assert csv.splitlines()[-1] == verdict
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_one_sided_limit_follows_the_side_of_h0():
+    # signpow3 at 0 under an order-3 stencil: Q(h) = S sgn(h), S = 6 here
+    s, f = gaussian_forward(3, 2), FunctionHandle.builtin("signpow3")
+    for h0, value in ((F(1, 10), 6.0), (F(-1, 10), -6.0)):
+        table = estimate_derivative(s, f, 0, h0=h0, two_sided=False)
+        assert (table.verdict, table.value, table.est_error) == ("converged", value, 0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e300])
+def test_tol_decides_nothing_for_a_function_handle(tol):
+    # the deltas of this one-sided stencil's table only halve row by row
+    s, f = vandermonde_solve([-5, -4, -1, F(-1, 2), 3], 4), FunctionHandle.builtin("cos")
+    table = estimate_derivative(s, f, F(-5, 3), tol=tol)
+    with mp.workdps(100):
+        assert (table.verdict, table.value) == ("converged", float(mp.cos(mp.mpf(-5) / 3)))
+
+
+def test_a_limit_past_the_double_range_raises():
+    # exp(1000) exists, but no double holds it
+    with pytest.raises(EvaluatorError, match="^the limit lies outside the double range$"):
+        estimate_derivative(riemann_classic(1), FunctionHandle.builtin("exp"), 1000)
 
 
 _SIN = FunctionHandle.builtin("sin")

@@ -53,7 +53,7 @@ SUITE_NAMES = ["pascal", "qbinomial-consistency", "qbinomial-product", "qbinomia
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of each demo's stdout; the demos print seeded, exact results.
 DEMO_STDOUT_SHA256 = {
-    "demo_convergence.py": "314af693ba3635fd91bf0de30d0e314e3c6676d96b7c7aab4019ff64b2259d01",
+    "demo_convergence.py": "eea0e24576432be0a067ba6de439971764ae49df6027adee507aade76c35dc6c",
     "demo_counterexamples.py": "22d63f3a8d78d3435f8028c4e2a0fd684b270b7d2e23e12a04092ecfe0de7fef",
     "demo_stencils.py": "f5d911052de37d42188f76a40d10f17c1d7aa2381d30820616cd99dad5c88b1f",
 }
@@ -611,18 +611,18 @@ class TestCmdVerify:
 # 60-digit path, the polynomials, signpow3 and abs the exact one.
 DERIVE_CSV_SHA256 = {
     "forward-sin": (["--kind=forward", "-n3", "-q2", "--function=sin", "--at=0"],
-                    "ef6ac3cb0aeda07abe1792646197fef2314ceca2573881a45f1da3e9e3030725"),
+                    "641614e1953bdc3d72ee9e326f9649b80cdf94bb05a49ae0d5d647a37766151a"),
     "symmetric-cos": (["--kind=symmetric", "-n4", "-q3", "--function=cos", "--at=-1/2"],
-                      "d6f98c0c458cb118b6d3a223a44dc5948da16bd80a1e9eb7c69d2495e7335bbe"),
+                      "68c312a0e80ce6e4991e0b8537cf772712a1827a6d238a2afd4bda1cc0416e7c"),
     "shifted-exp": (["--kind=shifted", "-n2", "-q=-2", "--function=exp", "--at=1", "--steps=40"],
-                    "dbb183c9bc8759f9a1fc9e77f40d8c44fc48b05de6364a36818a35e5a8fccb8c"),
+                    "c1abc9966c1ee44af6bda14d368e55c62159e88c91ddc830488ada3ec54c560e"),
     "riemann-poly": (["--kind=riemann", "-n2", "--function=poly:1,5,1", "--at=1/2"],
                      "fe775b72f01a2f9d389ad1088fd38a75529a6fdcec9a8e0000b9ce868fb19a16"),
     "riemann-symmetric-signpow3": (["--kind=riemann-symmetric", "-n3", "--function=signpow3",
                                     "--at=0"],
                                    "5b3967f7b496f9afd040211b5ac5c16d108f84f3c5720d526ceb218cf8696f7b"),
     "mz-poly": (["--kind=mz", "-n2", "--function=poly:0,0,0,1", "--at=1/7", "--steps=40"],
-                "d77e8ee2d4a0e283415d86bca56a430603772ae75b9bd0ebefe21bb90fd1a64c"),
+                "501128f31cfb429eef70069193821ce550aff6571755530289d9e23ded279af1"),
     "custom-abs": (["--kind=custom", "-n1", "--nodes=-1,2", "--function=abs", "--at=1/7"],
                    "6215c0b6b7b1633affe1f0e8fb533074249e640433cec17644b5e28853e69e7e"),
 }
@@ -637,13 +637,14 @@ DERIVE_CSV_SHA256 = {
 # every one of them is the correctly rounded quotient, cos(123456.789) =
 # 0.0516725... as h -> 0 in the former and -cos(1/3) in each row of the
 # latter.  The poly and signpow5 rows sum exact values of degree 6 and 5
-# down to h ~ 1e-8.
+# down to h ~ 1e-8.  Every verdict is the exact limit, correctly rounded:
+# signpow5 at 0 has Q(h) = O(h) under the order-4 stencil, so its limit is 0.
 _D31 = "1" + "0" * 30
 DERIVE_TALL_SHA256 = {
     "forward-cos-far": (["--kind=forward", "-n12", "-q31/29", "--function=cos",
-                         "--at=123456789/1000"], 3,
-                        "43edf0f21aab0471c79910d416bf1255ee60e95efd3fc0a0c2c395cc2d27a494",
-                        "c82cc524d6b56a441ae41eb84e15e088a8479ffbe8bede9a70e0c964c3ee77c6"),
+                         "--at=123456789/1000"], 0,
+                        "ca1366426dadc905f37aaa4f6c60996d23759294b241d41ec89933066a417bb8",
+                        "21554da9d35b96f90d88e50eae93e4124e334d0145c26e2304ba281c7a5744dc"),
     "custom-sin-31-digit-nodes": (["--kind=custom", "-n3",
                                    f"--nodes=-1/{_D31}3,1/{_D31}1,2/{_D31}7,3/{_D31}9",
                                    "--function=sin", "--at=1/3"], 0,
@@ -651,16 +652,16 @@ DERIVE_TALL_SHA256 = {
                                   "e44e4a433c2fdc5bcce1453c22f6fcd4c37253a50f88c280990abeed21a3fc5d"),
     "symmetric-sin-tall-x": (["--kind=symmetric", "-n4", "-q=3/2", "--function=sin",
                               f"--at={10**55 + 7}/{3 * 10**55}"], 0,
-                             "3a116c004d4bba4f901d956b7dfbac2116dd158e13cdccd3a04154016cce9487",
-                             "b3beee568c78558e2f92821248ec0475c30395fe5135fd0f89b5025f2c47aeb6"),
+                             "bd6301635e056827ddf0cb6a4b28ad7b6971b34068cc32b38c7bd3e4916d2946",
+                             "fc1f76f373d24b613366cbcb072ece4b3d6dac7ab0b47bc77d3bb8d74d9dbdfd"),
     "shifted-poly6": (["--kind=shifted", "-n5", "-q5/3", "--function=poly:1,-2,3/4,0,5,-1/3,7/2",
-                       "--at=-2/9", "--steps=60"], 3,
-                      "a0c21fc35fa2ca20649d7a2bf72774a9d9fb7700e4c7a3a9a7919b900442c22f",
-                      "0fa6519b6c6d82fec98796ab16fbac0798d60f14030db20be0c9f4659cb5037d"),
+                       "--at=-2/9", "--steps=60"], 0,
+                      "df429df1834ae25931f9c9fd63c28e5104a6d374dcbb8a957eb9f440e05bba6d",
+                      "79c4811dc6715482dcb7bab5de3e7b77ec408abd3bb3bfdd366fef28259542ee"),
     "riemann-signpow5": (["--kind=riemann", "-n4", "--function=signpow5", "--at=0",
-                          "--steps=60"], 3,
-                         "747c9ad1906f6b68586c10c5975e2302285d6dd2cc7f9ff71550430e010d19cc",
-                         "1139f3e33f19b2c9c54e5a44082ee0fb64fb948e16842b22fd1864e4baf01429"),
+                          "--steps=60"], 0,
+                         "1f65ffcad7e88cdd5e1c5992fdf34a1fa933d2bad694761cbc0fa7d9aadedab3",
+                         "ffba2e5de6c5f48c075a5977e95599a971648152264c0b9dd81e954e4fc58948"),
 }
 
 
@@ -775,19 +776,29 @@ class TestCmdDerive:
         assert abs(doc["value"] - 1.0) < 1e-6
 
     def test_json_output_is_strict_past_the_double_range(self, capsys):
-        # exp near 1000 overflows a double: every quotient is inf and every
-        # delta nan, which strict JSON writes as null
-        code = cli.main(["derive", "--kind", "riemann", "-n", "1", "--function", "exp",
-                         "--at", "1000", "--output=json"])
-        assert code == 3
+        # exp(2 + 0.1 * 4^8) overflows a double: the first three quotients
+        # are inf and their deltas inf - inf = nan, which strict JSON writes
+        # as null; the limit exp(2) exists, so the table converges to it
+        code = cli.main(["derive", "--kind=forward", "-n9", "-q=-4", "--function=exp", "--at=2",
+                         "--output=json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
 
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
 
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert doc["verdict"] == "diverged"
-        assert len(doc["rows"]) == 20
-        assert all(r["quotient"] is None and r["delta"] is None for r in doc["rows"])
+        doc = json.loads(captured.out, parse_constant=reject)
+        assert [r["quotient"] for r in doc["rows"][:3]] == [None] * 3
+        assert [r["delta"] for r in doc["rows"][:4]] == [None] * 4
+        assert all(r["quotient"] is not None for r in doc["rows"][3:])
+        assert (doc["verdict"], doc["value"]) == ("converged", 7.38905609893065)  # e^2
+
+    def test_a_limit_past_the_double_range_exits_2(self, capsys):
+        # exp(1000) exists but is no double: neither a value nor exit 3 is true
+        code = cli.main(["derive", "--kind", "riemann", "-n", "1", "--function", "exp",
+                         "--at", "1000", "--output=json"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: the limit lies outside the double range\n")
 
     def test_gaussian_kind_rejects_nodes_exit_2(self, capsys):
         code = cli.main(["derive", "--kind", "shifted", "-n", "2", "-q", "2",
