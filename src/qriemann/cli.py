@@ -15,7 +15,7 @@ Exit codes: 0 success; 1 verification or check failure; 2 usage error;
 that rules every candidate out).
 
 Rational-valued flags take exact 'p/r' syntax (or a decimal literal, which
-is parsed exactly); purely float-domain flags like --tol take decimals.
+is parsed exactly); purely float-domain flags like --exponent take decimals.
 """
 
 from __future__ import annotations
@@ -241,16 +241,8 @@ def cmd_derive(args) -> int:
     f = _parse_function(args.function)
     x, h0, ratio = (_parse_rational(t) for t in (args.at, args.h0, args.ratio))
     s = _build_stencil(args)
-    table = estimate_derivative(
-        s,
-        f,
-        x,
-        h0=h0,
-        ratio=ratio,
-        steps=args.steps,
-        two_sided=not args.one_sided,
-        tol=args.tol,
-    )
+    table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=args.steps,
+                                two_sided=not args.one_sided)
     if args.output == "json":
         print(json.dumps(table.to_jsonable(), indent=2, allow_nan=False))
     elif args.output == "text":
@@ -376,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_bounded(int), default=20)
     p.add_argument("--one-sided", action="store_true",
                    help="keep every step positive instead of alternating signs")
-    p.add_argument("--tol", type=_bounded(float), default=None,
-                   help="convergence tolerance on the final delta")
     p.add_argument("--output", choices=("csv", "json", "text"), default="csv")
 
     p = sub.add_parser("counterexample", help="reproduce or search the separations")

@@ -619,7 +619,7 @@ def character_search(stencil: Stencil, generators, lo: int, hi: int) -> list:
 def run_case(name: str) -> CounterexampleReport:
     """Reproduce a named separation end to end: extract phi, locate the
     exponent in its pinned interval, then run all three checks."""
-    if name not in NAMED_CASES:
+    if not isinstance(name, str) or name not in NAMED_CASES:
         raise CounterexampleError(f"unknown case {name!r}; named cases: {sorted(NAMED_CASES)}")
     case: NamedCase = NAMED_CASES[name]
     stencil = case.build()
@@ -632,7 +632,7 @@ def run_case(name: str) -> CounterexampleReport:
 def run_search(name: str) -> dict:
     """Run a named character search; returns the report the CLI prints as
     JSON, with the count of admissible characters."""
-    if name not in SEARCH_CASES:
+    if not isinstance(name, str) or name not in SEARCH_CASES:
         raise CounterexampleError(f"unknown search {name!r}; searches: {sorted(SEARCH_CASES)}")
     spec = SEARCH_CASES[name]
     stencil = spec["build"]()

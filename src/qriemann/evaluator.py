@@ -14,14 +14,16 @@ is taken, at every step h with R|h| <= 16 and |h| / D <= 1/2 (R the
 largest |node|, D the nodes' denominator), from the exact moment series
 Q(h) = sum_(j>=n) M_j f^(j)(x) h^(j-n) / j! (_moment_series): one
 transcendental call per table and precision, and a row correctly rounded
-to a double.  Every other transcendental row is the direct sum at MP_DPS = 60 significant digits, on mpmath.libmp's raw mpf
-tuples, each call given the bits of MP_DPS and round-to-nearest, so that
-it reads no mpmath context and equals _mp_apply's; it is rounded to float
-once, at the very end, since plain double precision would drown the
-small-h difference quotients the convergence tables are built from.
+to a double.  Every other transcendental row is the direct sum at
+MP_DPS = 60 significant digits, on mpmath.libmp's raw mpf tuples, each
+call given the bits of MP_DPS and round-to-nearest, so that it reads no
+mpmath context and equals _mp_apply's; it is rounded to float once, at
+the very end, since plain double precision would drown the small-h
+difference quotients the convergence tables are built from.
 
-A FunctionHandle's table takes its verdict from the exact limit of its
-quotient where the stencil's lower moments vanish (estimate_derivative).
+A table's verdict is the exact limit of its quotient, which only a
+FunctionHandle on a stencil with M_0 .. M_(n-1) = 0 has
+(estimate_derivative).
 """
 
 from __future__ import annotations
@@ -302,8 +304,9 @@ def _row_quotients(s: Stencil, f, x, power: int):
     """(row, limit): row is h -> sum_k A_k f(x + a_k h) / h^power for any
     function object, an exact Fraction when every value is exact, else a
     float.  limit is None but for a FunctionHandle: sign -> (exists, value)
-    of the limit through steps of that sign (0: both), or None where some
-    M_j, j < power, is not 0.
+    of the limit through steps of that sign (0: both).  limit is None, or
+    returns None, where some M_j, j < power, is not 0; a series limit whose
+    rounding stays open raises EvaluatorError.
 
     Other function objects take their rows from _exact_apply and _mp_apply.
     A FunctionHandle prepares the stencil once per table: with x = u/v,
@@ -397,7 +400,9 @@ def _row_quotients(s: Stencil, f, x, power: int):
 
     def series_limit(sign):
         value = series(0)
-        return None if value is None else (True, value)
+        if value is None:
+            raise EvaluatorError("the limit's rounding stays open after the series' redos")
+        return True, value
 
     return row, series_limit
 
@@ -500,11 +505,6 @@ def _finite(v) -> float | None:
     return None if v is None or not math.isfinite(v) else float(v)
 
 
-def _shrinks(prev: float, cur: float) -> bool:
-    # a delta of exactly 0 always counts as a shrink
-    return cur == 0 or 1.5 * cur <= prev
-
-
 def estimate_derivative(
     s: Stencil,
     f: FunctionHandle,
@@ -513,25 +513,23 @@ def estimate_derivative(
     ratio=Fraction(1, 2),
     steps: int = 20,
     two_sided: bool = True,
-    tol: float | None = None,
 ) -> ConvergenceTable:
     """Quotient table along h_i = h0 * ratio^i (sign alternating when
-    two_sided) with a converged / diverged / oscillating verdict.
+    two_sided) with a converged / diverged / oscillating verdict, decided by
+    the exact limit of the quotient (_row_quotients).
 
-    A FunctionHandle on a stencil with M_0 .. M_(n-1) = 0 is decided by the
-    exact limit (_row_quotients): converged where it exists, with value the
-    limit correctly rounded and est_error |last quotient - value|; a limit
-    past the double range raises EvaluatorError.  Where there is none,
-    diverged and oscillating are told apart as below; tol decides nothing.
+    converged: the limit exists, with value the limit correctly rounded and
+    est_error |last quotient - value|.  Where the limit is proved not to
+    exist, diverged: the magnitudes grow without bound -- either past 1e12
+    outright, or monotone growth (last five ratios >= 1.2) spanning three
+    decades.  Anything else is oscillating, reported with the last
+    quotients seen on each side of 0.
 
-    Other function objects and stencils take the shrink rule.  converged:
-    the last three deltas each shrink by at least 1.5x (exact zeros count)
-    and the final delta is below tol (finite and > 0; default 1e-8 scaled
-    by max(1, |quotient|)), with the last quotient as value and the last
-    delta as est_error.  diverged: the magnitudes grow without bound --
-    either past 1e12 outright, or monotone growth (last five ratios >= 1.2)
-    spanning three decades.  Anything else is oscillating, reported with
-    the last quotients seen on each side of 0.
+    Only a FunctionHandle on a stencil with M_0 .. M_(n-1) = 0 has the
+    exact limit.  After the rows, EvaluatorError is raised for any other
+    function object, for a stencil with a nonzero lower moment, for a
+    limit whose rounding the moment series leaves open after its redos, and
+    for a limit past the double range.
 
     For orders >= 3 rows with |h| < 1e-8 are dropped: beyond that point the
     quotient digits carry no information at any reasonable precision.  An
@@ -546,9 +544,6 @@ def estimate_derivative(
         raise EvaluatorError("ratio must lie strictly between 0 and 1")
     if not isinstance(steps, int) or not 2 <= steps <= 60:
         raise EvaluatorError("steps must be an integer in 2..60")
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                            or not 0 < tol < math.inf):
-        raise EvaluatorError("tol must be a finite number > 0")
 
     table = ConvergenceTable(order=s.order)
     quotient, limit = _row_quotients(s, f, x, s.order)
@@ -572,30 +567,20 @@ def estimate_derivative(
     if len(table.rows) < 2:
         raise EvaluatorError("fewer than two usable rows; raise h0 or lower the order")
 
-    last_q = quotients[-1]
+    if not isinstance(f, FunctionHandle):
+        raise EvaluatorError("no exact limit for a function object other than a FunctionHandle")
     rule = limit and limit(0 if two_sided else 1 if h0 > 0 else -1)
-    if rule and rule[0]:
+    if rule is None:
+        raise EvaluatorError(f"no exact limit: a moment M_j, j < {s.order}, is not 0")
+    if rule[0]:
         try:
             value = float(rule[1])
         except OverflowError:
             value = math.inf
         if math.isinf(value):
             raise EvaluatorError("the limit lies outside the double range")
-        table.verdict, table.value, table.est_error = "converged", value, abs(last_q - value)
-        return table
-
-    deltas = [d for _, _, d in table.rows if d is not None]
-    tol_eff = tol if tol is not None else 1e-8 * max(1.0, abs(last_q))
-    if (
-        rule is None
-        and len(deltas) >= 3
-        and _shrinks(deltas[-3], deltas[-2])
-        and _shrinks(deltas[-2], deltas[-1])
-        and deltas[-1] < tol_eff
-    ):
-        table.verdict = "converged"
-        table.value = last_q
-        table.est_error = deltas[-1]
+        table.verdict, table.value = "converged", value
+        table.est_error = abs(quotients[-1] - value)
         return table
 
     mags = [abs(v) for v in quotients]

@@ -69,7 +69,9 @@ def _abbreviated(text: str) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/r' into a Fraction; reject anything else."""
+    """Parse text into a Fraction exactly, as Fraction(str) reads it: an
+    integer 'p', a quotient 'p/r', or a decimal literal such as '1.5' or
+    '-2e-3', with surrounding whitespace; reject anything else."""
     if not isinstance(text, str):
         raise StencilError(f"expected a rational string, got {type(text).__name__}")
     s = text.strip()
@@ -441,7 +443,7 @@ def stencil_from_json(text: str) -> Stencil:
     """Parse the canonical JSON form back into a Stencil."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting too deep, an int too long
         raise StencilError(f"bad stencil JSON: {exc}") from exc
     required = {"order", "kind", "q", "nodes", "coeffs"}
     if not isinstance(obj, dict) or not required.issubset(obj):

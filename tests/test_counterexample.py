@@ -720,9 +720,11 @@ class TestNamedCases:
             scale_bound = 1e-9 * max(abs(float(lo_val)), abs(float(hi_val)))
             assert abs(float(report.phi_on_interval.phi.eval_mp(report.exponent))) < scale_bound
 
-    def test_unknown_case(self):
-        with pytest.raises(CounterexampleError):
-            run_case("thm99")
+    @pytest.mark.parametrize("name", ["thm99", []], ids=repr)
+    def test_unknown_case(self, name):
+        # an unhashable name is unknown too, not a bare TypeError
+        with pytest.raises(CounterexampleError, match="^unknown case "):
+            run_case(name)
 
     def test_report_json_schema(self):
         doc = run_case("thm32-n6").to_jsonable()
@@ -1283,9 +1285,10 @@ class TestCharacterSearch:
         )
         assert trivial["phi_endpoints"][0] == "0"
 
-    def test_unknown_search(self):
-        with pytest.raises(CounterexampleError):
-            run_search("search-n12")
+    @pytest.mark.parametrize("name", ["search-n12", {}], ids=repr)
+    def test_unknown_search(self, name):
+        with pytest.raises(CounterexampleError, match="^unknown search "):
+            run_search(name)
 
     def test_interval_validation(self):
         with pytest.raises(CounterexampleError):

@@ -25,6 +25,7 @@ from qriemann.evaluator import (
     FunctionHandle,
     _exact_apply,
     _mp_apply,
+    _row_quotients,
     _to_mpf,
     apply_difference,
     difference_quotient,
@@ -428,6 +429,11 @@ class TestEstimateDerivative:
         with pytest.raises(EvaluatorError):
             estimate_derivative(s, f, 0.0, steps=61)
 
+    def test_no_tolerance_is_taken(self):
+        # the exact limit decides every verdict
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            estimate_derivative(riemann_classic(2), FunctionHandle.builtin("sin"), 0, tol=1e-3)
+
     @pytest.mark.parametrize("coeffs,h0", [
         ([0, 10**400], F(1, 10)),  # the exact quotient, 10^400
         ([0, 1], F(10**400)),  # the step
@@ -436,16 +442,6 @@ class TestEstimateDerivative:
         f = FunctionHandle.rational_polynomial(coeffs)
         with pytest.raises(EvaluatorError, match="row 1: the step h or its quotient lies outside"):
             estimate_derivative(riemann_classic(1), f, 0, h0=h0)
-
-    @pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf"), True, "1e-3", 1j])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        # tol = 0 would turn f(x) = x, every quotient exactly 1, into a
-        # nonexistence verdict; an infinite tol accepts any shrinking table;
-        # a bool is rejected as peano_bound_check rejects a bool epsilon, and
-        # so is a string or a complex number, which 0 < tol cannot order
-        with pytest.raises(EvaluatorError, match="tol must be a finite number > 0"):
-            estimate_derivative(gaussian_forward(1, 2), FunctionHandle.rational_polynomial([0, 1]),
-                                0, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -562,36 +558,28 @@ class _StubCos:
         return mp.cos(_to_mpf(x))
 
 
-# (verdict line, SHA-256 of the CSV) of tables the shrink rule decides,
-# captured before the exact limit was taken.  The stub's table is the
-# one-sided stencil's slow O(h) approach to cos(-5/3) that the exact rule
-# calls converged; the broken stencil has M_0 = 1, so no exact rule applies.
+# Tables with no exact limit: a function object that is no FunctionHandle,
+# and sin, x^2 and abs on a stencil with M_0 = 1.
 _BROKEN = Stencil(order=2, nodes=(0, 1, 2), coeffs=(2, -2, 1))
-_SHRINK_RULE_TABLES = {
-    "stub-cos": (vandermonde_solve([-5, -4, -1, F(-1, 2), 3], 4), _StubCos(), F(-5, 3),
-                 "# verdict: oscillating pos_estimate=-0.09572411759135283 "
-                 "neg_estimate=-0.09572326322586824",
-                 "8d0f97719c8f0f3e1fa133d726ed0b9f16f046332d53e5a80f8413efa75211e8"),
-    "broken-sin": (_BROKEN, FunctionHandle.builtin("sin"), F(1, 3), "# verdict: diverged",
-                   "b909afbfe735f851a8c11ed7b54af1bf82b5725033d295dbb77da58d04a3da33"),
-    "broken-poly": (_BROKEN, FunctionHandle.rational_polynomial([0, 0, 5]), 0,
-                    "# verdict: converged value=10.0 est_error=0.0",
-                    "47948067c369ad49bc1e53d61c3ad942fcf15b238c6690d215e374498e14048f"),
-    # M_0 f(x) / h^2 grows, where M_2 f''(x) / 2 = 10 would be the limit
-    "broken-poly-off-0": (_BROKEN, FunctionHandle.rational_polynomial([0, 0, 5]), F(1, 3),
-                          "# verdict: diverged",
-                          "fcacdc9559de13689b3ae265179e5720501c2c2f3e56260b79f3de57458b935d"),
-    "broken-abs-off-0": (_BROKEN, FunctionHandle.builtin("abs"), F(-1, 3), "# verdict: diverged",
-                         "848febe02dcd45a5092f7e324cad805d3a56e400d022c96df37b62a6048733e4"),
+_NO_LIMIT_TABLES = {
+    "stub-cos": (vandermonde_solve([-5, -4, -1, F(-1, 2), 3], 4), _StubCos(), F(-5, 3)),
+    "broken-sin": (_BROKEN, FunctionHandle.builtin("sin"), F(1, 3)),
+    "broken-poly": (_BROKEN, FunctionHandle.rational_polynomial([0, 0, 5]), 0),
+    "broken-poly-off-0": (_BROKEN, FunctionHandle.rational_polynomial([0, 0, 5]), F(1, 3)),
+    "broken-abs-off-0": (_BROKEN, FunctionHandle.builtin("abs"), F(-1, 3)),
 }
 
 
-@pytest.mark.parametrize("name", list(_SHRINK_RULE_TABLES))
-def test_other_functions_and_stencils_keep_the_shrink_rule(name):
-    s, f, x, verdict, digest = _SHRINK_RULE_TABLES[name]
-    csv = estimate_derivative(s, f, x).to_csv()
-    assert csv.splitlines()[-1] == verdict
-    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+def test_tables_without_an_exact_limit_raise():
+    for name, (s, f, x) in _NO_LIMIT_TABLES.items():
+        reason = ("^no exact limit for a function object other than a FunctionHandle$"
+                  if name == "stub-cos" else r"^no exact limit: a moment M_j, j < 2, is not 0$")
+        with pytest.raises(EvaluatorError, match=reason):
+            estimate_derivative(s, f, x)
+    # the rows come first: a row past the double range is reported before
+    # the missing limit
+    with pytest.raises(EvaluatorError, match="^row 1: the step h or its quotient lies outside"):
+        estimate_derivative(_BROKEN, FunctionHandle.rational_polynomial([10**400]), 0)
 
 
 def test_one_sided_limit_follows_the_side_of_h0():
@@ -600,15 +588,6 @@ def test_one_sided_limit_follows_the_side_of_h0():
     for h0, value in ((F(1, 10), 6.0), (F(-1, 10), -6.0)):
         table = estimate_derivative(s, f, 0, h0=h0, two_sided=False)
         assert (table.verdict, table.value, table.est_error) == ("converged", value, 0.0)
-
-
-@pytest.mark.parametrize("tol", [1e-300, 1e300])
-def test_tol_decides_nothing_for_a_function_handle(tol):
-    # the deltas of this one-sided stencil's table only halve row by row
-    s, f = vandermonde_solve([-5, -4, -1, F(-1, 2), 3], 4), FunctionHandle.builtin("cos")
-    table = estimate_derivative(s, f, F(-5, 3), tol=tol)
-    with mp.workdps(100):
-        assert (table.verdict, table.value) == ("converged", float(mp.cos(mp.mpf(-5) / 3)))
 
 
 def test_a_limit_past_the_double_range_raises():
@@ -694,6 +673,11 @@ def _tables(draw):
     h0 = draw(st.sampled_from([F(1, 10), F(-1, 7), F(3, 1000)]))
     ratio = draw(st.sampled_from([F(1, 2), F(2, 3), F(1, 10)]))
     return s, f, x, h0, ratio, draw(st.integers(2, 6)), draw(st.booleans())
+
+
+def _steps(h0, ratio, steps, two_sided=True):
+    """A table's steps h_i = h0 ratio^i, the sign alternating when two_sided."""
+    return [h0 * ratio**i * (-1 if two_sided and i % 2 else 1) for i in range(steps)]
 
 
 def _per_point(s, f, x, h, power):
@@ -800,10 +784,15 @@ class TestTableRowsMatchSingleDifferences:
     @example((riemann_classic(2), FunctionHandle.builtin("sin"), F(1, 3), F(4), F(1, 2), 6, True))
     def test_rows_equal_the_reference(self, table_args):
         s, f, x, h0, ratio, steps, two_sided = table_args
-        table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=steps,
-                                    two_sided=two_sided)
-        assert len(table.rows) == steps
-        for h, qt, _ in table.rows:
+        if isinstance(f, FunctionHandle):
+            table = estimate_derivative(s, f, x, h0=h0, ratio=ratio, steps=steps,
+                                        two_sided=two_sided)
+            rows = [(h, qt) for h, qt, _ in table.rows]
+        else:  # a GroupFunction has rows but no exact limit, so no table
+            row = _row_quotients(s, f, x, s.order)[0]
+            rows = [(h, row(h)) for h in _steps(h0, ratio, steps, two_sided)]
+        assert len(rows) == steps
+        for h, qt in rows:
             for got, power in ((qt, s.order), (difference_quotient(s, f, x, h), s.order),
                                (apply_difference(s, f, x, h), 0)):
                 want = _reference(s, f, x, h, power)
@@ -866,10 +855,8 @@ class TestTableRowsMatchSingleDifferences:
     def test_group_function_rows_are_single_quotients(self, exponent):
         s = gaussian_forward(3, 2)
         g = GroupFunction(MultiplicativeGroup((2, 3)), (1, 0), exponent)
-        table = estimate_derivative(s, g, 0, h0=F(1, 3), steps=8)
-        hs = [h for h, _, _ in table.rows]
-        assert len(hs) == 8
-        assert [qt for _, qt, _ in table.rows] == [difference_quotient(s, g, 0, h) for h in hs]
+        row, hs = _row_quotients(s, g, 0, s.order)[0], _steps(F(1, 3), F(1, 2), 8)
+        assert [row(h) for h in hs] == [difference_quotient(s, g, 0, h) for h in hs]
 
 
 @st.composite
@@ -958,7 +945,8 @@ def test_series_disc_edges(monkeypatch, s, h, direct):
 
 
 def test_series_rows_left_open_fall_back_to_the_direct_sum(monkeypatch):
-    # one bit beyond the largest term and no redo decide no rounding
+    # one bit beyond the largest term and no redo decide no rounding, and
+    # leave the limit's rounding open as well
     monkeypatch.setattr(evaluator, "_SERIES_BITS", 1)
     monkeypatch.setattr(evaluator, "_SERIES_REDOS", 0)
     calls = []
@@ -966,10 +954,13 @@ def test_series_rows_left_open_fall_back_to_the_direct_sum(monkeypatch):
     monkeypatch.setitem(evaluator._MPF_FUNCTIONS, "cos",
                         lambda v, prec, rnd: calls.append(v) or cos(v, prec, rnd))
     s, f, x = gaussian_symmetric(4, F(3, 2)), FunctionHandle.builtin("cos"), F(1, 3)
-    table = estimate_derivative(s, f, x, h0=F(1, 20), steps=8)
+    row, hs = _row_quotients(s, f, x, s.order)[0], _steps(F(1, 20), F(1, 2), 8)
+    for h in hs:
+        assert repr(row(h)) == repr(_per_point(s, f, x, h, s.order))
     assert len(calls) == 8 * len(s.nodes)
-    for h, qt, _ in table.rows:
-        assert repr(qt) == repr(_per_point(s, f, x, h, s.order))
+    with pytest.raises(EvaluatorError,
+                       match="^the limit's rounding stays open after the series' redos$"):
+        estimate_derivative(s, f, x, h0=F(1, 20), steps=8)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ hand-solved linear systems recorded inline.
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -947,13 +948,25 @@ class TestJson:
         with pytest.raises(StencilError, match="must be arrays"):
             stencil_from_json(json.dumps(doc))
 
-    def test_parse_errors(self):
-        with pytest.raises(StencilError):
-            stencil_from_json("this is not json")
-        with pytest.raises(StencilError):
-            stencil_from_json('{"order": 1}')
-        with pytest.raises(StencilError):
-            stencil_from_json(
-                '{"order": 1, "kind": "custom", "q": null,'
-                ' "nodes": ["0", "x"], "coeffs": ["-1", "1"]}'
-            )
+    @pytest.mark.parametrize("text,message", [
+        ("this is not json", "^bad stencil JSON: Expecting value"),
+        ("[" * 100_000, "^bad stencil JSON: maximum recursion depth exceeded"),
+        ('{"order": 1}', "^stencil JSON must carry keys"),
+        ('{"order": 1, "kind": "custom", "q": null, "nodes": ["0", "x"], "coeffs": ["-1", "1"]}',
+         "^not a rational"),
+    ], ids=["not-json", "deep", "keys", "node"])
+    def test_parse_errors(self, text, message):
+        # nesting past the recursion limit is a StencilError too, not a bare
+        # RecursionError
+        with pytest.raises(StencilError, match=message):
+            stencil_from_json(text)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_an_int_past_the_digit_limit_is_a_stencil_error(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, which cli.main lifts
+        try:
+            with pytest.raises(StencilError, match="^bad stencil JSON: Exceeds the limit"):
+                stencil_from_json("1" * 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
