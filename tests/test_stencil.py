@@ -951,10 +951,11 @@ class TestJson:
     @pytest.mark.parametrize("text,message", [
         ("this is not json", "^bad stencil JSON: Expecting value"),
         ("[" * 100_000, "^bad stencil JSON: maximum recursion depth exceeded"),
+        ('{"a": ' * 100_000, "^bad stencil JSON: maximum recursion depth exceeded"),
         ('{"order": 1}', "^stencil JSON must carry keys"),
         ('{"order": 1, "kind": "custom", "q": null, "nodes": ["0", "x"], "coeffs": ["-1", "1"]}',
          "^not a rational"),
-    ], ids=["not-json", "deep", "keys", "node"])
+    ], ids=["not-json", "deep", "deep-object", "keys", "node"])
     def test_parse_errors(self, text, message):
         # nesting past the recursion limit is a StencilError too, not a bare
         # RecursionError

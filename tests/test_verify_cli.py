@@ -826,6 +826,16 @@ class TestCmdDerive:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1", "inf", "1e-3"])
+    def test_tol_is_an_unknown_flag(self, capsys, tol):
+        # the exact limit decides every verdict, so no value of --tol is taken
+        code = cli.main(["derive", "--kind", "forward", "-n", "1", "-q", "2",
+                         "--function", "poly:0,1", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"qriemann: error: unrecognized arguments: --tol={tol}"
+
     def test_bad_steps_exit_2(self, capsys):
         code = cli.main(["derive", "--kind", "forward", "-n", "2", "-q", "2",
                          "--function", "sin", "--at", "0", "--steps", "99"])
