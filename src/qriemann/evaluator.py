@@ -9,20 +9,18 @@ functions at integer exponents, and any function off its support) are
 combined exactly, so cancellation identities come out exactly zero.
 
 Every difference, a single one or a table row, is a row of _row_quotients.
-A sin, cos or exp quotient of order n whose stencil has M_0 .. M_(n-1) = 0
-is taken, at every step h with R|h| <= 16 and |h| / D <= 1/2 (R the
-largest |node|, D the nodes' denominator), from the exact moment series
-Q(h) = sum_(j>=n) M_j f^(j)(x) h^(j-n) / j! (_moment_series): one
-transcendental call per table and precision, and a row correctly rounded
-to a double.  Every other transcendental row is the direct sum at
-MP_DPS = 60 significant digits, on mpmath.libmp's raw mpf tuples, each
-call given the bits of MP_DPS and round-to-nearest, so that it reads no
-mpmath context and equals _mp_apply's; it is rounded to float once, at
-the very end, since plain double precision would drown the small-h
-difference quotients the convergence tables are built from.
-
-A table's verdict is the exact limit of its quotient, which only a
-FunctionHandle on a stencil with M_0 .. M_(n-1) = 0 has
+Where the stencil has M_0 .. M_(n-1) = 0, a table's rows come from the
+moment series Q(h) = sum_(j>=n) M_j f^(j)(x) h^(j-n) / j!.  For a
+polynomial, abs and signpowN it terminates, and a row is one integer Horner
+pass; at x = 0, abs and signpowN scale as |h|^(N-n) (_exact_series).  For
+sin, cos and exp it is summed to a row correctly rounded to a double, with
+one transcendental call per table and precision, wherever R|h| <= 16 and
+|h| / D <= 1/2, R the largest |node| and D the nodes' denominator
+(_moment_series).  Every other row is the direct sum: exact where every
+value is, else at MP_DPS = 60 significant digits on mpmath.libmp's raw mpf
+tuples, rounded to float once at the very end, since double precision
+would drown the small-h quotients the tables are built from.  A table's
+verdict is the exact limit of its quotient, the series at h = 0
 (estimate_derivative).
 """
 
@@ -78,7 +76,7 @@ class FunctionHandle:
 
     def __init__(self, name=None, power=None, coeffs=None):
         self.name = name
-        self.power = power
+        self.power = 1 if name == "abs" else power  # abs is signpow1
         self.coeffs = coeffs
         # (E, [e_j]): the coefficients c_j = e_j / E over one denominator
         self._over = None if coeffs is None else _over_common_denominator(coeffs)
@@ -127,9 +125,7 @@ class FunctionHandle:
                     acc = acc * n + c
                 ws.append(acc)
             return ws, den * mk
-        if self.name == "abs":
-            return [abs(n) for n in ns], m
-        if self.name == "signpow":
+        if self.power:
             p = self.power
             return [n**p if n > 0 else -n**p for n in ns], m**p
         return None
@@ -223,7 +219,8 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
     both ends of that interval round to the same double, else redone at 2G
     (A. Ziv, ACM TOMS 17, 1991).  At x = 0 a sin (cos) quotient whose
     stencil is even (odd) under a -> -a is exactly 0.  The row at h = 0 is
-    the limit alpha_n, exactly 0 where S_n = 0 or f^(n)(x) = +-sin 0.
+    the limit alpha_n: 0.0 where S_n = 0, and at x = 0, where f^(n)(0) is
+    0 or +-1, the exact Fraction S_n f^(n)(0) / (E D^n n!).
     """
     terms, sums = cs, []  # C_k P_k^j, S_j
     dens, log_ratios = [], []  # from j = n on: E D^n j!, log2(U_j / (E D^n j!))
@@ -250,7 +247,8 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
     # at x = 0 a sin sum vanishes on an even stencil, a cos sum on an odd one
     at, parity = dict(zip(ps, cs)), 1 if name == "sin" else -1
     zero = x == 0 and name != "exp" and all(at.get(-p) == parity * c for p, c in at.items())
-    flat = not sums[n] or x == 0 and name != "exp" and n % 2 == (name == "cos")
+    # at x = 0, f^(n)(0) = 0 or +-1: sin^(n) = cos^(n-1) cycles through 0, 1, 0, -1
+    fn_at0 = 1 if name == "exp" else (0, 1, 0, -1)[(n + (name == "cos")) % 4]
     fixed = {}  # G -> (t, the alpha_j at G from j = n on)
 
     def alphas(g, upto):
@@ -275,8 +273,10 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
         yn, yd = h.numerator, h.denominator * d
         if pmax * abs(yn) > _SERIES_RADIUS * yd or 2 * abs(yn) > yd:
             return None
-        if zero or not yn and flat:
+        if zero or not yn and not sums[n]:
             return 0.0
+        if not yn and x == 0:  # the limit alpha_n is exact
+            return Fraction(fn_at0 * sums[n], dens[0])
         log_y = math.log2(abs(yn)) - math.log2(yd) if yn else -math.inf
         g = g0
         for _ in range(_SERIES_REDOS + 1):
@@ -300,32 +300,93 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
     return row
 
 
-def _row_quotients(s: Stencil, f, x, power: int):
+def _exact_series(f: FunctionHandle, x: Fraction, n: int, d: int, ps, e: int, cs, direct):
+    """(row, limit) of Q(h) = sum_k A_k f(x + a_k h) / h^n for a polynomial,
+    abs or signpowN f, with a_k = P_k / D (d and ps) and A_k = C_k / E (e and
+    cs); (direct, None) where some S_j = sum_k C_k P_k^j, j < n, is not 0.
+
+    Near x != 0, f is a polynomial of degree m (sgn(x) y^m for abs, m = 1,
+    and signpowN), and Q(h) = sum_(j=n..m) S_j f^(j)(x) h^(j-n) / (E D^j j!)
+    terminates: its coefficients are formed once, and a row is one integer
+    Horner pass and one Fraction.  A row of abs or signpowN with a point
+    x + a_k h across 0 is direct(h).  At x = 0, abs and signpowN have
+    Q(h) = Q(sgn h) |h|^(m - n).  limit is the series at h = 0, as
+    _row_quotients describes it.
+    """
+    v, u = x.denominator, x.numerator
+    den, es = f._over or (1, (0,) * f.power + (1 if u > 0 else -1,))
+    m, at0 = len(es) - 1, f.coeffs is None and u == 0
+    terms, sums = cs, []  # C_k P_k^j, S_j
+    for j in range(n if at0 else max(n, m + 1)):
+        if j:
+            terms = list(map(operator.mul, terms, ps))
+        sums.append(sum(terms))
+    if any(sums[:n]):
+        return direct, None
+    if at0:
+        ends, k = {sign > 0: direct(Fraction(sign)) for sign in (1, -1)}, m - n  # Q(+-1)
+
+        def zero_row(h):
+            q, a, b = ends[h.numerator > 0], abs(h.numerator), h.denominator
+            a, b = (a, b) if k >= 0 else (b, a)
+            return Fraction(q.numerator * a ** abs(k), q.denominator * b ** abs(k))
+
+        def zero_limit(sign):
+            values = {ends[sign > 0]} if sign else set(ends.values())
+            if k > 0 or values == {0}:
+                return True, 0
+            return (False, None) if k < 0 or len(values) > 1 else (True, values.pop())
+
+        return zero_row, zero_limit
+    # with x = u/v and h = p/t, f^(j)(x) / j! = T_j / (den v^(m-j)) for
+    # f = sum_i e_i y^i / den, and Q(h) = sum_j B_j p^(j-n) t^(m-j) / (G t^(m-n))
+    # with B_j = S_j T_j v^(j-n) D^(m-j) and G = E den v^(m-n) D^m
+    bs = [sums[j] * sum(es[i] * math.comb(i, j) * u**(i - j) * v**(m - i)
+                        for i in range(j, m + 1)) * v**(j - n) * d**(m - j)
+          for j in range(n, m + 1)]
+    k = max(m - n, 0)
+    g = e * den * v**k * d**m
+    # abs and signpowN: every point keeps the side of x, sgn(x) (u D t + P_k p v) >= 0
+    reach, xd = f.coeffs is None and {True: -min(ps) * v, False: max(ps) * v}, abs(u) * d
+
+    def series_row(h):
+        p, t = h.numerator, h.denominator
+        if reach and reach[(p > 0) == (u > 0)] * abs(p) > xd * t:
+            return direct(h)
+        acc, pj = 0, 1
+        for b in bs:
+            acc = acc * t + b * pj
+            pj *= p
+        return Fraction(acc, g * t**k)
+
+    return series_row, lambda sign: (True, series_row(Fraction(0)))
+
+
+def _row_quotients(s: Stencil, f, x, power: int, one_row: bool = False):
     """(row, limit): row is h -> sum_k A_k f(x + a_k h) / h^power for any
     function object, an exact Fraction when every value is exact, else a
     float.  limit is None but for a FunctionHandle: sign -> (exists, value)
-    of the limit through steps of that sign (0: both).  limit is None, or
-    returns None, where some M_j, j < power, is not 0; a series limit whose
-    rounding stays open raises EvaluatorError.
+    of the limit through steps of that sign (0: both), the series at h = 0
+    (_exact_series, _moment_series).  limit is None where some M_j,
+    j < power, is not 0; a series limit whose rounding stays open raises
+    EvaluatorError.
 
     Other function objects take their rows from _exact_apply and _mp_apply.
     A FunctionHandle prepares the stencil once per table: with x = u/v,
     h = p/t, a_k = P_k/D from s.node_ints and A_k = C_k/E, the points are
-    N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.  Exact
-    functions sum C_k times integer values into one Fraction per row.  A
-    sin, cos or exp row at power = order takes _moment_series's correctly
-    rounded value wherever it gives one.  Any other sin, cos or exp row is
-    the direct sum, on raw mpf tuples at prec = dps_to_prec(MP_DPS) bits
-    with round-to-nearest, the operations _mp_apply's mpf objects do inside
-    mp.workdps(MP_DPS), without entering it: each point is
-    mpf_div(N_k, M) when both fit prec, else _rational_mpf of the reduced
-    Fraction; either is _to_mpf's mpf, so the row equals the per-point
-    _mp_apply at MP_DPS, rounded to float once after the division, whatever
-    the caller's mp.prec.
-
-    The limit is M_n f^(n)(x) / n!, M_j = S_j / (E D^j), S_j = sum_k C_k P_k^j:
-    the series row at h = 0 for sin, cos and exp, else an exact Fraction.
-    abs and signpowN at x = 0 have Q(h) = Q(sgn h) |h|^(p - n) instead.
+    N_k / M, N_k = u D t + P_k p v and M = v D t > 0, without a gcd.  The
+    direct sum of an exact function sums C_k times integer values into one
+    Fraction.  A table's rows come from _exact_series wherever it gives
+    them; one_row, a single difference (_apply), takes the direct sum, since
+    forming the series costs about as much and both are exact.  A sin, cos
+    or exp row at power = order takes _moment_series's correctly rounded
+    value wherever it gives one.  Any other sin, cos or exp row is the
+    direct sum, on raw mpf tuples at prec = dps_to_prec(MP_DPS) bits with
+    round-to-nearest, the operations _mp_apply's mpf objects do inside
+    mp.workdps(MP_DPS), without entering it: each point is mpf_div(N_k, M)
+    when both fit prec, else _rational_mpf of the reduced Fraction; either
+    is _to_mpf's mpf, so the row equals the per-point _mp_apply at MP_DPS,
+    rounded to float once after the division, whatever the caller's mp.prec.
     """
     x = _finite_rational(x, "x", EvaluatorError)
     if not isinstance(f, FunctionHandle):
@@ -351,30 +412,7 @@ def _row_quotients(s: Stencil, f, x, power: int):
             return Fraction(sum(c * wk for c, wk in zip(cs, ws)) * h.denominator**power,
                             e * w * h.numerator**power)
 
-        def exact_limit(sign):
-            terms = cs  # C_k P_k^j, summing to S_j = 0 for each j < n
-            for _ in range(power):
-                if sum(terms):
-                    return None
-                terms = list(map(operator.mul, terms, ps))
-            p = f.power or 1  # abs is signpow1
-            if f.coeffs is None and x == 0:  # Q(h) = Q(sgn h) |h|^(p - n)
-                ws, w = f._exact_over(ps, d)
-                total = sum(c * wk for c, wk in zip(cs, ws))  # Q(1) = total / (E w)
-                if p > power or not total:
-                    return True, 0
-                if p < power or not sign:
-                    return False, None
-                return True, Fraction(sign * total, e * w)
-            # f^(n)(x) = acc / (den v^(m - n)); near x != 0 abs and signpowN are sgn(x) t^p
-            den, es = f._over or (1, (0,) * p + (1 if x > 0 else -1,))
-            u, m = x.numerator, len(es) - 1
-            acc = sum(es[i] * math.perm(i, power) * u**(i - power) * v**(m - i)
-                      for i in range(power, m + 1))
-            return True, Fraction(sum(terms) * acc, e * d**power * math.factorial(power)
-                                  * den * v**max(m - power, 0))
-
-        return exact_row, exact_limit
+        return (exact_row, None) if one_row else _exact_series(f, x, power, d, ps, e, cs, exact_row)
 
     prec, rnd = dps_to_prec(MP_DPS), round_nearest
     mpcs = []  # the coefficients' mpf tuples, made by the table's first direct sum
@@ -412,7 +450,7 @@ def _apply(s: Stencil, f, x, h, power: int):
     h = _finite_rational(h, "step h", EvaluatorError)
     if h == 0:
         raise EvaluatorError("step h must be nonzero")
-    return _row_quotients(s, f, x, power)[0](h)
+    return _row_quotients(s, f, x, power, one_row=True)[0](h)
 
 
 def apply_difference(s: Stencil, f, x, h):
@@ -502,7 +540,8 @@ class ConvergenceTable:
 
 
 def _finite(v) -> float | None:
-    return None if v is None or not math.isfinite(v) else float(v)
+    v = math.nan if v is None else float(v)
+    return v if math.isfinite(v) else None
 
 
 def estimate_derivative(
@@ -515,8 +554,9 @@ def estimate_derivative(
     two_sided: bool = True,
 ) -> ConvergenceTable:
     """Quotient table along h_i = h0 * ratio^i (sign alternating when
-    two_sided) with a converged / diverged / oscillating verdict, decided by
-    the exact limit of the quotient (_row_quotients).
+    two_sided; its numerator and denominator carried as integers, one
+    Fraction per row) with a converged / diverged / oscillating verdict,
+    decided by the exact limit of the quotient (_row_quotients).
 
     converged: the limit exists, with value the limit correctly rounded and
     est_error |last quotient - value|.  Where the limit is proved not to
@@ -548,11 +588,11 @@ def estimate_derivative(
     table = ConvergenceTable(order=s.order)
     quotient, limit = _row_quotients(s, f, x, s.order)
     quotients = []  # each row's quotient as a double, for the verdict
-    step = h0  # h0 ratio^i, carried as a running product
+    num, den = h0.numerator, h0.denominator  # h0 ratio^i = num / den, carried as integers
     for i in range(steps):
-        if s.order >= 3 and abs(step.numerator) * 10**8 < step.denominator:
+        if s.order >= 3 and abs(num) * 10**8 < den:
             break  # |h| < 1e-8
-        h = -step if two_sided and i % 2 == 1 else step
+        h = Fraction(-num if two_sided and i % 2 == 1 else num, den)
         qt = quotient(h)
         try:  # every row is reported as doubles, and an exact value may not fit one
             hf, qf = float(h), float(qt)
@@ -563,7 +603,7 @@ def estimate_derivative(
                                  "the double range")
         table.rows.append((h, qt, abs(qf - quotients[-1]) if quotients else None))
         quotients.append(qf)
-        step *= ratio
+        num, den = num * ratio.numerator, den * ratio.denominator
     if len(table.rows) < 2:
         raise EvaluatorError("fewer than two usable rows; raise h0 or lower the order")
 

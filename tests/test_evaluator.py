@@ -600,6 +600,23 @@ def test_a_limit_past_the_double_range_raises():
         estimate_derivative(riemann_classic(1), FunctionHandle.builtin("exp"), 1000)
 
 
+# c = 1 + 2^-53 puts each limit exactly on the tie between two doubles: at
+# x = 0 the limit S_n f^(n)(0) / (E D^n n!) is an exact rational, rounded once
+_TIE = 1 + F(1, 2**53)
+
+
+@pytest.mark.parametrize("s, name, value", [
+    (Stencil(order=1, nodes=(0, 1), coeffs=(-_TIE, _TIE)), "exp", 1.0),
+    (Stencil(order=2, nodes=(-1, 0, 1), coeffs=(_TIE, -2 * _TIE, _TIE)), "cos", -1.0),
+    (Stencil(order=1, nodes=(0, 1), coeffs=(-_TIE, _TIE)), "sin", 1.0),
+    (Stencil(order=3, nodes=(-1, 0, 1, 2), coeffs=(-_TIE, 3 * _TIE, -3 * _TIE, _TIE)),
+     "sin", -1.0),
+], ids=["exp-1", "cos-2", "sin-1", "sin-3"])
+def test_a_limit_at_0_on_a_rounding_tie_is_rounded_once(s, name, value):
+    table = estimate_derivative(s, FunctionHandle.builtin(name), 0)
+    assert (table.verdict, table.value) == ("converged", value)
+
+
 _SIN = FunctionHandle.builtin("sin")
 # each rational argument of the evaluator, given as a non-finite float
 _NON_FINITE_ARGUMENTS = {
@@ -861,6 +878,57 @@ class TestTableRowsMatchSingleDifferences:
         g = GroupFunction(MultiplicativeGroup((2, 3)), (1, 0), exponent)
         row, hs = _row_quotients(s, g, 0, s.order)[0], _steps(F(1, 3), F(1, 2), 8)
         assert [row(h) for h in hs] == [difference_quotient(s, g, 0, h) for h in hs]
+
+
+@st.composite
+def _exact_rows(draw):
+    """(stencil, function, x, power, steps) for a polynomial (of degree
+    below n too), abs or signpowN on every kind and on a stencil with a
+    nonzero lower moment, at x = 0 and off it, power the order or not, and
+    steps of both signs, among them steps that carry a point x + a_k h
+    across 0, or onto it."""
+    kind = draw(st.sampled_from([*GAUSSIAN_BUILDERS, *CLASSICAL_BUILDERS, "custom", "broken"]))
+    n = draw(st.integers(1, 6))
+    if kind in ("custom", "broken"):
+        nodes = draw(st.lists(st.fractions(-6, 6, max_denominator=4), min_size=n + 1,
+                              max_size=n + 1, unique=True))
+        s = vandermonde_solve(nodes, n) if kind == "custom" else Stencil(
+            order=n, nodes=nodes, coeffs=draw(st.lists(st.integers(1, 5), min_size=n + 1,
+                                                       max_size=n + 1)))
+    elif kind in GAUSSIAN_BUILDERS:
+        s = GAUSSIAN_BUILDERS[kind](n, draw(st.sampled_from([F(2), F(-2), F(3, 2), F(-5, 3)])))
+    else:
+        s = CLASSICAL_BUILDERS[kind](n)
+    name = draw(st.sampled_from(["poly", "abs", "signpow1", "signpow2", "signpow3", "signpow6"]))
+    if name == "poly":
+        f = FunctionHandle.rational_polynomial(
+            draw(st.lists(st.fractions(-9, 9, max_denominator=7), min_size=1, max_size=n + 3)))
+    else:
+        f = FunctionHandle.builtin(name)
+    x = draw(st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=12)))
+    power = draw(st.sampled_from([s.order, s.order, s.order, 0, s.order - 1, s.order + 1]))
+    steps = draw(st.lists(st.fractions(-2, 2, max_denominator=10**6).filter(bool),
+                          min_size=1, max_size=4))
+    if x:  # h = -x r / a puts x + a h across 0 for r > 1, onto it for r = 1
+        for a in s.nodes:
+            if a:
+                r = draw(st.one_of(st.fractions(1, 3, max_denominator=40),
+                                   st.integers(1, 10**4).map(lambda k: 1 + F(1, k))))
+                steps.append(-x * r / a)
+    return s, f, x, power, steps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_exact_rows())
+# a row whose last point crosses 0 while the one before stays on x's side
+@example((riemann_classic(2), FunctionHandle.builtin("abs"), F(1, 2), 2, [F(-3, 10)]))
+@example((gaussian_forward(3, 2), FunctionHandle.builtin("signpow2"), F(-1), 3, [F(1, 3)]))
+def test_exact_rows_equal_the_per_point_sum(rows):
+    s, f, x, power, steps = rows
+    row = _row_quotients(s, f, x, power)[0]
+    for h in steps:
+        got, want = row(h), _exact_apply(s, f, x, h) / h**power
+        assert type(got) is type(want) and got == want, h
 
 
 @st.composite
