@@ -24,6 +24,7 @@ import argparse
 import functools
 import importlib
 import json
+import re
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -296,8 +297,12 @@ def cmd_counterexample(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but a bad choice, an ambiguous --option=value and
-    the first ten stray arguments are echoed as _abbreviated cuts them, and
-    --option=-- passes the value "--" on."""
+    the first ten stray arguments are echoed as _abbreviated cuts them,
+    --option=-- passes the value "--" on, and -7/4, -1e-3 or -.5 is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:

@@ -264,7 +264,8 @@ def _moment_series(name: str, x: Fraction, n: int, d: int, ps, e: int, cs):
                 t, cycle = 0, (sin, cos, -sin, -cos) if name == "sin" else (cos, -sin, -cos, sin)
             fixed[g] = t, cycle, []
         t, cycle, al = fixed[g]
-        extend(upto)
+        if len(sums) <= upto:
+            extend(upto)
         for j in range(n + len(al), upto + 1):
             al.append(sums[j] * cycle[j % 4] // dens[j - n])
         return t, al
@@ -310,8 +311,10 @@ def _exact_series(f: FunctionHandle, x: Fraction, n: int, d: int, ps, e: int, cs
     terminates: its coefficients are formed once, and a row is one integer
     Horner pass and one Fraction.  A row of abs or signpowN with a point
     x + a_k h across 0 is direct(h).  At x = 0, abs and signpowN have
-    Q(h) = Q(sgn h) |h|^(m - n).  limit is the series at h = 0, as
-    _row_quotients describes it.
+    Q(h) = Q(sgn h) |h|^(m - n), and limit is diverged where m < n and a
+    side the steps take has Q(+-1) != 0, oscillating where m = n and they
+    take both sides with Q(+1) != Q(-1).  Else limit is converged, the
+    series at h = 0, as _row_quotients describes it.
     """
     v, u = x.denominator, x.numerator
     den, es = f._over or (1, (0,) * f.power + (1 if u > 0 else -1,))
@@ -334,8 +337,10 @@ def _exact_series(f: FunctionHandle, x: Fraction, n: int, d: int, ps, e: int, cs
         def zero_limit(sign):
             values = {ends[sign > 0]} if sign else set(ends.values())
             if k > 0 or values == {0}:
-                return True, 0
-            return (False, None) if k < 0 or len(values) > 1 else (True, values.pop())
+                return "converged", 0
+            if k < 0:
+                return "diverged", None
+            return ("oscillating", None) if len(values) > 1 else ("converged", values.pop())
 
         return zero_row, zero_limit
     # with x = u/v and h = p/t, f^(j)(x) / j! = T_j / (den v^(m-j)) for
@@ -359,17 +364,18 @@ def _exact_series(f: FunctionHandle, x: Fraction, n: int, d: int, ps, e: int, cs
             pj *= p
         return Fraction(acc, g * t**k)
 
-    return series_row, lambda sign: (True, series_row(Fraction(0)))
+    return series_row, lambda sign: ("converged", series_row(Fraction(0)))
 
 
 def _row_quotients(s: Stencil, f, x, power: int, one_row: bool = False):
     """(row, limit): row is h -> sum_k A_k f(x + a_k h) / h^power for any
     function object, an exact Fraction when every value is exact, else a
-    float.  limit is None but for a FunctionHandle: sign -> (exists, value)
+    float.  limit is None but for a FunctionHandle: sign -> (verdict, value)
     of the limit through steps of that sign (0: both), the series at h = 0
-    (_exact_series, _moment_series).  limit is None where some M_j,
-    j < power, is not 0; a series limit whose rounding stays open raises
-    EvaluatorError.
+    (_exact_series, _moment_series).  verdict is converged, diverged or
+    oscillating; value is the exact limit where it is converged, else None.
+    limit is None where some M_j, j < power, is not 0; a series limit whose
+    rounding stays open raises EvaluatorError.
 
     Other function objects take their rows from _exact_apply and _mp_apply.
     A FunctionHandle prepares the stencil once per table: with x = u/v,
@@ -440,7 +446,7 @@ def _row_quotients(s: Stencil, f, x, power: int, one_row: bool = False):
         value = series(0)
         if value is None:
             raise EvaluatorError("the limit's rounding stays open after the series' redos")
-        return True, value
+        return "converged", value
 
     return row, series_limit
 
@@ -559,11 +565,12 @@ def estimate_derivative(
     decided by the exact limit of the quotient (_row_quotients).
 
     converged: the limit exists, with value the limit correctly rounded and
-    est_error |last quotient - value|.  Where the limit is proved not to
-    exist, diverged: the magnitudes grow without bound -- either past 1e12
-    outright, or monotone growth (last five ratios >= 1.2) spanning three
-    decades.  Anything else is oscillating, reported with the last
-    quotients seen on each side of 0.
+    est_error |last quotient - value|.  A limit fails to exist only for abs
+    and signpowN at x = 0, where Q(h) = Q(sgn h) |h|^(N-n).  diverged:
+    N < n and Q(+-1) != 0, so the quotient is unbounded.  oscillating: N = n
+    on a two-sided table and Q(+1) != Q(-1), so the quotient is bounded with
+    two one-sided limits, reported as the last quotients on each side of 0,
+    which are exactly Q(+1) and Q(-1).
 
     Only a FunctionHandle on a stencil with M_0 .. M_(n-1) = 0 has the
     exact limit.  After the rows, EvaluatorError is raised for any other
@@ -587,7 +594,7 @@ def estimate_derivative(
 
     table = ConvergenceTable(order=s.order)
     quotient, limit = _row_quotients(s, f, x, s.order)
-    quotients = []  # each row's quotient as a double, for the verdict
+    last = None  # the previous row's quotient as a double
     num, den = h0.numerator, h0.denominator  # h0 ratio^i = num / den, carried as integers
     for i in range(steps):
         if s.order >= 3 and abs(num) * 10**8 < den:
@@ -601,8 +608,8 @@ def estimate_derivative(
         if hf == 0:  # past the largest double, or a nonzero h below the smallest
             raise EvaluatorError(f"row {i + 1}: the step h or its quotient lies outside "
                                  "the double range")
-        table.rows.append((h, qt, abs(qf - quotients[-1]) if quotients else None))
-        quotients.append(qf)
+        table.rows.append((h, qt, None if last is None else abs(qf - last)))
+        last = qf
         num, den = num * ratio.numerator, den * ratio.denominator
     if len(table.rows) < 2:
         raise EvaluatorError("fewer than two usable rows; raise h0 or lower the order")
@@ -612,35 +619,21 @@ def estimate_derivative(
     rule = limit and limit(0 if two_sided else 1 if h0 > 0 else -1)
     if rule is None:
         raise EvaluatorError(f"no exact limit: a moment M_j, j < {s.order}, is not 0")
-    if rule[0]:
+    table.verdict, value = rule
+    if table.verdict == "converged":
         try:
-            value = float(rule[1])
+            value = float(value)
         except OverflowError:
             value = math.inf
         if math.isinf(value):
             raise EvaluatorError("the limit lies outside the double range")
-        table.verdict, table.value = "converged", value
-        table.est_error = abs(quotients[-1] - value)
-        return table
-
-    mags = [abs(v) for v in quotients]
-    nonzero = [m for m in mags if m > 0]
-    growing = (
-        len(mags) >= 6
-        and all(mags[-j] >= 1.2 * mags[-j - 1] for j in range(1, 6))
-        and nonzero
-        and mags[-1] >= 1e3 * min(nonzero)
-    )
-    if mags[-1] > 1e12 or growing:
-        table.verdict = "diverged"
-        return table
-
-    table.verdict = "oscillating"
-    for (h, _, _), qf in zip(table.rows, quotients):
-        if h > 0:
-            table.pos_estimate = qf
-        else:
-            table.neg_estimate = qf
+        table.value, table.est_error = value, abs(last - value)
+    elif table.verdict == "oscillating":
+        for h, qt, _ in table.rows:
+            if h > 0:
+                table.pos_estimate = float(qt)
+            else:
+                table.neg_estimate = float(qt)
     return table
 
 

@@ -477,33 +477,38 @@ def _handle(name, n):
 
 
 def _limit_oracle(s, name, x, two_sided):
-    """(exists, the double nearest the limit) of the order-n quotient at x,
-    for steps h0 (-1/2)^i or, one-sided, (1/2)^i with h0 > 0.
+    """(verdict, the double nearest the limit or None) of the order-n
+    quotient at x, for steps of alternating sign or, one-sided, positive
+    steps.
 
     sin, cos and exp take f^(n)(x) from mpmath at 100 digits (sin^(n) is
     +-sin or +-cos, so f^(n)(0) = +-sin 0 is exactly 0); a polynomial, and
     abs or signpowN at x != 0 (locally sgn(x) t^p), take the exact
     derivative.  At x = 0, f(a h) = g(a) k(h) gives Q(h) = S sgn(h) |h|^(p-n)
     with S = sum_k A_k g(a_k): the limit is 0 where S = 0 or p > n, S itself
-    where p = n and every step is positive, and there is none otherwise.
+    where p = n and every step is positive.  Otherwise there is none: the
+    quotient is diverged, unbounded, where p < n, and oscillating, bounded
+    at S on positive steps and -S on negative ones, where p = n.
     """
     n = s.order
     if name in ("sin", "cos", "exp"):
         with mp.workdps(100):
             xm = mp.mpf(x.numerator) / x.denominator
             if name == "exp":
-                return True, float(mp.exp(xm))
+                return "converged", float(mp.exp(xm))
             k = n + (name == "cos")  # cos = sin'
-            return True, float((mp.sin, mp.cos)[k % 2](xm) * (-1 if k % 4 >= 2 else 1))
+            return "converged", float((mp.sin, mp.cos)[k % 2](xm) * (-1 if k % 4 >= 2 else 1))
     if name == "poly":
-        return True, float(poly_nth_derivative(_LIMIT_POLY[:n + 3], n, x))
+        return "converged", float(poly_nth_derivative(_LIMIT_POLY[:n + 3], n, x))
     p = 1 if name == "abs" else int(name[len("signpow"):])
     if x != 0:
-        return True, float(poly_nth_derivative([0] * p + [1 if x > 0 else -1], n, x))
+        return "converged", float(poly_nth_derivative([0] * p + [1 if x > 0 else -1], n, x))
     total = sum(c * a**p * (1 if a > 0 else -1) for a, c in zip(s.nodes, s.coeffs))
     if total == 0 or p > n:
-        return True, 0.0
-    return (True, float(total)) if p == n and not two_sided else (False, None)
+        return "converged", 0.0
+    if p < n:
+        return "diverged", None
+    return ("oscillating", None) if two_sided else ("converged", float(total))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -514,13 +519,34 @@ def test_verdicts_follow_the_exact_limit(kind, n):
         f = _handle(name, n)
         for two_sided in (True, False):
             table = estimate_derivative(s, f, x, two_sided=two_sided)
-            exists, value = _limit_oracle(s, name, x, two_sided)
+            verdict, value = _limit_oracle(s, name, x, two_sided)
             case = (name, x, two_sided, table.verdict_line())
-            if not exists:
-                assert table.verdict in ("diverged", "oscillating"), case
-                continue
-            assert (table.verdict, repr(table.value)) == ("converged", repr(value)), case
-            assert table.est_error == abs(float(table.rows[-1][1]) - value), case
+            assert table.verdict == verdict, case
+            if verdict == "converged":
+                assert repr(table.value) == repr(value), case
+                assert table.est_error == abs(float(table.rows[-1][1]) - value), case
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(list(_KIND_STENCILS)), n=st.integers(1, 8), data=st.data(),
+       ratio=st.fractions(F(1, 2), F(99, 100), max_denominator=100),
+       steps=st.integers(2, 60), two_sided=st.booleans())
+def test_rough_verdicts_at_0_follow_the_power(kind, n, data, ratio, steps, two_sided):
+    # abs and signpowN at x = 0 are the only tables without a limit: their
+    # verdict is diverged for N < n and oscillating for N = n on both sides
+    # of 0, whatever the steps' ratio and count
+    p = data.draw(st.integers(1, n + 2), label="N")
+    name = "abs" if p == 1 else f"signpow{p}"
+    s = _KIND_STENCILS[kind](n)
+    table = estimate_derivative(s, FunctionHandle.builtin(name), F(0),
+                                ratio=ratio, steps=steps, two_sided=two_sided)
+    verdict, value = _limit_oracle(s, name, F(0), two_sided)
+    assert table.verdict == verdict, table.verdict_line()
+    if verdict == "converged":
+        assert repr(table.value) == repr(value)
+    if verdict == "oscillating":  # every row is exactly Q(+-1) = +-S
+        total = _limit_oracle(s, name, F(0), two_sided=False)[1]
+        assert (table.pos_estimate, table.neg_estimate) == (total, -total)
 
 
 def test_the_limit_adds_no_transcendental_call(monkeypatch):

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -351,7 +352,7 @@ class TestCmdStencil:
         assert capsys.readouterr().out == "node,coeff\n0,-1\n1,1\n"
 
     def test_negative_fraction_q_joined_with_equals(self, capsys):
-        # argparse reads a separate "-7/4" as a flag, so it is joined with "=".
+        # the joined form, which a separate -7/4 gives as well (TestNegativeValues)
         code = cli.main(["stencil", "--kind", "forward", "-n", "2", "-q=-7/4",
                          "--output", "csv"])
         assert code == 0
@@ -751,6 +752,23 @@ class TestCmdDerive:
         assert code == 3
         verdict = capsys.readouterr().out.strip().splitlines()[-1]
         assert "oscillating" in verdict
+
+    @pytest.mark.parametrize("argv,line", [
+        # Q(h) = 2/|h| is unbounded, though it grows only 1/0.9 per row
+        ("--kind riemann-symmetric -n 2 --function abs --at 0 --ratio 9/10",
+         "# verdict: diverged"),
+        # ... and over as few as four rows
+        ("--kind riemann-symmetric -n 2 --function abs --at 0 --steps 4",
+         "# verdict: diverged"),
+        # every row is exactly +-16!, past 1e12 but bounded
+        ("--kind forward -q 2 -n 16 --function signpow16 --at 0",
+         "# verdict: oscillating pos_estimate=20922789888000.0 "
+         "neg_estimate=-20922789888000.0"),
+    ], ids=["abs-ratio-9/10", "abs-4-steps", "signpow16"])
+    def test_nonexistence_verdict_follows_the_power(self, capsys, argv, line):
+        code = cli.main(["derive", *argv.split()])
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out.splitlines()[-1]) == (3, "", line)
 
     def test_symmetric_annihilation_converges_to_zero(self, capsys):
         code = cli.main(["derive", "--kind", "symmetric", "-n", "3", "-q", "3",
@@ -1204,6 +1222,32 @@ class TestBoundedEchoes:
             FunctionHandle.builtin("signpow" + "x" * 100_000)
 
 
+class TestNegativeValues:
+    """A negative rational, decimal or list is a value when it stands apart
+    from its flag, as when it is joined to it with =."""
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["derive", "--kind=forward", "-n2", "--function=sin", "--steps=3"], "-q", "-7/4"),
+        (["derive", "--kind=forward", "-n2", "-q2", "--function=sin", "--steps=3"],
+         "--at", "-1/3"),
+        (["derive", "--kind=forward", "-n2", "-q2", "--function=sin", "--steps=3"],
+         "--h0", "-1e-3"),
+        (["stencil", "--kind=custom", "-n1"], "--nodes", "-1,1"),
+        (["verify", "--max-n=3"], "--q-list", "-2,3"),
+        (["stencil", "--kind=forward", "-n2"], "-q", "-.5"),
+    ], ids=["q", "at", "h0", "nodes", "q-list", "q-decimal"])
+    def test_separate_value_reads_as_the_joined_one(self, capsys, argv, flag, value):
+        assert cli.main([*argv, f"{flag}={value}"]) == 0
+        joined = capsys.readouterr()
+        assert cli.main([*argv, flag, value]) == 0
+        assert capsys.readouterr() == joined
+
+    def test_a_dash_letter_is_still_a_flag(self, capsys):
+        assert cli.main(["stencil", "--kind=forward", "-n2", "-q", "-x"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qriemann stencil: error: argument -q: expected one argument")
+
+
 class TestErrorExits:
     @pytest.mark.parametrize("error", [StencilError, ExcessNodesError, EvaluatorError,
                                        CounterexampleError, ValueError])
@@ -1343,3 +1387,25 @@ def test_readme_and_parser_name_the_same_flags():
     unnamed = {name: sorted(flags - named - {"--help"}) for name, flags in defined.items()}
     assert unnamed == {name: [] for name in defined}
     assert named - set().union(*defined.values()) - README_ONLY_FLAGS == set()
+
+
+def _readme_commands():
+    """(argv, expected exit) of each qriemann line in README.md's code
+    blocks, with backslash continuations joined: 3 where its comment says
+    exit 3, else 0.  Each pair is a pytest.param with the line as its id."""
+    readme = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("qriemann "):
+                argv = shlex.split(command)[1:]
+                commands.append(pytest.param(argv, 3 if "exit 3" in comment else 0,
+                                             id=" ".join(argv)))
+    return commands
+
+
+@pytest.mark.parametrize("argv,code", _readme_commands())
+def test_readme_commands_exit_as_their_comments_say(capsys, argv, code):
+    assert cli.main(argv) == code
+    capsys.readouterr()
